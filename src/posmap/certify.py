@@ -18,19 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import (
-    DomainError,
-    HadamardPerturbation,
-    MapSpec,
-    NumericalAnomalyError,
-    PSD_EIG_ATOL,
-    ENTRY_SUM_ATOL,
-    ROW_SUM_ATOL,
-    TauMap,
-    _check_int,
-    as_square_matrix,
-    require_hermitian,
-)
+from .maps import DomainError, HadamardPerturbation, MapSpec, NumericalAnomalyError, TauMap
 from .positivity import PositivityReport, parity_witness_value, seesaw_minimize
 
 SPECTRUM_CHECK_TOL = 1e-10
@@ -44,7 +32,6 @@ class CirculantConstraint:
     spec: MapSpec
     matrix: np.ndarray
     first_row: np.ndarray
-    omega: complex
     eigenvalues: np.ndarray
     zero_indices: tuple
     kernel: tuple
@@ -89,12 +76,6 @@ def _fourier_vector(n: int, j: int) -> np.ndarray:
     return np.array([_root_power(n, j * i) for i in range(n)]) / math.sqrt(n)
 
 
-def _require_constrained(spec: MapSpec) -> MapSpec:
-    if spec.k == 0:
-        raise DomainError("k = 0 admits no subtraction constraints")
-    return spec
-
-
 def build_circulant(spec: MapSpec) -> CirculantConstraint:
     """Assemble the window-sum circulant for 1 <= k <= n-1 and cross-check it.
 
@@ -103,7 +84,8 @@ def build_circulant(spec: MapSpec) -> CirculantConstraint:
     lambda_j = sum_{m < n-k} omega^{jm} are verified against M acting on
     Fourier vectors; zero eigenvalues sit exactly at multiples of n/d.
     """
-    _require_constrained(spec)
+    if spec.k == 0:
+        raise DomainError("k = 0 admits no subtraction constraints")
     n, k = spec.n, spec.k
     first = np.zeros(n, dtype=int)
     first[: n - k] = 1
@@ -127,28 +109,10 @@ def build_circulant(spec: MapSpec) -> CirculantConstraint:
         spec=spec,
         matrix=M,
         first_row=first,
-        omega=_root_power(n, 1),
         eigenvalues=lam,
         zero_indices=zeros,
         kernel=kernel,
     )
-
-
-def circulant_spectrum(constraint: CirculantConstraint):
-    """(eigenvalues, zero indices) of the constraint circulant."""
-    return constraint.eigenvalues, constraint.zero_indices
-
-
-def kernel_basis(spec: MapSpec) -> list:
-    """Orthonormal kernel of the constraint system: d-1 Fourier vectors.
-
-    Each vector v_r has entries (omega^{r n/d})^i / sqrt(n), satisfies
-    M v_r = 0, and has entries summing to zero.  Empty when gcd(n, k) = 1.
-    """
-    _require_constrained(spec)
-    n = spec.n
-    d = spec.gcd
-    return [_fourier_vector(n, r * (n // d)) for r in range(1, d)]
 
 
 def certify_optimality(spec: MapSpec) -> OptimalityCertificate:
@@ -175,25 +139,6 @@ def certify_optimality(spec: MapSpec) -> OptimalityCertificate:
     )
 
 
-def admissible_subtraction_check(candidate, n: int | None = None) -> bool:
-    """Whether a matrix qualifies as a subtraction: PSD, zero entry sum, L 1 = 0.
-
-    Accepts a HadamardPerturbation or a raw matrix; raw matrices are the
-    interesting case, since the perturbation type already enforces the
-    conditions at construction.
-    """
-    L = candidate.matrix if isinstance(candidate, HadamardPerturbation) else candidate
-    try:
-        L = require_hermitian(as_square_matrix(L, n))
-    except (DomainError, ValueError):
-        return False
-    if np.linalg.eigvalsh(L).min() < -PSD_EIG_ATOL:
-        return False
-    if abs(complex(L.sum())) > ENTRY_SUM_ATOL:
-        return False
-    return bool(np.abs(L @ np.ones(L.shape[0])).max() <= ROW_SUM_ATOL)
-
-
 def conjecture_probe(spec: MapSpec, seed: int = 0, t: float | None = None,
                      starts: int = 64, tol: float = 1e-9) -> ConjectureEvidence:
     """Probe the critical weight t = n - k along the alternating kernel direction.
@@ -210,7 +155,7 @@ def conjecture_probe(spec: MapSpec, seed: int = 0, t: float | None = None,
     t_probe = t_max if t is None else float(t)
     if t_probe < 0:
         raise DomainError(f"weight must be nonnegative, got {t_probe}")
-    v1 = kernel_basis(spec)[0]
+    v1 = build_circulant(spec).kernel[0]
     pert = HadamardPerturbation.rank_one(v1, t_probe)
     report = seesaw_minimize(TauMap(spec, pert), starts=starts, seed=seed, tol=tol)
     witness_at_t, _ = parity_witness_value(n, k, t_probe)

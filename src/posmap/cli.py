@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .certify import build_circulant, certify_optimality, conjecture_probe, kernel_basis
+from .certify import build_circulant, certify_optimality, conjecture_probe
 from .maps import (
     DomainError,
     DimensionMismatchError,
@@ -263,8 +263,8 @@ def _resolve_config(args) -> dict:
         raise ConfigError(f"seed must be nonnegative, got {args.seed}")
     if args.starts < 1:
         raise ConfigError(f"starts must be positive, got {args.starts}")
-    if args.tol <= 0:
-        raise ConfigError(f"tol must be positive, got {args.tol}")
+    if not 0 < args.tol < math.inf:
+        raise ConfigError(f"tol must be finite and positive, got {args.tol}")
     samples = args.samples if args.samples is not None else 4 * args.n * args.n
     if samples < 1:
         raise ConfigError(f"samples must be positive, got {samples}")
@@ -379,6 +379,8 @@ def _parse_grid(raw: str):
         raise ConfigError(f"--grid must be START:STOP:NUM, got {raw!r}")
     if num < 1:
         raise ConfigError(f"grid needs at least one point, got {num}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"grid weights must be finite, got {raw!r}")
     if start < 0 or stop < start:
         raise ConfigError(f"grid weights must satisfy 0 <= start <= stop, got {raw!r}")
     return np.linspace(start, stop, num)
@@ -392,7 +394,7 @@ def cmd_conjecture(args, spec: MapSpec, config: dict) -> dict:
             raise ConfigError(f"no kernel directions to sweep: gcd(n, k) = {spec.gcd}")
         axes = spec.gcd - 1
         grid = _parse_grid(config["grid"])
-        basis = kernel_basis(spec)
+        basis = build_circulant(spec).kernel
         points = []
         for weights in itertools.product(grid, repeat=axes):
             L = np.zeros((spec.n, spec.n), dtype=np.complex128)
@@ -451,7 +453,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         spec, config = _resolve_config(args)
-        result = _COMMANDS[args.command](args, spec, config)
+        report = {
+            "schema": SCHEMA_ID,
+            "version": __version__,
+            "command": args.command,
+            "config": config,
+            "result": _COMMANDS[args.command](args, spec, config),
+        }
+        text = render_text(report) if config["output"] == "text" else dumps_report(report)
     except (ConfigError, DomainError, DimensionMismatchError) as exc:
         print(f"posmap: error: {exc}", file=sys.stderr)
         return 2
@@ -461,17 +470,7 @@ def main(argv=None) -> int:
     except NumericalAnomalyError as exc:
         print(f"posmap: anomaly: {exc}", file=sys.stderr)
         return 4
-    report = {
-        "schema": SCHEMA_ID,
-        "version": __version__,
-        "command": args.command,
-        "config": config,
-        "result": result,
-    }
-    if config["output"] == "text":
-        print(render_text(report))
-    else:
-        print(dumps_report(report))
+    print(text)
     return 0
 
 

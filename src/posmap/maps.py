@@ -93,17 +93,15 @@ def as_square_matrix(X, n: int | None = None) -> np.ndarray:
     return A
 
 
-def is_hermitian(X, atol: float = HERMITIAN_ATOL) -> bool:
-    A = as_square_matrix(X)
-    return bool(np.abs(A - A.conj().T).max() <= atol)
-
-
 def require_hermitian(X, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     """Return X as an ndarray after verifying Hermiticity within atol.
 
-    Inputs that fail are rejected, never symmetrized.
+    Inputs that fail, including any with NaN or infinite entries, are
+    rejected, never symmetrized.
     """
     A = as_square_matrix(X)
+    if not np.isfinite(A).all():
+        raise DomainError("matrix has non-finite entries")
     dev = np.abs(A - A.conj().T).max()
     if dev > atol:
         raise DomainError(f"matrix is not Hermitian within {atol:g} (deviation {dev:.3e})")
@@ -167,8 +165,8 @@ class HadamardPerturbation:
         a = np.asarray(alpha, dtype=np.complex128).reshape(-1)
         if a.shape[0] < 2:
             raise DimensionMismatchError("alpha must have at least two entries")
-        if t < 0:
-            raise DomainError(f"weight must be nonnegative, got {t}")
+        if not 0 <= t < math.inf:
+            raise DomainError(f"weight must be finite and nonnegative, got {t}")
         if abs(a.sum()) > ENTRY_SUM_ATOL:
             raise DomainError(f"alpha entries must sum to zero, got {a.sum():.3e}")
         return cls(matrix=t * np.outer(a, a.conj()), alpha=a, weight=float(t))
@@ -211,14 +209,9 @@ class _EntrywiseMap:
 
     def choi(self) -> np.ndarray:
         """Block matrix whose (i, j) block is the map applied to e_ij."""
-        n = self.n
-        C = np.zeros((n * n, n * n), dtype=np.complex128)
-        for i in range(n):
-            blk = np.diag(self._C[:, i].astype(np.complex128))
-            C[i * n : (i + 1) * n, i * n : (i + 1) * n] = blk
-        for i in range(n):
-            for j in range(n):
-                C[i * n + i, j * n + j] -= self._G[i, j]
+        C = np.diag(self._C.T.reshape(-1).astype(np.complex128))
+        d = np.arange(self.n) * (self.n + 1)
+        C[np.ix_(d, d)] -= self._G
         return C
 
 
@@ -245,27 +238,3 @@ class HadamardMap(_EntrywiseMap):
         L = as_square_matrix(L)
         super().__init__(L.shape[0], np.zeros_like(L, dtype=float), -L)
         self.schur_matrix = L
-
-
-def apply_tau(spec: MapSpec, X) -> np.ndarray:
-    """Evaluate tau_{n,k} on X."""
-    return TauMap(spec).apply(X)
-
-
-def apply_reduction(n: int, X) -> np.ndarray:
-    """Reduction map Tr(X) I - X, which coincides with tau_{n,n-1}."""
-    n = _check_int(n, "n")
-    if n < 2:
-        raise DomainError(f"n must be at least 2, got {n}")
-    A = as_square_matrix(X, n)
-    return np.trace(A) * np.eye(n, dtype=np.complex128) - A
-
-
-def apply_perturbed(spec: MapSpec, pert: HadamardPerturbation, X) -> np.ndarray:
-    """Evaluate the corrected map tau_{n,k}(X) - L o X."""
-    return TauMap(spec, pert).apply(X)
-
-
-def choi_matrix(spec: MapSpec, pert: HadamardPerturbation | None = None) -> np.ndarray:
-    """Choi matrix of tau_{n,k} (optionally corrected), block (i, j) = map(e_ij)."""
-    return TauMap(spec, pert).choi()

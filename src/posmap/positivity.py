@@ -56,9 +56,15 @@ class PositivityReport:
 
 
 def _unit(v: np.ndarray, name: str) -> np.ndarray:
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
-        raise DomainError(f"{name} must be nonzero")
+    """v / |v|, first scaled by max|v| when |v| overflows or underflows."""
+    with np.errstate(over="ignore"):
+        nrm = np.linalg.norm(v)
+    if not 0.0 < nrm < np.inf:
+        peak = np.abs(v).max()
+        if peak == 0.0:
+            raise DomainError(f"{name} must be nonzero")
+        v = v / peak
+        nrm = np.linalg.norm(v)
     return v / nrm
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import DomainError, MapSpec, TauMap, _check_int
-from .positivity import SWEEP_IMPROVEMENT_TOL, _seesaw_single, form_value
+from .positivity import _seesaw_single, form_value
 
 ADMISSION_TOL = 1e-9
 RANK_REL_TOL = 1e-8
@@ -53,7 +53,8 @@ def sigma_projector(n: int) -> np.ndarray:
 
     The complement is the (n-1)-dimensional traceless diagonal subspace,
     so the projector acts as the identity off the diagonal coordinates and
-    averages over them.
+    averages over them.  build_spanning_set tests membership without
+    forming this dense n^2 x n^2 matrix; it stays as the reference.
     """
     n = _check_int(n, "n")
     if n < 2:
@@ -174,7 +175,9 @@ def build_spanning_set(spec: MapSpec, seed: int = 0, samples: int | None = None,
     samples defaults to 4 n^2 phase pairs; the see-saw harvest defaults to
     2n witnesses (capped at 4 n^2), enough to reveal the spanning property
     of the reduction map while staying cheap.  Membership flags record
-    whether the projector fixes each admitted product vector.
+    whether sigma_projector fixes each admitted product vector x (x) y; it
+    does exactly when the diagonal coordinates x_i y_i are all equal, so
+    the flag is an O(n) test on those n products.
     """
     if spec.k < 1:
         raise DomainError("spanning analysis applies for k >= 1")
@@ -191,11 +194,14 @@ def build_spanning_set(spec: MapSpec, seed: int = 0, samples: int | None = None,
     pool += degenerate_pairs(spec, seed)
     pool += _harvest_zero_pairs(spec, harvest_count, seed)
     admitted = [p for p in pool if abs(p.value) <= ADMISSION_TOL]
-    P = sigma_projector(n)
-    products = [np.kron(p.x, p.y) for p in admitted]
-    membership = [bool(np.linalg.norm(P @ v - v) <= SIGMA_FIX_TOL) for v in products]
+    m = len(admitted)
+    X = np.array([p.x for p in admitted]).reshape(m, n)
+    Y = np.array([p.y for p in admitted]).reshape(m, n)
+    products = (X[:, :, None] * Y[:, None, :]).reshape(m, n * n)
+    diag = X * Y
+    deviation = np.linalg.norm(diag - diag.mean(axis=1, keepdims=True), axis=1)
     return SpanningSet(pairs=admitted, gram_rank=gram_rank(products),
-                       sigma_membership=membership)
+                       sigma_membership=(deviation <= SIGMA_FIX_TOL).tolist())
 
 
 def spanning_rank(spec: MapSpec, seed: int = 0, samples: int | None = None):

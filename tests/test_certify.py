@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from posmap import DomainError, HadamardPerturbation, MapSpec, alternating_vector
-from posmap.certify import (
-    admissible_subtraction_check,
-    build_circulant,
-    certify_optimality,
-    circulant_spectrum,
-    conjecture_probe,
-    kernel_basis,
+from posmap import (
+    DimensionMismatchError,
+    DomainError,
+    HadamardPerturbation,
+    MapSpec,
+    TauMap,
+    alternating_vector,
 )
+from posmap.certify import build_circulant, certify_optimality, conjecture_probe
 
 
 class TestBuildCirculant:
@@ -44,7 +44,7 @@ class TestBuildCirculant:
 
     def test_4_2_spectrum_frozen(self):
         c = build_circulant(MapSpec(4, 2))
-        eigs, zeros = circulant_spectrum(c)
+        eigs, zeros = c.eigenvalues, c.zero_indices
         assert eigs[0] == 2.0 + 0.0j
         assert eigs[2] == 0.0 + 0.0j
         assert np.allclose(eigs, [2.0, 1.0 + 1.0j, 0.0, 1.0 - 1.0j], atol=1e-12)
@@ -78,23 +78,22 @@ class TestBuildCirculant:
 
 class TestKernelBasis:
     def test_4_2_exact(self):
-        (v,) = kernel_basis(MapSpec(4, 2))
+        (v,) = build_circulant(MapSpec(4, 2)).kernel
         assert np.array_equal(v, np.array([0.5, -0.5, 0.5, -0.5], dtype=np.complex128))
 
     @pytest.mark.parametrize(
         "n,k,dim", [(4, 2, 1), (6, 2, 1), (6, 3, 2), (6, 4, 1), (9, 6, 2), (12, 8, 3)]
     )
     def test_dimension_is_gcd_minus_one(self, n, k, dim):
-        basis = kernel_basis(MapSpec(n, k))
-        assert len(basis) == dim
         c = build_circulant(MapSpec(n, k))
-        for v in basis:
+        assert len(c.kernel) == dim
+        for v in c.kernel:
             assert np.linalg.norm(c.matrix @ v) <= 1e-10
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("n,k", [(3, 1), (5, 3), (8, 3)])
     def test_coprime_members_have_empty_kernel(self, n, k):
-        assert kernel_basis(MapSpec(n, k)) == []
+        assert build_circulant(MapSpec(n, k)).kernel == ()
 
 
 class TestCertifyOptimality:
@@ -114,7 +113,7 @@ class TestCertifyOptimality:
         assert len(cert.candidate_subtractions) == dim
         for cand in cert.candidate_subtractions:
             assert cand.weight == 0.0
-            assert admissible_subtraction_check(cand)
+            HadamardPerturbation.rank_one(cand.alpha, 1.0)
 
     def test_k_zero_rejected(self):
         with pytest.raises(DomainError):
@@ -122,21 +121,27 @@ class TestCertifyOptimality:
 
 
 class TestAdmissibleSubtractionCheck:
+    """Admissibility is checked in one place: HadamardPerturbation's constructor."""
+
     def test_kernel_direction_passes_at_positive_weight(self):
-        (v,) = kernel_basis(MapSpec(4, 2))
+        (v,) = build_circulant(MapSpec(4, 2)).kernel
         pert = HadamardPerturbation.rank_one(v, 1.5)
-        assert admissible_subtraction_check(pert)
+        assert np.abs(pert.matrix @ np.ones(4)).max() <= 1e-12
 
     def test_raw_matrix_inputs(self):
         a = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
-        assert admissible_subtraction_check(np.outer(a, a))
-        assert not admissible_subtraction_check(np.ones((3, 3)))
-        assert not admissible_subtraction_check(np.diag([1.0, -1.0]))
+        HadamardPerturbation.full(np.outer(a, a))
+        with pytest.raises(DomainError, match="sum to zero"):
+            HadamardPerturbation.full(np.ones((3, 3)))
+        with pytest.raises(DomainError, match="not PSD"):
+            HadamardPerturbation.full(np.diag([1.0, -1.0]))
 
     def test_dimension_argument(self):
         a = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        assert admissible_subtraction_check(np.outer(a, a), n=2)
-        assert not admissible_subtraction_check(np.outer(a, a), n=3)
+        pert = HadamardPerturbation.full(np.outer(a, a))
+        TauMap(MapSpec(2, 1), pert)
+        with pytest.raises(DimensionMismatchError):
+            TauMap(MapSpec(3, 1), pert)
 
 
 class TestConjectureProbe:

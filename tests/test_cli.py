@@ -326,7 +326,28 @@ class TestMainInProcess:
         assert config["output"] == "json"
         assert config["experimental"] is False
 
-    def test_error_paths_return_codes(self, capsys):
+    def test_error_paths_return_codes(self, capsys, tmp_path):
         assert main(["certify", "--n", "4", "--k", "0"]) == 2
         assert main(["apply", "--n", "2", "--k", "1", "--input", "/none.json"]) == 3
-        capsys.readouterr()
+        for token in ("NaN", "Infinity"):
+            path = tmp_path / f"{token}.json"
+            path.write_text(f"[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [{token}, 0.0]]]")
+            assert main(["apply", "--n", "2", "--k", "1", "--input", str(path)]) == 3
+        for value in ("nan", "inf"):
+            assert main(["positivity", "--n", "4", "--k", "2", "--perturb", "v1",
+                         "--t", value]) == 2
+            assert main(["conjecture", "--n", "4", "--k", "2", "--t", value]) == 2
+            assert main(["certify", "--n", "4", "--k", "2", "--tol", value]) == 2
+        assert main(["conjecture", "--n", "6", "--k", "3", "--experimental",
+                     "--grid", "0:nan:2"]) == 2
+        # Finite input whose image overflows: the serializer meets inf and reports an
+        # anomaly.  The overflow (and the NaN it breeds) is expected here, not a warning.
+        path = write_matrix(tmp_path / "huge.json", np.diag([1e308, 1e308, 1e308, 1e308]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["apply", "--n", "4", "--k", "2", "--input", path]) == 4
+        err = capsys.readouterr().err
+        assert "non-finite entries" in err
+        assert "finite and nonnegative" in err
+        assert "tol must be finite" in err
+        assert "grid weights must be finite" in err
+        assert "posmap: anomaly: non-finite value in report" in err

@@ -12,12 +12,7 @@ from posmap import (
     NumericalAnomalyError,
     TauMap,
     alternating_vector,
-    apply_perturbed,
-    apply_reduction,
-    apply_tau,
     as_square_matrix,
-    choi_matrix,
-    is_hermitian,
     require_hermitian,
     shift_coupling,
 )
@@ -104,7 +99,7 @@ class TestBasisAction:
             for m in range(1, k + 1):
                 i = (j - m) % n
                 expected[i, i] += 1.0
-            got = apply_tau(spec, basis_matrix(n, j, j))
+            got = TauMap(spec).apply(basis_matrix(n, j, j))
             assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (6, 3)])
@@ -114,7 +109,7 @@ class TestBasisAction:
             for j in range(n):
                 if i == j:
                     continue
-                got = apply_tau(spec, basis_matrix(n, i, j))
+                got = TauMap(spec).apply(basis_matrix(n, i, j))
                 assert np.array_equal(got, -basis_matrix(n, i, j))
 
     def test_3_1_dense_fixture(self):
@@ -126,13 +121,13 @@ class TestBasisAction:
             [[5.0, 1.0j, -0.5], [-1.0j, 4.0, 0.0], [-0.5, 0.0, 3.0]],
             dtype=np.complex128,
         )
-        assert np.array_equal(apply_tau(MapSpec(3, 1), X), expected)
+        assert np.array_equal(TauMap(MapSpec(3, 1)).apply(X), expected)
 
     def test_k_zero_action(self):
         rng = np.random.default_rng(7)
         A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         X = A + A.conj().T
-        got = apply_tau(MapSpec(4, 0), X)
+        got = TauMap(MapSpec(4, 0)).apply(X)
         expected = 4.0 * np.diag(np.diagonal(X)) - X
         assert np.allclose(got, expected, atol=1e-13)
 
@@ -143,24 +138,33 @@ class TestReduction:
         rng = np.random.default_rng(n)
         A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         X = A + A.conj().T
-        got = apply_tau(MapSpec(n, n - 1), X)
-        expected = apply_reduction(n, X)
+        got = TauMap(MapSpec(n, n - 1)).apply(X)
+        expected = np.trace(X) * np.eye(n) - X
         assert np.allclose(got, expected, atol=1e-12)
 
     def test_explicit_value(self):
         X = np.diag([1.0, 2.0, 3.0]).astype(np.complex128)
         expected = np.diag([5.0, 4.0, 3.0]).astype(np.complex128)
-        assert np.array_equal(apply_reduction(3, X), expected)
+        assert np.array_equal(TauMap(MapSpec(3, 2)).apply(X), expected)
 
     def test_dimension_guard(self):
         with pytest.raises(DimensionMismatchError):
-            apply_reduction(3, np.eye(4))
+            TauMap(MapSpec(3, 2)).apply(np.eye(4))
 
 
 class TestHermiticity:
     def test_is_hermitian(self):
-        assert is_hermitian(np.array([[1.0, 2.0 + 1j], [2.0 - 1j, 3.0]]))
-        assert not is_hermitian(np.array([[1.0, 2.0], [0.0, 3.0]]))
+        H = np.array([[1.0, 2.0 + 1j], [2.0 - 1j, 3.0]])
+        assert np.array_equal(require_hermitian(H), H)
+        with pytest.raises(DomainError, match="not Hermitian"):
+            require_hermitian(np.array([[1.0, 2.0], [0.0, 3.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_require_hermitian_rejects_non_finite(self, bad):
+        M = np.eye(2, dtype=np.complex128)
+        M[1, 1] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            require_hermitian(M)
 
     def test_require_hermitian_rejects_without_symmetrizing(self):
         M = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -280,29 +284,29 @@ class TestTauMapProtocol:
         rng = np.random.default_rng(23)
         A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         X = A + A.conj().T
-        got = apply_perturbed(spec, pert, X)
-        expected = apply_tau(spec, X) - pert.matrix * X
+        got = TauMap(spec, pert).apply(X)
+        expected = TauMap(spec).apply(X) - pert.matrix * X
         assert np.allclose(got, expected, atol=1e-12)
 
 
 class TestChoi:
     def test_3_1_eigenvalues_frozen(self):
-        eigs = np.linalg.eigvalsh(choi_matrix(MapSpec(3, 1)))
+        eigs = np.linalg.eigvalsh(TauMap(MapSpec(3, 1)).choi())
         expected = [-1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 2.0]
         assert np.allclose(eigs, expected, atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_k_zero_choi_is_psd(self, n):
-        eigs = np.linalg.eigvalsh(choi_matrix(MapSpec(n, 0)))
+        eigs = np.linalg.eigvalsh(TauMap(MapSpec(n, 0)).choi())
         assert eigs.min() >= -1e-12
 
     def test_blocks_are_basis_images(self):
         spec = MapSpec(4, 2)
-        C = choi_matrix(spec)
+        C = TauMap(spec).choi()
         for i in range(4):
             for j in range(4):
                 blk = C[4 * i : 4 * (i + 1), 4 * j : 4 * (j + 1)]
-                assert np.array_equal(blk, apply_tau(spec, basis_matrix(4, i, j)))
+                assert np.array_equal(blk, TauMap(spec).apply(basis_matrix(4, i, j)))
 
     def test_hadamard_map_choi_embeds_schur_matrix(self):
         a = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
@@ -326,6 +330,29 @@ class TestDiagonalUnitaryCovariance:
             U = np.diag(phases)
             A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             X = A + A.conj().T
-            lhs = apply_tau(spec, U @ X @ U.conj().T)
-            rhs = U @ apply_tau(spec, X) @ U.conj().T
+            lhs = TauMap(spec).apply(U @ X @ U.conj().T)
+            rhs = U @ TauMap(spec).apply(X) @ U.conj().T
             assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(rhs))
+
+
+class TestPublicApi:
+    def test_all_names_surviving_paths_only(self):
+        """One public name per fact: no wrapper that only forwards to TauMap,
+        no second subtraction validator and no second kernel source."""
+        import posmap
+
+        assert sorted(posmap.__all__) == sorted([
+            "__version__",
+            "DimensionMismatchError", "DomainError", "NumericalAnomalyError",
+            "MapSpec", "HadamardPerturbation", "TauMap", "HadamardMap",
+            "alternating_vector", "shift_coupling", "as_square_matrix", "require_hermitian",
+            "PositivityReport", "DiagonalProfile", "form_value", "seesaw_minimize",
+            "f_value", "analytic_det", "hessian_shat", "degenerate_det_bound",
+            "parity_witness_value",
+            "ProductPair", "SpanningSet", "sigma_projector", "unimodular_pairs",
+            "degenerate_pairs", "build_spanning_set", "spanning_rank", "gram_rank",
+            "CirculantConstraint", "OptimalityCertificate", "ConjectureEvidence",
+            "build_circulant", "certify_optimality", "conjecture_probe",
+        ])
+        for name in posmap.__all__:
+            assert hasattr(posmap, name)

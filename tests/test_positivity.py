@@ -34,9 +34,14 @@ class TestFormValue:
         assert form_value(map_, unit_basis(3, 0), unit_basis(3, 1)) == 0.0
 
     def test_scale_invariance(self):
-        map_ = TauMap(MapSpec(3, 1))
-        x, y = unit_basis(3, 0), unit_basis(3, 1)
-        assert form_value(map_, 5.0 * x, 2e300 * y) == form_value(map_, x, y)
+        """Scales whose norm overflows or underflows give the same value."""
+        map_ = TauMap(MapSpec(4, 2))
+        x = np.array([1.0, 2.0, 0.5, -1.0])
+        y = np.array([0.5, -1.0, 1.0, 1.0j])
+        ref = form_value(map_, x, y)
+        assert ref > 0.9
+        for sx, sy in [(5.0, 2e300), (1e200, 1.0), (1e-200, 1.0), (1.0, 1e-300)]:
+            assert abs(form_value(map_, sx * x, sy * y) - ref) <= 1e-14 * ref
 
     def test_known_negative_direction(self):
         pert = HadamardPerturbation.rank_one(alternating_vector(4), 2.5)

@@ -148,9 +148,11 @@ class TestSpanningSet:
         assert any(not m for m in ss.sigma_membership)
         assert ss.gram_rank == 16
 
-    def test_membership_matches_projector(self):
-        ss = build_spanning_set(MapSpec(3, 1))
-        P = sigma_projector(3)
+    @pytest.mark.parametrize("n,k", [(3, 1), (4, 3)])
+    def test_membership_matches_projector(self, n, k):
+        """The O(n) membership flags agree with the dense projector; (4, 3) has both outcomes."""
+        ss = build_spanning_set(MapSpec(n, k))
+        P = sigma_projector(n)
         for p, member in zip(ss.pairs, ss.sigma_membership):
             w = np.kron(p.x, p.y)
             inside = np.linalg.norm(P @ w - w) <= 1e-9
