@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import DomainError, HadamardPerturbation, MapSpec, NumericalAnomalyError, TauMap
+from .maps import (
+    ENTRY_SUM_ATOL,
+    DomainError,
+    HadamardPerturbation,
+    MapSpec,
+    NumericalAnomalyError,
+    TauMap,
+)
 from .positivity import PositivityReport, parity_witness_value, seesaw_minimize
 
 SPECTRUM_CHECK_TOL = 1e-10
@@ -43,9 +50,7 @@ class OptimalityCertificate:
     gcd: int
     kernel_dim: int
     verdict: str
-    candidate_subtractions: tuple
     constraint: CirculantConstraint
-    evidence: PositivityReport | None = None
 
 
 @dataclass(frozen=True)
@@ -72,17 +77,14 @@ def _root_power(n: int, m: int) -> complex:
     return complex(np.exp(2j * np.pi * m / n))
 
 
-def _fourier_vector(n: int, j: int) -> np.ndarray:
-    return np.array([_root_power(n, j * i) for i in range(n)]) / math.sqrt(n)
-
-
 def build_circulant(spec: MapSpec) -> CirculantConstraint:
     """Assemble the window-sum circulant for 1 <= k <= n-1 and cross-check it.
 
     M[i][j] = first_row[(j - i) mod n] with first_row starting in n-k ones,
     so row j states that the window sum at offset j vanishes.  Eigenvalues
     lambda_j = sum_{m < n-k} omega^{jm} are verified against M acting on
-    Fourier vectors; zero eigenvalues sit exactly at multiples of n/d.
+    Fourier vectors; zero eigenvalues sit exactly at multiples of n/d, and
+    each kernel vector's entries must sum to zero, as a subtraction needs.
     """
     if spec.k == 0:
         raise DomainError("k = 0 admits no subtraction constraints")
@@ -91,11 +93,13 @@ def build_circulant(spec: MapSpec) -> CirculantConstraint:
     first[: n - k] = 1
     i_idx, j_idx = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     M = first[(j_idx - i_idx) % n]
-    lam = np.array([sum(_root_power(n, j * m) for m in range(n - k)) for j in range(n)])
+    roots = [_root_power(n, m) for m in range(n)]
+    lam = np.array([sum(roots[j * m % n] for m in range(n - k)) for j in range(n)])
+    # Row j is the Fourier vector (omega^{ji})_i / sqrt(n).
+    fourier = np.array(roots)[np.outer(np.arange(n), np.arange(n)) % n] / math.sqrt(n)
     d = spec.gcd
     zeros = tuple(r * (n // d) for r in range(1, d))
-    for j in range(n):
-        f = _fourier_vector(n, j)
+    for j, f in enumerate(fourier):
         resid = np.abs(M @ f - lam[j] * f).max()
         if resid > SPECTRUM_CHECK_TOL:
             raise NumericalAnomalyError(
@@ -104,7 +108,9 @@ def build_circulant(spec: MapSpec) -> CirculantConstraint:
         analytically_zero = j in zeros
         if analytically_zero != (abs(lam[j]) <= SPECTRUM_CHECK_TOL):
             raise NumericalAnomalyError(f"zero set mismatch at eigenvalue index {j}")
-    kernel = tuple(_fourier_vector(n, j) for j in zeros)
+        if analytically_zero and abs(f.sum()) > ENTRY_SUM_ATOL:
+            raise NumericalAnomalyError(f"kernel vector {j} has entry sum {f.sum():.3e}, not zero")
+    kernel = tuple(fourier[j] for j in zeros)
     return CirculantConstraint(
         spec=spec,
         matrix=M,
@@ -116,25 +122,21 @@ def build_circulant(spec: MapSpec) -> CirculantConstraint:
 
 
 def certify_optimality(spec: MapSpec) -> OptimalityCertificate:
-    """Verdict by exact integer gcd; kernel directions become candidate subtractions.
+    """Verdict by exact integer gcd.
 
     gcd(n, k) = 1 leaves the constraint system nonsingular, so no
-    admissible subtraction exists: optimal-certified.  Otherwise each
-    kernel vector seeds a rank-one candidate at weight 0, the weight being
-    the probe's business, and the verdict is not-certified.
+    admissible subtraction exists: optimal-certified.  Otherwise each of
+    the d - 1 kernel vectors in constraint.kernel is a candidate rank-one
+    direction, and the verdict is not-certified.
     """
     constraint = build_circulant(spec)
     d = spec.gcd
-    candidates = tuple(
-        HadamardPerturbation.rank_one(v, 0.0) for v in constraint.kernel
-    )
     verdict = "optimal-certified" if d == 1 else "not-certified"
     return OptimalityCertificate(
         spec=spec,
         gcd=d,
         kernel_dim=d - 1,
         verdict=verdict,
-        candidate_subtractions=candidates,
         constraint=constraint,
     )
 

@@ -14,7 +14,6 @@ import argparse
 import itertools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -48,7 +47,7 @@ REPORT_SCHEMA = {
         "command": {"enum": ["apply", "positivity", "spanning", "certify", "conjecture"]},
         "config": {
             "type": "object",
-            "required": ["n", "k", "seed", "starts", "tol", "samples", "threads", "output"],
+            "required": ["n", "k", "seed", "starts", "tol", "samples", "output"],
             "properties": {
                 "n": {"type": "integer"},
                 "k": {"type": "integer"},
@@ -60,7 +59,6 @@ REPORT_SCHEMA = {
                 "input": {"type": ["string", "null"]},
                 "output": {"enum": ["json", "text"]},
                 "perturb": {"type": ["string", "null"]},
-                "threads": {"type": "integer"},
                 "experimental": {"type": "boolean"},
                 "grid": {"type": ["string", "null"]},
             },
@@ -216,45 +214,42 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+# Every posmap-report/1 config key besides n, k and output.  A subcommand
+# without a flag for a key still echoes the key's default.
+_OPTIONS = {
+    "seed": {"type": int, "default": 0},
+    "starts": {"type": int, "default": 64},
+    "tol": {"type": float, "default": 1e-9},
+    "samples": {"type": int, "default": None},
+    "input": {"default": None},
+    "perturb": {"choices": ("v1",), "default": None},
+    "t": {"type": float, "default": None},
+    "experimental": {"action": "store_true", "default": False},
+    "grid": {"default": None},
+}
+
+# The flags each subcommand reads, besides --n, --k and --output.
+_COMMAND_FLAGS = {
+    "apply": ("seed", "input", "perturb", "t"),
+    "positivity": ("seed", "starts", "tol", "perturb", "t"),
+    "spanning": ("seed", "samples"),
+    "certify": ("seed",),
+    "conjecture": ("seed", "starts", "tol", "t", "experimental", "grid"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="posmap", description="shift-coupled diagonal map toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("apply", "positivity", "spanning", "certify", "conjecture"):
+    for name, flags in _COMMAND_FLAGS.items():
         p = sub.add_parser(name)
+        p.set_defaults(**{key: opts["default"] for key, opts in _OPTIONS.items()})
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--k", type=int, required=True)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--starts", type=int, default=64)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--samples", type=int, default=None)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_OPTIONS[flag])
         p.add_argument("--output", choices=("json", "text"), default="json")
-        p.add_argument("--threads", type=int, default=None)
-        if name in ("apply", "positivity"):
-            p.add_argument("--input", default=None)
-            p.add_argument("--perturb", choices=("v1",), default=None)
-            p.add_argument("--t", type=float, default=None)
-        if name == "conjecture":
-            p.add_argument("--t", type=float, default=None)
-            p.add_argument("--experimental", action="store_true")
-            p.add_argument("--grid", default=None)
     return parser
-
-
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        threads = args.threads
-    else:
-        raw = os.environ.get("POSMAP_THREADS")
-        if raw is None:
-            threads = 1
-        else:
-            try:
-                threads = int(raw)
-            except ValueError:
-                raise ConfigError(f"POSMAP_THREADS must be an integer, got {raw!r}")
-    if threads < 1:
-        raise ConfigError(f"threads must be positive, got {threads}")
-    return threads
 
 
 def _resolve_config(args) -> dict:
@@ -271,24 +266,22 @@ def _resolve_config(args) -> dict:
     config = {
         "n": args.n,
         "k": args.k,
-        "t": getattr(args, "t", None),
+        "t": args.t,
         "seed": args.seed,
         "starts": args.starts,
         "tol": args.tol,
         "samples": samples,
-        "input": getattr(args, "input", None),
+        "input": args.input,
         "output": args.output,
-        "perturb": getattr(args, "perturb", None),
-        "threads": _resolve_threads(args),
-        "experimental": bool(getattr(args, "experimental", False)),
-        "grid": getattr(args, "grid", None),
+        "perturb": args.perturb,
+        "experimental": args.experimental,
+        "grid": args.grid,
     }
     return spec, config
 
 
 def _build_perturbation(args, n: int) -> HadamardPerturbation | None:
-    perturb = getattr(args, "perturb", None)
-    t = getattr(args, "t", None)
+    perturb, t = args.perturb, args.t
     if perturb is None:
         if t is not None:
             raise ConfigError("--t requires --perturb")
@@ -359,6 +352,7 @@ def cmd_spanning(args, spec: MapSpec, config: dict) -> dict:
 def cmd_certify(args, spec: MapSpec, config: dict) -> dict:
     cert = certify_optimality(spec)
     constraint = cert.constraint
+    basis = [vector_pairs(v) for v in constraint.kernel]
     return {
         "gcd": cert.gcd,
         "kernel_dim": cert.kernel_dim,
@@ -366,8 +360,9 @@ def cmd_certify(args, spec: MapSpec, config: dict) -> dict:
         "first_row": [int(v) for v in constraint.first_row],
         "eigenvalues": vector_pairs(constraint.eigenvalues),
         "zero_indices": list(constraint.zero_indices),
-        "kernel_basis": [vector_pairs(v) for v in constraint.kernel],
-        "candidates": [_pert_summary(c) for c in cert.candidate_subtractions],
+        "kernel_basis": basis,
+        # Each kernel vector is a rank-one direction; its weight is the probe's business.
+        "candidates": [{"kind": "rank-one", "alpha": a, "weight": 0.0} for a in basis],
     }
 
 

@@ -93,8 +93,8 @@ def as_square_matrix(X, n: int | None = None) -> np.ndarray:
     return A
 
 
-def require_hermitian(X, atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """Return X as an ndarray after verifying Hermiticity within atol.
+def require_hermitian(X) -> np.ndarray:
+    """Return X as an ndarray after verifying Hermiticity within HERMITIAN_ATOL.
 
     Inputs that fail, including any with NaN or infinite entries, are
     rejected, never symmetrized.
@@ -103,8 +103,8 @@ def require_hermitian(X, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     if not np.isfinite(A).all():
         raise DomainError("matrix has non-finite entries")
     dev = np.abs(A - A.conj().T).max()
-    if dev > atol:
-        raise DomainError(f"matrix is not Hermitian within {atol:g} (deviation {dev:.3e})")
+    if dev > HERMITIAN_ATOL:
+        raise DomainError(f"matrix is not Hermitian within {HERMITIAN_ATOL:g} (deviation {dev:.3e})")
     return A
 
 

@@ -170,14 +170,10 @@ class DiagonalProfile:
 
 def _leave_one_out(D: np.ndarray):
     """(prod_i D_i, array of prod_{i != j} D_i), computed without division."""
-    n = D.shape[0]
-    pre = np.ones(n + 1)
-    suf = np.ones(n + 1)
-    for i in range(n):
-        pre[i + 1] = pre[i] * D[i]
-    for i in range(n - 1, -1, -1):
-        suf[i] = suf[i + 1] * D[i]
-    return pre[n], pre[:n] * suf[1:]
+    one = np.ones(1)
+    pre = np.concatenate((one, np.cumprod(D)))
+    suf = np.concatenate((np.cumprod(D[::-1])[::-1], one))
+    return pre[-1], pre[:-1] * suf[1:]
 
 
 def f_value(spec: MapSpec, X_vec) -> float:

@@ -65,15 +65,15 @@ def sigma_projector(n: int) -> np.ndarray:
     return P
 
 
-def gram_rank(vectors, rel_tol: float = RANK_REL_TOL) -> int:
-    """Rank of the stacked vectors by singular values above rel_tol * sigma_max."""
-    rows = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
-    if not rows:
+def gram_rank(vectors) -> int:
+    """Rank of the stacked vectors by singular values above RANK_REL_TOL * sigma_max."""
+    A = np.asarray(vectors, dtype=np.complex128)
+    if len(A) == 0:
         return 0
-    sv = np.linalg.svd(np.vstack(rows), compute_uv=False)
+    sv = np.linalg.svd(A.reshape(len(A), -1), compute_uv=False)
     if sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > rel_tol * sv[0]))
+    return int(np.sum(sv > RANK_REL_TOL * sv[0]))
 
 
 def unimodular_pairs(spec: MapSpec, samples: int, seed: int = 0) -> list:
@@ -168,16 +168,15 @@ def _harvest_zero_pairs(spec: MapSpec, count: int, seed: int) -> list:
     return pairs
 
 
-def build_spanning_set(spec: MapSpec, seed: int = 0, samples: int | None = None,
-                       harvest_count: int | None = None) -> SpanningSet:
+def build_spanning_set(spec: MapSpec, seed: int = 0, samples: int | None = None) -> SpanningSet:
     """Pool the zero-pair enumerations, re-check admission, and take the rank.
 
-    samples defaults to 4 n^2 phase pairs; the see-saw harvest defaults to
-    2n witnesses (capped at 4 n^2), enough to reveal the spanning property
-    of the reduction map while staying cheap.  Membership flags record
-    whether sigma_projector fixes each admitted product vector x (x) y; it
-    does exactly when the diagonal coordinates x_i y_i are all equal, so
-    the flag is an O(n) test on those n products.
+    samples defaults to 4 n^2 phase pairs; the see-saw harvest takes 2n
+    witnesses, enough to reveal the spanning property (gram_rank == n^2) of
+    the reduction map while staying cheap.  Membership flags record whether
+    sigma_projector fixes each admitted product vector x (x) y; it does
+    exactly when the diagonal coordinates x_i y_i are all equal, so the
+    flag is an O(n) test on those n products.
     """
     if spec.k < 1:
         raise DomainError("spanning analysis applies for k >= 1")
@@ -187,12 +186,9 @@ def build_spanning_set(spec: MapSpec, seed: int = 0, samples: int | None = None,
     n = spec.n
     if samples is None:
         samples = 4 * n * n
-    if harvest_count is None:
-        harvest_count = 2 * n
-    harvest_count = min(harvest_count, 4 * n * n)
     pool = unimodular_pairs(spec, samples, seed)
     pool += degenerate_pairs(spec, seed)
-    pool += _harvest_zero_pairs(spec, harvest_count, seed)
+    pool += _harvest_zero_pairs(spec, 2 * n, seed)
     admitted = [p for p in pool if abs(p.value) <= ADMISSION_TOL]
     m = len(admitted)
     X = np.array([p.x for p in admitted]).reshape(m, n)
@@ -202,10 +198,3 @@ def build_spanning_set(spec: MapSpec, seed: int = 0, samples: int | None = None,
     deviation = np.linalg.norm(diag - diag.mean(axis=1, keepdims=True), axis=1)
     return SpanningSet(pairs=admitted, gram_rank=gram_rank(products),
                        sigma_membership=(deviation <= SIGMA_FIX_TOL).tolist())
-
-
-def spanning_rank(spec: MapSpec, seed: int = 0, samples: int | None = None):
-    """(rank, has_spanning_property) of the pooled zero pairs; spanning means rank n^2."""
-    ss = build_spanning_set(spec, seed=seed, samples=samples)
-    rank = ss.gram_rank
-    return rank, rank == spec.n * spec.n

@@ -9,7 +9,6 @@ exact fixtures use plain equality.
 
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -392,13 +391,11 @@ def test_c12_cli_determinism_and_schema(tmp_path):
         ("conjecture", "--n", "4", "--k", "2", "--starts", "8"),
         ("conjecture", "--n", "6", "--k", "3", "--experimental", "--grid", "0:1:2", "--starts", "4"),
     ]
-    env = dict(os.environ)
-    env.pop("POSMAP_THREADS", None)
     for case in cases:
         runs = [
             subprocess.run(
                 [sys.executable, "-m", "posmap", *case],
-                capture_output=True, text=True, env=env,
+                capture_output=True, text=True,
             )
             for _ in range(2)
         ]

@@ -8,9 +8,11 @@ from posmap import (
     DomainError,
     HadamardPerturbation,
     MapSpec,
+    NumericalAnomalyError,
     TauMap,
     alternating_vector,
 )
+from posmap import certify
 from posmap.certify import build_circulant, certify_optimality, conjecture_probe
 
 
@@ -102,7 +104,7 @@ class TestCertifyOptimality:
         cert = certify_optimality(MapSpec(n, k))
         assert cert.verdict == "optimal-certified"
         assert cert.kernel_dim == 0
-        assert cert.candidate_subtractions == ()
+        assert cert.constraint.kernel == ()
 
     @pytest.mark.parametrize("n,k,dim", [(4, 2, 1), (6, 3, 2), (6, 4, 1), (9, 6, 2)])
     def test_shared_factor_members_not_certified(self, n, k, dim):
@@ -110,14 +112,20 @@ class TestCertifyOptimality:
         assert cert.verdict == "not-certified"
         assert cert.gcd == MapSpec(n, k).gcd
         assert cert.kernel_dim == dim
-        assert len(cert.candidate_subtractions) == dim
-        for cand in cert.candidate_subtractions:
-            assert cand.weight == 0.0
-            HadamardPerturbation.rank_one(cand.alpha, 1.0)
+        assert len(cert.constraint.kernel) == dim
+        for v in cert.constraint.kernel:
+            HadamardPerturbation.rank_one(v, 1.0)
 
     def test_k_zero_rejected(self):
         with pytest.raises(DomainError):
             certify_optimality(MapSpec(5, 0))
+
+    def test_kernel_entry_sum_is_cross_checked(self, monkeypatch):
+        """A kernel vector whose entries do not sum to zero is an anomaly, not a candidate."""
+        monkeypatch.setattr(certify, "ENTRY_SUM_ATOL", -1.0)
+        with pytest.raises(NumericalAnomalyError, match="entry sum"):
+            certify_optimality(MapSpec(4, 2))
+        certify_optimality(MapSpec(3, 1))
 
 
 class TestAdmissibleSubtractionCheck:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -155,19 +156,16 @@ class TestExitCodes:
         assert p.returncode == 2
         assert "grid weights" in p.stderr
 
-    def test_thread_count_validation(self):
-        p = run_cli("certify", "--n", "4", "--k", "2", "--threads", "0")
+    def test_threads_flag_is_rejected(self):
+        p = run_cli("certify", "--n", "4", "--k", "2", "--threads", "2")
         assert p.returncode == 2
-        assert "threads must be positive" in p.stderr
+        assert "unrecognized arguments: --threads 2" in p.stderr
 
-    def test_thread_env_fallback(self):
-        p = run_cli("certify", "--n", "4", "--k", "2", env_extra={"POSMAP_THREADS": "7"})
-        assert p.returncode == 0
-        assert json.loads(p.stdout)["config"]["threads"] == 7
-
-    def test_thread_env_must_be_integer(self):
-        p = run_cli("certify", "--n", "4", "--k", "2", env_extra={"POSMAP_THREADS": "many"})
-        assert p.returncode == 2
+    def test_thread_env_is_ignored(self):
+        plain = run_cli("certify", "--n", "4", "--k", "2")
+        with_env = run_cli("certify", "--n", "4", "--k", "2", env_extra={"POSMAP_THREADS": "7"})
+        assert plain.returncode == with_env.returncode == 0
+        assert with_env.stdout == plain.stdout
 
     def test_probe_needs_shared_factor_two(self):
         p = run_cli("conjecture", "--n", "5", "--k", "2")
@@ -276,6 +274,52 @@ class TestReports:
         assert "result.verdict: \"not-certified\"" in lines
 
 
+class TestGoldenBytes:
+    """Full stdout of three invocations, frozen: the byte-identity contract itself."""
+
+    GOLDEN = {
+        ("certify", "--n", "4", "--k", "2"): (
+            '{"command": "certify", "config": {"experimental": false, "grid": null, '
+            '"input": null, "k": 2, "n": 4, "output": "json", "perturb": null, '
+            '"samples": 64, "seed": 0, "starts": 64, "t": null, '
+            '"tol": 1.0000000000000001e-09}, "result": {"candidates": [{"alpha": '
+            '[[0.5, 0], [-0.5, 0], [0.5, 0], [-0.5, 0]], "kind": "rank-one", "weight": 0}], '
+            '"eigenvalues": [[2, 0], [1, 1], [0, 0], [0.99999999999999978, -1]], '
+            '"first_row": [1, 1, 0, 0], "gcd": 2, "kernel_basis": '
+            '[[[0.5, 0], [-0.5, 0], [0.5, 0], [-0.5, 0]]], "kernel_dim": 1, '
+            '"verdict": "not-certified", "zero_indices": [2]}, '
+            '"schema": "posmap-report/1", "version": "0.1.0"}\n'
+        ),
+        ("spanning", "--n", "3", "--k", "1"): (
+            '{"command": "spanning", "config": {"experimental": false, "grid": null, '
+            '"input": null, "k": 1, "n": 3, "output": "json", "perturb": null, '
+            '"samples": 36, "seed": 0, "starts": 64, "t": null, '
+            '"tol": 1.0000000000000001e-09}, "result": {"pairs_admitted": 43, '
+            '"pairs_outside_sigma": 0, "rank": 7, "spanning_property": false}, '
+            '"schema": "posmap-report/1", "version": "0.1.0"}\n'
+        ),
+        ("positivity", "--n", "3", "--k", "1", "--starts", "8"): (
+            '{"command": "positivity", "config": {"experimental": false, "grid": null, '
+            '"input": null, "k": 1, "n": 3, "output": "json", "perturb": null, '
+            '"samples": 36, "seed": 0, "starts": 8, "t": null, '
+            '"tol": 1.0000000000000001e-09}, "result": {"iterations": 13, '
+            '"min_value": 4.7735404020402039e-14, "perturbation": null, "seed": 0, '
+            '"starts_used": 8, "verdict": "positive-evidence", "witness_x": '
+            '[[-0.57735016260527661, 0], [-0.16090568351756274, -0.55447526846063078], '
+            '[0.49814911064517042, 0.29185748402318501]], "witness_y": '
+            '[[0.57735015235782494, -0], [0.16090562410813236, -0.5544750637378445], '
+            '[-0.49814930341297436, 0.29185759696271468]]}, '
+            '"schema": "posmap-report/1", "version": "0.1.0"}\n'
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(GOLDEN), ids=lambda c: c[0])
+    def test_stdout_is_frozen(self, case):
+        p = run_cli(*case)
+        assert p.returncode == 0
+        assert p.stdout == self.GOLDEN[case]
+
+
 class TestDeterminismAndSchema:
     CASES = [
         ("positivity", "--n", "3", "--k", "1", "--starts", "8"),
@@ -306,14 +350,13 @@ class TestDeterminismAndSchema:
 
 
 class TestMainInProcess:
-    def test_returns_zero_on_success(self, capsys, monkeypatch):
-        monkeypatch.delenv("POSMAP_THREADS", raising=False)
+    def test_returns_zero_on_success(self, capsys):
         assert main(["certify", "--n", "3", "--k", "1"]) == 0
         out = capsys.readouterr().out
         assert json.loads(out)["result"]["verdict"] == "optimal-certified"
 
-    def test_config_echo_is_complete(self, capsys, monkeypatch):
-        monkeypatch.delenv("POSMAP_THREADS", raising=False)
+    def test_config_echo_is_complete(self, capsys):
+        """Keys whose flag the subcommand lacks still echo their defaults."""
         main(["spanning", "--n", "3", "--k", "1", "--seed", "2"])
         doc = json.loads(capsys.readouterr().out)
         config = doc["config"]
@@ -321,10 +364,44 @@ class TestMainInProcess:
         assert config["k"] == 1
         assert config["seed"] == 2
         assert config["starts"] == 64
+        assert config["tol"] == 1e-9
         assert config["samples"] == 36
-        assert config["threads"] == 1
+        assert "threads" not in config
         assert config["output"] == "json"
         assert config["experimental"] is False
+        assert sorted(config) == sorted(REPORT_SCHEMA["properties"]["config"]["properties"])
+
+    FLAGS = {
+        "apply": ["--n", "--k", "--seed", "--input", "--perturb", "--t", "--output"],
+        "positivity": ["--n", "--k", "--seed", "--starts", "--tol", "--perturb", "--t", "--output"],
+        "spanning": ["--n", "--k", "--seed", "--samples", "--output"],
+        "certify": ["--n", "--k", "--seed", "--output"],
+        "conjecture": ["--n", "--k", "--seed", "--starts", "--tol", "--t", "--experimental",
+                       "--grid", "--output"],
+    }
+
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_help_lists_only_the_flags_read(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        options = capsys.readouterr().out.split("options:")[1]
+        assert re.findall(r"(?<![\w-])--[a-z]+", options) == ["--help"] + self.FLAGS[command]
+
+    DEAD_FLAGS = [
+        ("certify", "--starts", "8"),
+        ("certify", "--tol", "1e-6"),
+        ("certify", "--samples", "9"),
+        ("spanning", "--tol", "1e-6"),
+        ("spanning", "--starts", "8"),
+        ("apply", "--samples", "9"),
+        ("positivity", "--input", "x.json"),
+        ("positivity", "--samples", "9"),
+        ("conjecture", "--samples", "9"),
+    ]
+
+    @pytest.mark.parametrize("command,flag,value", DEAD_FLAGS)
+    def test_flag_the_command_does_not_read_exits_2(self, capsys, command, flag, value):
+        assert main([command, "--n", "4", "--k", "2", flag, value]) == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     def test_error_paths_return_codes(self, capsys, tmp_path):
         assert main(["certify", "--n", "4", "--k", "0"]) == 2
@@ -337,7 +414,7 @@ class TestMainInProcess:
             assert main(["positivity", "--n", "4", "--k", "2", "--perturb", "v1",
                          "--t", value]) == 2
             assert main(["conjecture", "--n", "4", "--k", "2", "--t", value]) == 2
-            assert main(["certify", "--n", "4", "--k", "2", "--tol", value]) == 2
+            assert main(["positivity", "--n", "4", "--k", "2", "--tol", value]) == 2
         assert main(["conjecture", "--n", "6", "--k", "3", "--experimental",
                      "--grid", "0:nan:2"]) == 2
         # Finite input whose image overflows: the serializer meets inf and reports an

@@ -350,7 +350,7 @@ class TestPublicApi:
             "f_value", "analytic_det", "hessian_shat", "degenerate_det_bound",
             "parity_witness_value",
             "ProductPair", "SpanningSet", "sigma_projector", "unimodular_pairs",
-            "degenerate_pairs", "build_spanning_set", "spanning_rank", "gram_rank",
+            "degenerate_pairs", "build_spanning_set", "gram_rank",
             "CirculantConstraint", "OptimalityCertificate", "ConjectureEvidence",
             "build_circulant", "certify_optimality", "conjecture_probe",
         ])

@@ -12,6 +12,7 @@ from posmap import (
 )
 from posmap.positivity import (
     DiagonalProfile,
+    _leave_one_out,
     analytic_det,
     degenerate_det_bound,
     f_value,
@@ -167,6 +168,32 @@ class TestFValue:
         for _ in range(300):
             X = np.exp(rng.normal(scale=3.0, size=n))
             assert f_value(spec, X) <= 1.0 + 1e-12
+
+
+class TestLeaveOneOut:
+    @staticmethod
+    def loop_reference(D):
+        n = D.shape[0]
+        pre = np.ones(n + 1)
+        suf = np.ones(n + 1)
+        for i in range(n):
+            pre[i + 1] = pre[i] * D[i]
+        for i in range(n - 1, -1, -1):
+            suf[i] = suf[i + 1] * D[i]
+        return pre[n], pre[:n] * suf[1:]
+
+    def test_bit_identical_to_sequential_loop(self):
+        """Prefix and suffix products multiply in the loop's order, so no bit changes,
+        including for magnitudes that overflow to inf or underflow to zero."""
+        rng = np.random.default_rng(11)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            for _ in range(2000):
+                n = int(rng.integers(2, 40))
+                D = 10.0 ** rng.uniform(-100, 100, n) * rng.choice([1.0, -1.0, 0.0], n, p=[0.8, 0.15, 0.05])
+                total, loo = _leave_one_out(D)
+                ref_total, ref_loo = self.loop_reference(D)
+                assert np.array_equal(total, ref_total, equal_nan=True)
+                assert np.array_equal(loo, ref_loo, equal_nan=True)
 
 
 class TestAnalyticDet:

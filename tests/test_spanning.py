@@ -10,7 +10,6 @@ from posmap.spanning import (
     degenerate_pairs,
     gram_rank,
     sigma_projector,
-    spanning_rank,
     unimodular_pairs,
 )
 
@@ -58,6 +57,15 @@ class TestGramRank:
     def test_near_duplicates_collapse(self):
         v = np.ones(5) / np.sqrt(5.0)
         assert gram_rank([v, v + 1e-12 * np.eye(5)[0]]) == 1
+
+    def test_empty_and_zero_inputs(self):
+        assert gram_rank([]) == 0
+        assert gram_rank(np.zeros((0, 9), dtype=complex)) == 0
+        assert gram_rank([np.zeros(3), np.zeros(3)]) == 0
+
+    def test_matrices_are_flattened_to_rows(self):
+        e = np.eye(2)
+        assert gram_rank([np.outer(e[0], e[1]), np.outer(e[1], e[0]), 2 * np.outer(e[0], e[1])]) == 2
 
 
 class TestUnimodularPairs:
@@ -110,20 +118,16 @@ class TestSpanningRank:
 
     @pytest.mark.parametrize("n,k", LOW_RANK)
     def test_low_rank_members(self, n, k):
-        rank, spans = spanning_rank(MapSpec(n, k))
-        assert rank == n * n - n + 1
-        assert not spans
+        assert build_spanning_set(MapSpec(n, k)).gram_rank == n * n - n + 1
 
     @pytest.mark.parametrize("n,k", FULL_RANK)
     def test_full_rank_members(self, n, k):
-        rank, spans = spanning_rank(MapSpec(n, k))
-        assert rank == n * n
-        assert spans
+        assert build_spanning_set(MapSpec(n, k)).gram_rank == n * n
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rank_is_seed_stable(self, seed):
-        assert spanning_rank(MapSpec(4, 2), seed=seed)[0] == 13
-        assert spanning_rank(MapSpec(4, 3), seed=seed)[0] == 16
+        assert build_spanning_set(MapSpec(4, 2), seed=seed).gram_rank == 13
+        assert build_spanning_set(MapSpec(4, 3), seed=seed).gram_rank == 16
 
     def test_k_zero_rejected(self):
         with pytest.raises(DomainError):
