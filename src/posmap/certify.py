@@ -26,7 +26,13 @@ from .maps import (
     NumericalAnomalyError,
     TauMap,
 )
-from .positivity import PositivityReport, parity_witness_value, seesaw_minimize
+from .positivity import (
+    DEFAULT_STARTS,
+    NEGATIVITY_TOL,
+    PositivityReport,
+    parity_witness_value,
+    seesaw_minimize,
+)
 
 SPECTRUM_CHECK_TOL = 1e-10
 PROBE_SEESAW_TOL = 1e-7
@@ -142,7 +148,8 @@ def certify_optimality(spec: MapSpec) -> OptimalityCertificate:
 
 
 def conjecture_probe(spec: MapSpec, seed: int = 0, t: float | None = None,
-                     starts: int = 64, tol: float = 1e-9) -> ConjectureEvidence:
+                     starts: int = DEFAULT_STARTS,
+                     tol: float = NEGATIVITY_TOL) -> ConjectureEvidence:
     """Probe the critical weight t = n - k along the alternating kernel direction.
 
     Requires gcd(n, k) = 2.  Runs the see-saw on the corrected map at

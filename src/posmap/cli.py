@@ -1,8 +1,9 @@
-"""Command-line interface emitting deterministic posmap-report/1 documents.
+"""Command-line interface emitting deterministic posmap-report/2 documents.
 
-Reports are JSON (or a lossless flattened text rendering) with every float
-written at 17 significant digits, so identical invocations produce
-byte-identical output.  Complex scalars appear as [re, im] pairs and
+Reports are JSON (or a lossless flattened text rendering) with sorted keys
+and every float written as its shortest round-trip repr, so identical
+invocations produce byte-identical output and each float parses back to
+the same double.  Complex scalars appear as [re, im] pairs and
 matrices as arrays of rows of pairs, the same format accepted for input
 files.  Exit codes: 0 success, 2 configuration error, 3 input-data error,
 4 internal numerical anomaly.
@@ -30,10 +31,10 @@ from .maps import (
     alternating_vector,
     require_hermitian,
 )
-from .positivity import seesaw_minimize
+from .positivity import DEFAULT_STARTS, NEGATIVITY_TOL, seesaw_minimize
 from .spanning import build_spanning_set
 
-SCHEMA_ID = "posmap-report/1"
+SCHEMA_ID = "posmap-report/2"
 
 REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -77,7 +78,7 @@ REPORT_SCHEMA = {
                     "result": {
                         "required": [
                             "verdict", "min_value", "witness_x", "witness_y",
-                            "starts_used", "iterations", "seed",
+                            "iterations", "starts_capped",
                         ]
                     }
                 }
@@ -107,54 +108,16 @@ class ConfigError(Exception):
     """Invalid run configuration (exit code 2)."""
 
 
-def _fmt_float(v: float) -> str:
-    if not math.isfinite(v):
-        raise NumericalAnomalyError(f"non-finite value in report: {v!r}")
-    return format(float(v), ".17g")
-
-
-def _emit_json(obj, parts: list):
-    if obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append(_fmt_float(obj))
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if i:
-                parts.append(", ")
-            parts.append(json.dumps(key))
-            parts.append(": ")
-            _emit_json(obj[key], parts)
-        parts.append("}")
-    elif isinstance(obj, (list, tuple)):
-        parts.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                parts.append(", ")
-            _emit_json(item, parts)
-        parts.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def dumps_report(report: dict) -> str:
-    """Canonical JSON text: sorted keys, floats at 17 significant digits."""
-    parts: list = []
-    _emit_json(report, parts)
-    return "".join(parts)
+    """Canonical JSON text: sorted keys, each float as its shortest round-trip repr."""
+    try:
+        return json.dumps(report, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalAnomalyError(f"non-finite value in report: {exc}") from exc
 
 
 def render_text(report: dict) -> str:
-    """Lossless flat rendering, one dotted path per line, same float format."""
+    """Lossless flat rendering, one dotted path per line, each leaf as its JSON text."""
     lines: list = []
 
     def walk(prefix: str, obj):
@@ -162,25 +125,16 @@ def render_text(report: dict) -> str:
             for key in sorted(obj):
                 walk(f"{prefix}.{key}" if prefix else key, obj[key])
         else:
-            parts: list = []
-            _emit_json(obj, parts)
-            lines.append(f"{prefix}: {''.join(parts)}")
+            lines.append(f"{prefix}: {dumps_report(obj)}")
 
     walk("", report)
     return "\n".join(lines)
 
 
-def pair(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def vector_pairs(v) -> list:
-    return [pair(z) for z in np.asarray(v).reshape(-1)]
-
-
-def matrix_pairs(M) -> list:
-    return [[pair(z) for z in row] for row in np.asarray(M)]
+def pairs(a) -> list:
+    """A complex array as nested lists with each scalar an [re, im] pair."""
+    a = np.asarray(a, dtype=np.complex128)
+    return np.stack((a.real, a.imag), axis=-1).tolist()
 
 
 def load_matrix(path: str, n: int) -> np.ndarray:
@@ -214,12 +168,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-# Every posmap-report/1 config key besides n, k and output.  A subcommand
+# Every posmap-report/2 config key besides n, k and output.  A subcommand
 # without a flag for a key still echoes the key's default.
 _OPTIONS = {
     "seed": {"type": int, "default": 0},
-    "starts": {"type": int, "default": 64},
-    "tol": {"type": float, "default": 1e-9},
+    "starts": {"type": int, "default": DEFAULT_STARTS},
+    "tol": {"type": float, "default": NEGATIVITY_TOL},
     "samples": {"type": int, "default": None},
     "input": {"default": None},
     "perturb": {"choices": ("v1",), "default": None},
@@ -298,7 +252,7 @@ def _pert_summary(pert: HadamardPerturbation | None):
         return None
     return {
         "kind": "rank-one",
-        "alpha": vector_pairs(pert.alpha),
+        "alpha": pairs(pert.alpha),
         "weight": pert.weight,
     }
 
@@ -313,7 +267,7 @@ def cmd_apply(args, spec: MapSpec, config: dict) -> dict:
     except DomainError as exc:
         raise InputDataError(f"{config['input']}: {exc}")
     out = TauMap(spec, pert).apply(X)
-    return {"matrix": matrix_pairs(out), "perturbation": _pert_summary(pert)}
+    return {"matrix": pairs(out), "perturbation": _pert_summary(pert)}
 
 
 def cmd_positivity(args, spec: MapSpec, config: dict) -> dict:
@@ -324,11 +278,10 @@ def cmd_positivity(args, spec: MapSpec, config: dict) -> dict:
     return {
         "verdict": report.verdict,
         "min_value": report.min_value,
-        "witness_x": vector_pairs(report.witness_x),
-        "witness_y": vector_pairs(report.witness_y),
-        "starts_used": report.starts_used,
+        "witness_x": pairs(report.witness_x),
+        "witness_y": pairs(report.witness_y),
         "iterations": report.iterations,
-        "seed": report.seed,
+        "starts_capped": report.starts_capped,
         "perturbation": _pert_summary(pert),
     }
 
@@ -352,17 +305,14 @@ def cmd_spanning(args, spec: MapSpec, config: dict) -> dict:
 def cmd_certify(args, spec: MapSpec, config: dict) -> dict:
     cert = certify_optimality(spec)
     constraint = cert.constraint
-    basis = [vector_pairs(v) for v in constraint.kernel]
     return {
         "gcd": cert.gcd,
         "kernel_dim": cert.kernel_dim,
         "verdict": cert.verdict,
         "first_row": [int(v) for v in constraint.first_row],
-        "eigenvalues": vector_pairs(constraint.eigenvalues),
+        "eigenvalues": pairs(constraint.eigenvalues),
         "zero_indices": list(constraint.zero_indices),
-        "kernel_basis": basis,
-        # Each kernel vector is a rank-one direction; its weight is the probe's business.
-        "candidates": [{"kind": "rank-one", "alpha": a, "weight": 0.0} for a in basis],
+        "kernel_basis": pairs(constraint.kernel),
     }
 
 
@@ -405,6 +355,7 @@ def cmd_conjecture(args, spec: MapSpec, config: dict) -> dict:
                     "weights": [float(w) for w in weights],
                     "min_value": rep.min_value,
                     "negative_certificate": rep.verdict == "negative-certificate",
+                    "starts_capped": rep.starts_capped,
                 }
             )
         return {
@@ -426,6 +377,7 @@ def cmd_conjecture(args, spec: MapSpec, config: dict) -> dict:
         "seesaw_min": evidence.seesaw.min_value,
         "seesaw_verdict": evidence.seesaw.verdict,
         "iterations": evidence.seesaw.iterations,
+        "starts_capped": evidence.seesaw.starts_capped,
         "verdict": evidence.verdict,
         "counterexample_mu": None if mu is None else [float(v) for v in mu],
     }

@@ -50,9 +50,8 @@ class PositivityReport:
     min_value: float
     witness_x: np.ndarray
     witness_y: np.ndarray
-    starts_used: int
     iterations: int
-    seed: int
+    starts_capped: int
 
 
 def _unit(v: np.ndarray, name: str) -> np.ndarray:
@@ -119,7 +118,8 @@ def seesaw_minimize(map_, starts: int = DEFAULT_STARTS, seed: int = 0,
     order; ties between starts resolve to the lowest index.  A verdict of
     negative-certificate means the reported witness pair reproduces
     min_value < -tol on re-evaluation; positive-evidence only records the
-    smallest value found and proves nothing.
+    smallest value found and proves nothing.  starts_capped counts the
+    starts that ran all MAX_SWEEPS sweeps, which the cap may have cut short.
     """
     starts = _check_int(starts, "starts")
     seed = _check_int(seed, "seed")
@@ -130,10 +130,12 @@ def seesaw_minimize(map_, starts: int = DEFAULT_STARTS, seed: int = 0,
     n = map_.n
     best = None
     total_best_sweeps = 0
+    capped = 0
     for idx in range(starts):
         rng = np.random.default_rng([seed, idx])
         x0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         value, x, y, sweeps = _seesaw_single(map_, x0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+        capped += sweeps >= MAX_SWEEPS
         if best is None or value < best[0]:
             best = (value, x, y)
             total_best_sweeps = sweeps
@@ -145,9 +147,8 @@ def seesaw_minimize(map_, starts: int = DEFAULT_STARTS, seed: int = 0,
         min_value=min_value,
         witness_x=wx,
         witness_y=wy,
-        starts_used=starts,
         iterations=total_best_sweeps,
-        seed=seed,
+        starts_capped=capped,
     )
 
 

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: reports, determinism, exit codes."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -40,30 +41,39 @@ def write_matrix(path, M):
 
 
 class TestSerialization:
-    def test_floats_render_at_17_digits(self):
-        assert dumps_report({"x": 0.1}) == '{"x": 0.10000000000000001}'
-        assert dumps_report({"x": 1e-9}) == '{"x": 1.0000000000000001e-09}'
-        assert dumps_report({"x": 1.0}) == '{"x": 1}'
+    def test_floats_render_as_shortest_repr(self):
+        assert dumps_report({"x": 0.1}) == '{"x": 0.1}'
+        assert dumps_report({"x": 1e-9}) == '{"x": 1e-09}'
+        assert dumps_report({"x": 1.0}) == '{"x": 1.0}'
+
+    def test_round_trip_keeps_type_and_sign(self):
+        values = [1.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2]
+        back = json.loads(dumps_report({"v": values}))["v"]
+        assert all(type(b) is float for b in back)
+        assert back == values
+        assert math.copysign(1.0, back[1]) == -1.0
 
     def test_keys_are_sorted(self):
         assert dumps_report({"b": 1, "a": 2}) == '{"a": 2, "b": 1}'
 
     def test_nested_structures(self):
         doc = {"v": [[1.5, -0.5], [0.0, 2.0]], "flag": True, "none": None}
-        assert dumps_report(doc) == '{"flag": true, "none": null, "v": [[1.5, -0.5], [0, 2]]}'
+        assert dumps_report(doc) == '{"flag": true, "none": null, "v": [[1.5, -0.5], [0.0, 2.0]]}'
 
     def test_non_finite_rejected(self):
         from posmap import NumericalAnomalyError
 
         with pytest.raises(NumericalAnomalyError):
             dumps_report({"x": float("nan")})
+        with pytest.raises(NumericalAnomalyError, match="non-finite value in report"):
+            dumps_report({"m": [[[1.0, 0.0], [float("inf"), 0.0]]]})
 
     def test_render_text_is_lossless_flat(self):
         doc = {"config": {"n": 3, "tol": 1e-9}, "result": {"rank": 7}}
         text = render_text(doc)
         assert text.splitlines() == [
             "config.n: 3",
-            "config.tol: 1.0000000000000001e-09",
+            "config.tol: 1e-09",
             "result.rank: 7",
         ]
 
@@ -180,7 +190,7 @@ class TestReports:
         p = run_cli("apply", "--n", "3", "--k", "1", "--input", path)
         assert p.returncode == 0
         doc = json.loads(p.stdout)
-        assert doc["schema"] == "posmap-report/1"
+        assert doc["schema"] == "posmap-report/2"
         assert doc["command"] == "apply"
         assert doc["result"]["matrix"] == [
             [[5.0, 0.0], [0.0, 1.0], [-0.5, 0.0]],
@@ -194,8 +204,9 @@ class TestReports:
         res = doc["result"]
         assert res["verdict"] == "positive-evidence"
         assert res["min_value"] == 4.773540402040204e-14
-        assert res["starts_used"] == 8
-        assert res["seed"] == 0
+        assert res["starts_capped"] == 1
+        assert "starts_used" not in res
+        assert "seed" not in res
         assert len(res["witness_x"]) == 3
         assert len(res["witness_y"]) == 3
 
@@ -233,6 +244,7 @@ class TestReports:
         assert res["zero_indices"] == [2]
         assert res["kernel_basis"] == [[[0.5, 0.0], [-0.5, 0.0], [0.5, 0.0], [-0.5, 0.0]]]
         assert res["first_row"] == [1, 1, 0, 0]
+        assert "candidates" not in res
 
     def test_conjecture_report(self):
         p = run_cli("conjecture", "--n", "4", "--k", "2", "--starts", "8")
@@ -281,35 +293,33 @@ class TestGoldenBytes:
         ("certify", "--n", "4", "--k", "2"): (
             '{"command": "certify", "config": {"experimental": false, "grid": null, '
             '"input": null, "k": 2, "n": 4, "output": "json", "perturb": null, '
-            '"samples": 64, "seed": 0, "starts": 64, "t": null, '
-            '"tol": 1.0000000000000001e-09}, "result": {"candidates": [{"alpha": '
-            '[[0.5, 0], [-0.5, 0], [0.5, 0], [-0.5, 0]], "kind": "rank-one", "weight": 0}], '
-            '"eigenvalues": [[2, 0], [1, 1], [0, 0], [0.99999999999999978, -1]], '
-            '"first_row": [1, 1, 0, 0], "gcd": 2, "kernel_basis": '
-            '[[[0.5, 0], [-0.5, 0], [0.5, 0], [-0.5, 0]]], "kernel_dim": 1, '
-            '"verdict": "not-certified", "zero_indices": [2]}, '
-            '"schema": "posmap-report/1", "version": "0.1.0"}\n'
+            '"samples": 64, "seed": 0, "starts": 64, "t": null, "tol": 1e-09}, '
+            '"result": {"eigenvalues": [[2.0, 0.0], [1.0, 1.0], [0.0, 0.0], '
+            '[0.9999999999999998, -1.0]], "first_row": [1, 1, 0, 0], "gcd": 2, '
+            '"kernel_basis": [[[0.5, 0.0], [-0.5, 0.0], [0.5, 0.0], [-0.5, 0.0]]], '
+            '"kernel_dim": 1, "verdict": "not-certified", "zero_indices": [2]}, '
+            '"schema": "posmap-report/2", "version": "0.1.0"}\n'
         ),
         ("spanning", "--n", "3", "--k", "1"): (
             '{"command": "spanning", "config": {"experimental": false, "grid": null, '
             '"input": null, "k": 1, "n": 3, "output": "json", "perturb": null, '
-            '"samples": 36, "seed": 0, "starts": 64, "t": null, '
-            '"tol": 1.0000000000000001e-09}, "result": {"pairs_admitted": 43, '
-            '"pairs_outside_sigma": 0, "rank": 7, "spanning_property": false}, '
-            '"schema": "posmap-report/1", "version": "0.1.0"}\n'
+            '"samples": 36, "seed": 0, "starts": 64, "t": null, "tol": 1e-09}, '
+            '"result": {"pairs_admitted": 43, "pairs_outside_sigma": 0, "rank": 7, '
+            '"spanning_property": false}, '
+            '"schema": "posmap-report/2", "version": "0.1.0"}\n'
         ),
         ("positivity", "--n", "3", "--k", "1", "--starts", "8"): (
             '{"command": "positivity", "config": {"experimental": false, "grid": null, '
             '"input": null, "k": 1, "n": 3, "output": "json", "perturb": null, '
-            '"samples": 36, "seed": 0, "starts": 8, "t": null, '
-            '"tol": 1.0000000000000001e-09}, "result": {"iterations": 13, '
-            '"min_value": 4.7735404020402039e-14, "perturbation": null, "seed": 0, '
-            '"starts_used": 8, "verdict": "positive-evidence", "witness_x": '
-            '[[-0.57735016260527661, 0], [-0.16090568351756274, -0.55447526846063078], '
-            '[0.49814911064517042, 0.29185748402318501]], "witness_y": '
-            '[[0.57735015235782494, -0], [0.16090562410813236, -0.5544750637378445], '
-            '[-0.49814930341297436, 0.29185759696271468]]}, '
-            '"schema": "posmap-report/1", "version": "0.1.0"}\n'
+            '"samples": 36, "seed": 0, "starts": 8, "t": null, "tol": 1e-09}, '
+            '"result": {"iterations": 13, "min_value": 4.773540402040204e-14, '
+            '"perturbation": null, "starts_capped": 1, "verdict": "positive-evidence", '
+            '"witness_x": [[-0.5773501626052766, 0.0], '
+            '[-0.16090568351756274, -0.5544752684606308], '
+            '[0.4981491106451704, 0.291857484023185]], "witness_y": '
+            '[[0.5773501523578249, -0.0], [0.16090562410813236, -0.5544750637378445], '
+            '[-0.49814930341297436, 0.2918575969627147]]}, '
+            '"schema": "posmap-report/2", "version": "0.1.0"}\n'
         ),
     }
 

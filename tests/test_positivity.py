@@ -70,9 +70,8 @@ class TestSeesaw:
         report = seesaw_minimize(TauMap(MapSpec(3, 1)), starts=8, seed=0)
         assert report.verdict == "positive-evidence"
         assert report.min_value == 4.773540402040204e-14
-        assert report.starts_used == 8
         assert report.iterations == 13
-        assert report.seed == 0
+        assert report.starts_capped == 1
 
     def test_frozen_negative_certificate(self):
         pert = HadamardPerturbation.rank_one(alternating_vector(4), 2.1)
@@ -107,6 +106,12 @@ class TestSeesaw:
             report = seesaw_minimize(TauMap(MapSpec(n, k)), starts=12, seed=seed)
             assert report.verdict == "positive-evidence"
             assert -1e-9 <= report.min_value <= 1e-6
+
+    @pytest.mark.parametrize("n, k, t, capped", [(4, 2, None, 8), (8, 2, 5.0, 0)])
+    def test_capped_starts_are_counted(self, n, k, t, capped):
+        pert = None if t is None else HadamardPerturbation.rank_one(alternating_vector(n), t)
+        report = seesaw_minimize(TauMap(MapSpec(n, k), pert), starts=64, seed=0)
+        assert report.starts_capped == capped
 
     def test_bad_arguments(self):
         map_ = TauMap(MapSpec(3, 1))
