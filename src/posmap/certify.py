@@ -42,7 +42,6 @@ PROBE_SEESAW_TOL = 1e-7
 class CirculantConstraint:
     """The window-sum system: circulant matrix, closed-form spectrum, kernel."""
 
-    spec: MapSpec
     matrix: np.ndarray
     first_row: np.ndarray
     eigenvalues: np.ndarray
@@ -52,7 +51,6 @@ class CirculantConstraint:
 
 @dataclass(frozen=True)
 class OptimalityCertificate:
-    spec: MapSpec
     gcd: int
     kernel_dim: int
     verdict: str
@@ -63,7 +61,6 @@ class OptimalityCertificate:
 class ConjectureEvidence:
     """Probe output for gcd 2: analytic witness values plus a see-saw run."""
 
-    spec: MapSpec
     t: float
     t_max_witnessed: float
     witness_value_at_t: float
@@ -97,16 +94,17 @@ def build_circulant(spec: MapSpec) -> CirculantConstraint:
     n, k = spec.n, spec.k
     first = np.zeros(n, dtype=int)
     first[: n - k] = 1
-    i_idx, j_idx = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    M = first[(j_idx - i_idx) % n]
+    idx = np.arange(n)
+    M = first[(idx - idx[:, None]) % n]
     roots = [_root_power(n, m) for m in range(n)]
     lam = np.array([sum(roots[j * m % n] for m in range(n - k)) for j in range(n)])
     # Row j is the Fourier vector (omega^{ji})_i / sqrt(n).
-    fourier = np.array(roots)[np.outer(np.arange(n), np.arange(n)) % n] / math.sqrt(n)
+    fourier = np.array(roots)[np.outer(idx, idx) % n] / math.sqrt(n)
+    # Row j of fourier @ M^T is M applied to Fourier vector j.
+    residuals = np.abs(fourier @ M.T - lam[:, None] * fourier).max(axis=1)
     d = spec.gcd
     zeros = tuple(r * (n // d) for r in range(1, d))
-    for j, f in enumerate(fourier):
-        resid = np.abs(M @ f - lam[j] * f).max()
+    for j, (f, resid) in enumerate(zip(fourier, residuals)):
         if resid > SPECTRUM_CHECK_TOL:
             raise NumericalAnomalyError(
                 f"closed-form eigenvalue {j} disagrees with the matrix by {resid:.3e}"
@@ -118,7 +116,6 @@ def build_circulant(spec: MapSpec) -> CirculantConstraint:
             raise NumericalAnomalyError(f"kernel vector {j} has entry sum {f.sum():.3e}, not zero")
     kernel = tuple(fourier[j] for j in zeros)
     return CirculantConstraint(
-        spec=spec,
         matrix=M,
         first_row=first,
         eigenvalues=lam,
@@ -139,7 +136,6 @@ def certify_optimality(spec: MapSpec) -> OptimalityCertificate:
     d = spec.gcd
     verdict = "optimal-certified" if d == 1 else "not-certified"
     return OptimalityCertificate(
-        spec=spec,
         gcd=d,
         kernel_dim=d - 1,
         verdict=verdict,
@@ -162,8 +158,6 @@ def conjecture_probe(spec: MapSpec, seed: int = 0, t: float | None = None,
     n, k = spec.n, spec.k
     t_max = float(n - k)
     t_probe = t_max if t is None else float(t)
-    if t_probe < 0:
-        raise DomainError(f"weight must be nonnegative, got {t_probe}")
     v1 = build_circulant(spec).kernel[0]
     pert = HadamardPerturbation.rank_one(v1, t_probe)
     report = seesaw_minimize(TauMap(spec, pert), starts=starts, seed=seed, tol=tol)
@@ -175,7 +169,6 @@ def conjecture_probe(spec: MapSpec, seed: int = 0, t: float | None = None,
         mu = np.zeros(n)
         mu[0::2] = 1.0
     return ConjectureEvidence(
-        spec=spec,
         t=t_probe,
         t_max_witnessed=t_max,
         witness_value_at_t=witness_at_t,

@@ -143,23 +143,23 @@ def load_matrix(path: str, n: int) -> np.ndarray:
             data = json.load(fh)
     except OSError as exc:
         raise InputDataError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputDataError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer literal over the int parser's 4300-digit limit
+        raise InputDataError(f"{path}: number out of float range: {exc}") from exc
     if not isinstance(data, list) or len(data) != n:
         raise InputDataError(f"{path}: expected {n} rows")
-    M = np.zeros((n, n), dtype=np.complex128)
-    for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != n:
-            raise InputDataError(f"{path}: row {i} must have {n} entries")
-        for j, entry in enumerate(row):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(isinstance(u, (int, float)) and not isinstance(u, bool) for u in entry)
-            ):
-                raise InputDataError(f"{path}: entry ({i},{j}) must be a [re, im] pair")
-            M[i, j] = complex(entry[0], entry[1])
-    return M
+    try:
+        M = np.array(data, dtype=np.float64)
+    except OverflowError as exc:
+        raise InputDataError(f"{path}: number out of float range: {exc}") from exc
+    except (TypeError, ValueError):  # ragged rows or an entry that is no number
+        M = None
+    # The float64 conversion also accepts booleans and numeric strings, so leaf types are checked.
+    leaves = itertools.chain.from_iterable(itertools.chain.from_iterable(data))
+    if M is None or M.shape != (n, n, 2) or not set(map(type, leaves)) <= {int, float}:
+        raise InputDataError(f"{path}: each row must hold {n} [re, im] pairs of numbers")
+    return M.view(np.complex128).reshape(n, n)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -206,45 +206,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args) -> dict:
+def _resolve_config(args) -> tuple:
+    """The validated map and the report's config: every parsed option besides the command."""
     spec = MapSpec(args.n, args.k)
     if args.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {args.seed}")
-    if args.starts < 1:
-        raise ConfigError(f"starts must be positive, got {args.starts}")
-    if not 0 < args.tol < math.inf:
-        raise ConfigError(f"tol must be finite and positive, got {args.tol}")
-    samples = args.samples if args.samples is not None else 4 * args.n * args.n
-    if samples < 1:
-        raise ConfigError(f"samples must be positive, got {samples}")
-    config = {
-        "n": args.n,
-        "k": args.k,
-        "t": args.t,
-        "seed": args.seed,
-        "starts": args.starts,
-        "tol": args.tol,
-        "samples": samples,
-        "input": args.input,
-        "output": args.output,
-        "perturb": args.perturb,
-        "experimental": args.experimental,
-        "grid": args.grid,
-    }
+    config = {key: value for key, value in vars(args).items() if key != "command"}
+    if config["samples"] is None:
+        config["samples"] = 4 * spec.n * spec.n
     return spec, config
 
 
-def _build_perturbation(args, n: int) -> HadamardPerturbation | None:
-    perturb, t = args.perturb, args.t
+def _build_perturbation(config: dict) -> HadamardPerturbation | None:
+    perturb, t = config["perturb"], config["t"]
     if perturb is None:
         if t is not None:
             raise ConfigError("--t requires --perturb")
         return None
     if t is None:
         raise ConfigError("--perturb requires --t")
-    if t < 0:
-        raise ConfigError(f"subtraction weight must be nonnegative, got {t}")
-    return HadamardPerturbation.rank_one(alternating_vector(n), t)
+    return HadamardPerturbation.rank_one(alternating_vector(config["n"]), t)
 
 
 def _pert_summary(pert: HadamardPerturbation | None):
@@ -257,8 +238,8 @@ def _pert_summary(pert: HadamardPerturbation | None):
     }
 
 
-def cmd_apply(args, spec: MapSpec, config: dict) -> dict:
-    pert = _build_perturbation(args, spec.n)
+def cmd_apply(spec: MapSpec, config: dict) -> dict:
+    pert = _build_perturbation(config)
     if config["input"] is None:
         raise ConfigError("apply requires --input")
     X = load_matrix(config["input"], spec.n)
@@ -266,12 +247,14 @@ def cmd_apply(args, spec: MapSpec, config: dict) -> dict:
         X = require_hermitian(X)
     except DomainError as exc:
         raise InputDataError(f"{config['input']}: {exc}")
-    out = TauMap(spec, pert).apply(X)
+    # An image beyond float range is reported once, as dumps_report's anomaly.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = TauMap(spec, pert).apply(X)
     return {"matrix": pairs(out), "perturbation": _pert_summary(pert)}
 
 
-def cmd_positivity(args, spec: MapSpec, config: dict) -> dict:
-    pert = _build_perturbation(args, spec.n)
+def cmd_positivity(spec: MapSpec, config: dict) -> dict:
+    pert = _build_perturbation(config)
     report = seesaw_minimize(
         TauMap(spec, pert), starts=config["starts"], seed=config["seed"], tol=config["tol"]
     )
@@ -286,7 +269,7 @@ def cmd_positivity(args, spec: MapSpec, config: dict) -> dict:
     }
 
 
-def cmd_spanning(args, spec: MapSpec, config: dict) -> dict:
+def cmd_spanning(spec: MapSpec, config: dict) -> dict:
     ss = build_spanning_set(spec, seed=config["seed"], samples=config["samples"])
     outside = sum(1 for m in ss.sigma_membership if not m)
     if spec.k < spec.n - 1 and outside:
@@ -302,7 +285,7 @@ def cmd_spanning(args, spec: MapSpec, config: dict) -> dict:
     }
 
 
-def cmd_certify(args, spec: MapSpec, config: dict) -> dict:
+def cmd_certify(spec: MapSpec, config: dict) -> dict:
     cert = certify_optimality(spec)
     constraint = cert.constraint
     return {
@@ -331,7 +314,7 @@ def _parse_grid(raw: str):
     return np.linspace(start, stop, num)
 
 
-def cmd_conjecture(args, spec: MapSpec, config: dict) -> dict:
+def cmd_conjecture(spec: MapSpec, config: dict) -> dict:
     if config["experimental"]:
         if config["grid"] is None:
             raise ConfigError("--experimental requires --grid START:STOP:NUM")
@@ -405,7 +388,7 @@ def main(argv=None) -> int:
             "version": __version__,
             "command": args.command,
             "config": config,
-            "result": _COMMANDS[args.command](args, spec, config),
+            "result": _COMMANDS[args.command](spec, config),
         }
         text = render_text(report) if config["output"] == "text" else dumps_report(report)
     except (ConfigError, DomainError, DimensionMismatchError) as exc:

@@ -227,8 +227,6 @@ class TauMap(_EntrywiseMap):
         if pert is not None:
             G = G + pert.matrix
         super().__init__(spec.n, shift_coupling(spec), G)
-        self.spec = spec
-        self.pert = pert
 
 
 class HadamardMap(_EntrywiseMap):
@@ -237,4 +235,3 @@ class HadamardMap(_EntrywiseMap):
     def __init__(self, L):
         L = as_square_matrix(L)
         super().__init__(L.shape[0], np.zeros_like(L, dtype=float), -L)
-        self.schur_matrix = L

@@ -127,6 +127,8 @@ def seesaw_minimize(map_, starts: int = DEFAULT_STARTS, seed: int = 0,
         raise DomainError(f"starts must be positive, got {starts}")
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
+    if not 0 < tol < np.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol}")
     n = map_.n
     best = None
     total_best_sweeps = 0
@@ -152,21 +154,14 @@ def seesaw_minimize(map_, starts: int = DEFAULT_STARTS, seed: int = 0,
     )
 
 
-@dataclass(frozen=True)
-class DiagonalProfile:
-    """A nonnegative diagonal X_vec together with its profile D_vec = S X_vec."""
-
-    X_vec: np.ndarray
-    D_vec: np.ndarray
-
-    @classmethod
-    def from_x(cls, spec: MapSpec, X_vec) -> "DiagonalProfile":
-        X = np.asarray(X_vec, dtype=float).reshape(-1)
-        if X.shape[0] != spec.n:
-            raise DimensionMismatchError(f"profile length {X.shape[0]} against n={spec.n}")
-        if np.any(X < 0):
-            raise DomainError("diagonal entries must be nonnegative")
-        return cls(X_vec=X, D_vec=shift_coupling(spec) @ X)
+def _diagonal(spec: MapSpec, X_vec) -> np.ndarray:
+    """X_vec as a float vector, checked to be a nonnegative diagonal of length n."""
+    X = np.asarray(X_vec, dtype=float).reshape(-1)
+    if X.shape[0] != spec.n:
+        raise DimensionMismatchError(f"profile length {X.shape[0]} against n={spec.n}")
+    if np.any(X < 0):
+        raise DomainError("diagonal entries must be nonnegative")
+    return X
 
 
 def _leave_one_out(D: np.ndarray):
@@ -184,11 +179,11 @@ def f_value(spec: MapSpec, X_vec) -> float:
     X by its largest entry (f is scale invariant), which keeps f(1) = 1
     exact and avoids overflow for extreme profiles.
     """
-    profile = DiagonalProfile.from_x(spec, X_vec)
-    peak = profile.X_vec.max()
+    X = _diagonal(spec, X_vec)
+    peak = X.max()
     if peak <= 0:
         raise DomainError("profile is identically zero")
-    X = profile.X_vec / peak
+    X = X / peak
     D = shift_coupling(spec) @ X
     if np.any(D <= 0):
         raise DomainError("f is undefined when some D_i vanishes")
@@ -202,9 +197,9 @@ def analytic_det(spec: MapSpec, X_vec) -> float:
     Returns prod_i D_i - sum_j X_j prod_{i != j} D_i, with no division, so
     degenerate profiles (some D_i = 0) evaluate exactly.
     """
-    profile = DiagonalProfile.from_x(spec, X_vec)
-    total, loo = _leave_one_out(profile.D_vec)
-    return float(total - np.dot(profile.X_vec, loo))
+    X = _diagonal(spec, X_vec)
+    total, loo = _leave_one_out(shift_coupling(spec) @ X)
+    return float(total - np.dot(X, loo))
 
 
 def hessian_shat(spec: MapSpec):
@@ -243,8 +238,6 @@ def parity_witness_value(n: int, k: int, t: float):
     if n % 2 or k % 2:
         raise DomainError(f"witness needs even n and k, got ({n}, {k})")
     spec = MapSpec(n, k)
-    if t < 0:
-        raise DomainError(f"weight must be nonnegative, got {t}")
     pert = HadamardPerturbation.rank_one(alternating_vector(n), t)
     mu = np.zeros(n)
     mu[0::2] = 1.0

@@ -108,6 +108,24 @@ class TestLoadMatrix:
         with pytest.raises(InputDataError, match="not valid JSON"):
             load_matrix(str(path), 2)
 
+    @pytest.mark.parametrize("entry", ["[true, 0.0]", '["1.0", 0.0]', "[null, 0.0]",
+                                       "[1.0, 0.0, 0.0]", "1.0"])
+    def test_entries_that_are_no_number_pairs(self, tmp_path, entry):
+        from posmap.cli import InputDataError
+
+        path = tmp_path / "m.json"
+        path.write_text(f"[[[1.0, 0.0], {entry}], [[1.0, 0.0], [1.0, 0.0]]]")
+        with pytest.raises(InputDataError, match=r"\[re, im\]"):
+            load_matrix(str(path), 2)
+
+    def test_signed_zeros_and_integers_kept(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text("[[[-0.0, 0.0], [2, -0.0]], [[2, 0], [18446744073709551616, 0]]]")
+        M = load_matrix(str(path), 2)
+        assert M.tolist() == [[complex(-0.0, 0.0), complex(2, -0.0)],
+                              [complex(2, 0), complex(2**64, 0)]]
+        assert np.signbit(M.real[0, 0]) and np.signbit(M.imag[0, 1])
+
 
 class TestExitCodes:
     def test_k_out_of_range(self):
@@ -413,6 +431,21 @@ class TestMainInProcess:
         assert main([command, "--n", "4", "--k", "2", flag, value]) == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
+    BAD_FILES = {
+        "integer-beyond-float": b"[[[1" + b"0" * 400 + b", 0], [0, 0]], [[0, 0], [1, 0]]]",
+        "integer-beyond-digit-limit": b"[[[" + b"1" * 5000 + b", 0], [0, 0]], [[0, 0], [1, 0]]]",
+        "not-utf8": b"\xff\xfe[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]",
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_FILES))
+    def test_unparseable_input_file_exits_3(self, capsys, tmp_path, case):
+        path = tmp_path / "m.json"
+        path.write_bytes(self.BAD_FILES[case])
+        assert main(["apply", "--n", "2", "--k", "1", "--input", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("posmap: error:")
+        assert err.count("\n") == 1
+
     def test_error_paths_return_codes(self, capsys, tmp_path):
         assert main(["certify", "--n", "4", "--k", "0"]) == 2
         assert main(["apply", "--n", "2", "--k", "1", "--input", "/none.json"]) == 3
@@ -428,11 +461,20 @@ class TestMainInProcess:
         assert main(["conjecture", "--n", "6", "--k", "3", "--experimental",
                      "--grid", "0:nan:2"]) == 2
         # Finite input whose image overflows: the serializer meets inf and reports an
-        # anomaly.  The overflow (and the NaN it breeds) is expected here, not a warning.
+        # anomaly, with no RuntimeWarning for the overflow or the NaN it breeds.
         path = write_matrix(tmp_path / "huge.json", np.diag([1e308, 1e308, 1e308, 1e308]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["apply", "--n", "4", "--k", "2", "--input", path]) == 4
+        assert main(["apply", "--n", "4", "--k", "2", "--input", path]) == 4
+        assert main(["positivity", "--n", "4", "--k", "2", "--starts", "0"]) == 2
+        assert main(["positivity", "--n", "4", "--k", "2", "--tol", "0"]) == 2
+        assert main(["spanning", "--n", "4", "--k", "2", "--samples", "0"]) == 2
+        assert main(["positivity", "--n", "4", "--k", "2", "--perturb", "v1", "--t", "-1"]) == 2
+        assert main(["certify", "--n", "4", "--k", "2", "--seed", "-1"]) == 2
         err = capsys.readouterr().err
+        assert "starts must be positive, got 0" in err
+        assert "tol must be finite and positive, got 0.0" in err
+        assert "need at least 13 samples for n=4, got 0" in err
+        assert "weight must be finite and nonnegative, got -1.0" in err
+        assert "seed must be nonnegative, got -1" in err
         assert "non-finite entries" in err
         assert "finite and nonnegative" in err
         assert "tol must be finite" in err

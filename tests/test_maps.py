@@ -346,7 +346,7 @@ class TestPublicApi:
             "DimensionMismatchError", "DomainError", "NumericalAnomalyError",
             "MapSpec", "HadamardPerturbation", "TauMap", "HadamardMap",
             "alternating_vector", "shift_coupling", "as_square_matrix", "require_hermitian",
-            "PositivityReport", "DiagonalProfile", "form_value", "seesaw_minimize",
+            "PositivityReport", "form_value", "seesaw_minimize",
             "f_value", "analytic_det", "hessian_shat", "degenerate_det_bound",
             "parity_witness_value",
             "ProductPair", "SpanningSet", "sigma_projector", "unimodular_pairs",

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from posmap import (
+    DimensionMismatchError,
     DomainError,
     HadamardPerturbation,
     MapSpec,
     TauMap,
     alternating_vector,
+    shift_coupling,
 )
 from posmap.positivity import (
-    DiagonalProfile,
     _leave_one_out,
     analytic_det,
     degenerate_det_bound,
@@ -119,21 +120,24 @@ class TestSeesaw:
             seesaw_minimize(map_, starts=0)
         with pytest.raises(DomainError):
             seesaw_minimize(map_, seed=-1)
+        for tol in (float("nan"), 0.0, float("inf")):
+            with pytest.raises(DomainError, match="tol must be finite and positive"):
+                seesaw_minimize(map_, tol=tol)
 
 
 class TestDiagonalProfile:
-    def test_from_x_applies_coupling(self):
-        profile = DiagonalProfile.from_x(MapSpec(3, 1), [1.0, 2.0, 3.0])
-        assert np.array_equal(profile.X_vec, [1.0, 2.0, 3.0])
-        assert np.array_equal(profile.D_vec, [4.0, 7.0, 7.0])
+    def test_shift_coupling_gives_profile(self):
+        assert np.array_equal(shift_coupling(MapSpec(3, 1)) @ [1.0, 2.0, 3.0], [4.0, 7.0, 7.0])
 
     def test_rejects_negative_entries(self):
-        with pytest.raises(DomainError):
-            DiagonalProfile.from_x(MapSpec(3, 1), [1.0, -0.5, 2.0])
+        for fn in (f_value, analytic_det):
+            with pytest.raises(DomainError):
+                fn(MapSpec(3, 1), [1.0, -0.5, 2.0])
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(Exception):
-            DiagonalProfile.from_x(MapSpec(3, 1), [1.0, 2.0])
+        for fn in (f_value, analytic_det):
+            with pytest.raises(DimensionMismatchError):
+                fn(MapSpec(3, 1), [1.0, 2.0])
 
 
 class TestFValue:
@@ -216,9 +220,8 @@ class TestAnalyticDet:
         spec = MapSpec(n, k)
         for _ in range(100):
             X = np.exp(rng.normal(size=n))
-            profile = DiagonalProfile.from_x(spec, X)
-            root = np.sqrt(profile.X_vec)
-            numeric = np.linalg.det(np.diag(profile.D_vec) - np.outer(root, root))
+            root = np.sqrt(X)
+            numeric = np.linalg.det(np.diag(shift_coupling(spec) @ X) - np.outer(root, root))
             analytic = analytic_det(spec, X)
             assert abs(analytic - numeric) <= 1e-10 * max(1.0, abs(numeric))
 
