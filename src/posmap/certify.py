@@ -96,10 +96,10 @@ def build_circulant(spec: MapSpec) -> CirculantConstraint:
     first[: n - k] = 1
     idx = np.arange(n)
     M = first[(idx - idx[:, None]) % n]
-    roots = [_root_power(n, m) for m in range(n)]
-    lam = np.array([sum(roots[j * m % n] for m in range(n - k)) for j in range(n)])
-    # Row j is the Fourier vector (omega^{ji})_i / sqrt(n).
-    fourier = np.array(roots)[np.outer(idx, idx) % n] / math.sqrt(n)
+    # R[j, m] = omega^{jm}; row j over sqrt(n) is the Fourier vector (omega^{ji})_i / sqrt(n).
+    R = np.array([_root_power(n, m) for m in range(n)])[np.outer(idx, idx) % n]
+    lam = sum(R[:, m] for m in range(n - k))
+    fourier = R / math.sqrt(n)
     # Row j of fourier @ M^T is M applied to Fourier vector j.
     residuals = np.abs(fourier @ M.T - lam[:, None] * fourier).max(axis=1)
     d = spec.gcd
@@ -159,7 +159,7 @@ def conjecture_probe(spec: MapSpec, seed: int = 0, t: float | None = None,
     t_max = float(n - k)
     t_probe = t_max if t is None else float(t)
     v1 = build_circulant(spec).kernel[0]
-    pert = HadamardPerturbation.rank_one(v1, t_probe)
+    pert = HadamardPerturbation([v1], [t_probe])
     report = seesaw_minimize(TauMap(spec, pert), starts=starts, seed=seed, tol=tol)
     witness_at_t, _ = parity_witness_value(n, k, t_probe)
     witness_above, _ = parity_witness_value(n, k, t_max + 0.1)

@@ -225,7 +225,7 @@ def _build_perturbation(config: dict) -> HadamardPerturbation | None:
         return None
     if t is None:
         raise ConfigError("--perturb requires --t")
-    return HadamardPerturbation.rank_one(alternating_vector(config["n"]), t)
+    return HadamardPerturbation([alternating_vector(config["n"])], [t])
 
 
 def _pert_summary(pert: HadamardPerturbation | None):
@@ -233,8 +233,8 @@ def _pert_summary(pert: HadamardPerturbation | None):
         return None
     return {
         "kind": "rank-one",
-        "alpha": pairs(pert.alpha),
-        "weight": pert.weight,
+        "alpha": pairs(pert.alphas[0]),
+        "weight": pert.weights[0],
     }
 
 
@@ -272,7 +272,7 @@ def cmd_positivity(spec: MapSpec, config: dict) -> dict:
 def cmd_spanning(spec: MapSpec, config: dict) -> dict:
     ss = build_spanning_set(spec, seed=config["seed"], samples=config["samples"])
     outside = sum(1 for m in ss.sigma_membership if not m)
-    if spec.k < spec.n - 1 and outside:
+    if not spec.is_reduction and outside:
         raise NumericalAnomalyError(
             f"{outside} admitted pair(s) escaped the phase-product span"
         )
@@ -325,12 +325,8 @@ def cmd_conjecture(spec: MapSpec, config: dict) -> dict:
         basis = build_circulant(spec).kernel
         points = []
         for weights in itertools.product(grid, repeat=axes):
-            L = np.zeros((spec.n, spec.n), dtype=np.complex128)
-            for w, v in zip(weights, basis):
-                L += w * np.outer(v, v.conj())
-            pert = HadamardPerturbation.full(L)
             rep = seesaw_minimize(
-                TauMap(spec, pert), starts=config["starts"],
+                TauMap(spec, HadamardPerturbation(basis, weights)), starts=config["starts"],
                 seed=config["seed"], tol=config["tol"],
             )
             points.append(

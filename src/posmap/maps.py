@@ -7,10 +7,11 @@ The family tau_{n,k} sends a square complex matrix X to
 
 with all index arithmetic mod n.  The edge members are familiar: k = 0 is
 completely positive, and k = n-1 is the reduction map Tr(X) I - X.  A
-corrected map subtracts a Hadamard (entrywise) product L o X, where L is
-positive semidefinite with entries summing to zero; subtractions of this
-shape are completely positive and vanish on every projector built from a
-vector of unimodular entries.
+corrected map subtracts a Hadamard (entrywise) product L o X, where
+L = sum_r w_r alpha_r alpha_r^dag for weights w_r >= 0 and directions
+alpha_r whose entries sum to zero; subtractions of this shape are
+completely positive and vanish on every projector built from a vector of
+unimodular entries.
 
 Every map here fits a single template
 
@@ -25,14 +26,12 @@ quadratic_form, choi) consumed by the positivity engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 HERMITIAN_ATOL = 1e-12
-PSD_EIG_ATOL = 1e-10
 ENTRY_SUM_ATOL = 1e-10
-ROW_SUM_ATOL = 1e-9
 
 
 class DimensionMismatchError(ValueError):
@@ -133,47 +132,42 @@ def alternating_vector(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HadamardPerturbation:
-    """A Hadamard-product subtraction X -> L o X.
+    """A Hadamard-product subtraction X -> L o X with L = sum_r w_r alpha_r alpha_r^dag.
 
-    matrix is positive semidefinite with entries summing to zero, which
-    together force L 1 = 0.  When built from a single vector, alpha and
-    weight record the factorization L = weight * alpha alpha^dag.
+    alphas holds r directions of length n, each with entries summing to
+    zero, and weights the r nonnegative weights.  L is then positive
+    semidefinite with L 1 = 0 by construction, so only the inputs are
+    checked.
     """
 
-    matrix: np.ndarray
-    alpha: np.ndarray | None = None
-    weight: float | None = None
+    alphas: np.ndarray
+    weights: tuple
+    matrix: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        L = require_hermitian(self.matrix)
-        eigs = np.linalg.eigvalsh(L)
-        if eigs.min() < -PSD_EIG_ATOL:
-            raise DomainError(f"subtraction matrix is not PSD (min eigenvalue {eigs.min():.3e})")
-        total = complex(L.sum())
-        if abs(total) > ENTRY_SUM_ATOL:
-            raise DomainError(f"subtraction entries must sum to zero, got {total:.3e}")
-        row = np.abs(L @ np.ones(L.shape[0])).max()
-        if row > ROW_SUM_ATOL:
-            raise NumericalAnomalyError(
-                f"PSD matrix with zero entry sum should annihilate the all-ones vector, got {row:.3e}"
+        A = np.asarray(self.alphas, dtype=np.complex128)
+        if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 2:
+            raise DimensionMismatchError(
+                f"need r >= 1 directions of length n >= 2, got shape {A.shape}"
             )
+        if len(self.weights) != A.shape[0]:
+            raise DimensionMismatchError(f"{len(self.weights)} weights for {A.shape[0]} directions")
+        if not np.isfinite(A).all():
+            raise DomainError("directions have non-finite entries")
+        for w in self.weights:
+            if not 0 <= w < math.inf:
+                raise DomainError(f"weight must be finite and nonnegative, got {w}")
+        for a in A:
+            if abs(a.sum()) > ENTRY_SUM_ATOL:
+                raise DomainError(f"alpha entries must sum to zero, got {a.sum():.3e}")
+        weights = tuple(float(w) for w in self.weights)
+        with np.errstate(over="ignore", invalid="ignore"):
+            L = sum(w * np.outer(a, a.conj()) for a, w in zip(A, weights))
+        if not np.isfinite(L).all():
+            raise DomainError("subtraction matrix has non-finite entries")
+        object.__setattr__(self, "alphas", A)
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "matrix", L)
-
-    @classmethod
-    def rank_one(cls, alpha, t: float) -> "HadamardPerturbation":
-        """L = t * alpha alpha^dag for a vector alpha with entries summing to zero."""
-        a = np.asarray(alpha, dtype=np.complex128).reshape(-1)
-        if a.shape[0] < 2:
-            raise DimensionMismatchError("alpha must have at least two entries")
-        if not 0 <= t < math.inf:
-            raise DomainError(f"weight must be finite and nonnegative, got {t}")
-        if abs(a.sum()) > ENTRY_SUM_ATOL:
-            raise DomainError(f"alpha entries must sum to zero, got {a.sum():.3e}")
-        return cls(matrix=t * np.outer(a, a.conj()), alpha=a, weight=float(t))
-
-    @classmethod
-    def full(cls, L) -> "HadamardPerturbation":
-        return cls(matrix=as_square_matrix(L))
 
     @property
     def dim(self) -> int:

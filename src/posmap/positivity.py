@@ -90,14 +90,14 @@ def _seesaw_single(map_, x0: np.ndarray, max_sweeps: int, improve_tol: float):
         evals, evecs = np.linalg.eigh(map_.on_projector(x))
         half = float(evals[0])
         y = evecs[:, 0]
-        if half > value + _MONOTONE_SLACK:
+        if half > value + _MONOTONE_SLACK * max(1.0, abs(value)):
             raise NumericalAnomalyError(
                 f"see-saw objective increased on the y step ({value:.3e} -> {half:.3e})"
             )
         evals, evecs = np.linalg.eigh(map_.quadratic_form(y))
         new = float(evals[0])
         x = evecs[:, 0]
-        if new > half + _MONOTONE_SLACK:
+        if new > half + _MONOTONE_SLACK * max(1.0, abs(half)):
             raise NumericalAnomalyError(
                 f"see-saw objective increased on the x step ({half:.3e} -> {new:.3e})"
             )
@@ -219,7 +219,7 @@ def hessian_shat(spec: MapSpec):
 
 def degenerate_det_bound(spec: MapSpec) -> float:
     """Lower bound 1/(n-k) used on profiles with a vanishing D_i; needs k <= n-2."""
-    if spec.k == spec.n - 1:
+    if spec.is_reduction:
         raise DomainError("the bound applies only for k <= n-2")
     return 1.0 / (spec.n - spec.k)
 
@@ -238,7 +238,7 @@ def parity_witness_value(n: int, k: int, t: float):
     if n % 2 or k % 2:
         raise DomainError(f"witness needs even n and k, got ({n}, {k})")
     spec = MapSpec(n, k)
-    pert = HadamardPerturbation.rank_one(alternating_vector(n), t)
+    pert = HadamardPerturbation([alternating_vector(n)], [t])
     mu = np.zeros(n)
     mu[0::2] = 1.0
     out = TauMap(spec, pert).apply(np.outer(mu, mu))

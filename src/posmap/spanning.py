@@ -101,7 +101,7 @@ def degenerate_pairs(spec: MapSpec, seed: int = 0) -> list:
     window leaves room for a support.
     """
     n, k = spec.n, spec.k
-    if k == n - 1:
+    if spec.is_reduction:
         return []
     rng = np.random.default_rng([seed, _STREAM_DEGENERATE])
     tau = TauMap(spec)
@@ -125,7 +125,7 @@ def _polish_witness(spec: MapSpec, x: np.ndarray):
     zero set by sqrt(convergence tolerance) would pollute the rank.
     """
     n, k = spec.n, spec.k
-    if k == n - 1:
+    if spec.is_reduction:
         return x / np.linalg.norm(x)
     mags = np.abs(x)
     peak = mags.max()

@@ -79,7 +79,7 @@ def test_c01_basis_images_exact():
     check(TauMap(MapSpec(4, 2)), 4, COUPLING_4_2, np.ones((4, 4)), "tau(4,2)")
 
     parity = np.array([[0.5 if (i - j) % 2 else 1.5 for j in range(4)] for i in range(4)])
-    pert = HadamardPerturbation.rank_one(alternating_vector(4), 2.0)
+    pert = HadamardPerturbation([alternating_vector(4)], [2.0])
     check(TauMap(MapSpec(4, 2), pert), 4, COUPLING_4_2, parity, "corrected tau(4,2) at t=2")
 
     assert not failures, "\n".join(failures)
@@ -304,7 +304,7 @@ def test_c09_seesaw_engine():
                 )
 
     n, k, t = 4, 2, 2.1
-    map_ = TauMap(MapSpec(n, k), HadamardPerturbation.rank_one(alternating_vector(n), t))
+    map_ = TauMap(MapSpec(n, k), HadamardPerturbation([alternating_vector(n)], [t]))
     report = seesaw_minimize(map_, starts=64, seed=0)
     if report.verdict != "negative-certificate":
         failures.append(f"corrected map at t=2.1: verdict {report.verdict}")

@@ -78,6 +78,21 @@ class TestBuildCirculant:
             assert np.linalg.norm(residual) <= 1e-10
 
 
+class TestEigenvalueSum:
+    @staticmethod
+    def loop_reference(n, k):
+        roots = [certify._root_power(n, m) for m in range(n)]
+        return np.array([sum(roots[j * m % n] for m in range(n - k)) for j in range(n)])
+
+    def test_bit_identical_to_python_double_sum(self):
+        """Columns of the root table add in the loop's order, so no bit changes, signed zeros included."""
+        cases = [(n, k) for n in range(2, 25) for k in range(1, n)]
+        cases += [(61, 7), (120, 60), (240, 96)]
+        for n, k in cases:
+            lam = build_circulant(MapSpec(n, k)).eigenvalues
+            assert lam.tobytes() == self.loop_reference(n, k).tobytes(), (n, k)
+
+
 class TestKernelBasis:
     def test_4_2_exact(self):
         (v,) = build_circulant(MapSpec(4, 2)).kernel
@@ -114,7 +129,7 @@ class TestCertifyOptimality:
         assert cert.kernel_dim == dim
         assert len(cert.constraint.kernel) == dim
         for v in cert.constraint.kernel:
-            HadamardPerturbation.rank_one(v, 1.0)
+            HadamardPerturbation([v], [1.0])
 
     def test_k_zero_rejected(self):
         with pytest.raises(DomainError):
@@ -133,20 +148,17 @@ class TestAdmissibleSubtractionCheck:
 
     def test_kernel_direction_passes_at_positive_weight(self):
         (v,) = build_circulant(MapSpec(4, 2)).kernel
-        pert = HadamardPerturbation.rank_one(v, 1.5)
+        pert = HadamardPerturbation([v], [1.5])
         assert np.abs(pert.matrix @ np.ones(4)).max() <= 1e-12
 
-    def test_raw_matrix_inputs(self):
-        a = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
-        HadamardPerturbation.full(np.outer(a, a))
+    def test_direction_inputs(self):
+        HadamardPerturbation([np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)], [1.0])
         with pytest.raises(DomainError, match="sum to zero"):
-            HadamardPerturbation.full(np.ones((3, 3)))
-        with pytest.raises(DomainError, match="not PSD"):
-            HadamardPerturbation.full(np.diag([1.0, -1.0]))
+            HadamardPerturbation([np.ones(3)], [1.0])
 
     def test_dimension_argument(self):
         a = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        pert = HadamardPerturbation.full(np.outer(a, a))
+        pert = HadamardPerturbation([a], [1.0])
         TauMap(MapSpec(2, 1), pert)
         with pytest.raises(DimensionMismatchError):
             TauMap(MapSpec(3, 1), pert)

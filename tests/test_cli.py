@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from posmap import MapSpec, TauMap, alternating_vector
 from posmap.cli import (
     REPORT_SCHEMA,
     dumps_report,
@@ -302,6 +303,44 @@ class TestReports:
         assert "command: \"certify\"" in lines
         assert "result.gcd: 2" in lines
         assert "result.verdict: \"not-certified\"" in lines
+
+
+class TestLargeWeights:
+    """Any finite nonnegative --t builds a subtraction; the see-saw's checks scale with it."""
+
+    def test_apply_subtracts_large_weight(self, tmp_path):
+        n, t = 6, 1e7
+        X = np.diag(np.arange(1.0, n + 1))
+        path = write_matrix(tmp_path / "x.json", X)
+        p = run_cli("apply", "--n", str(n), "--k", "2", "--perturb", "v1", "--t", "1e7", "--input", path)
+        assert p.returncode == 0, p.stderr
+        got = np.array(json.loads(p.stdout)["result"]["matrix"]).view(complex)[..., 0]
+        v = alternating_vector(n)
+        expected = TauMap(MapSpec(n, 2)).apply(X) - t * np.outer(v, v.conj()) * X
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_positivity_at_large_weight(self):
+        p = run_cli("positivity", "--n", "6", "--k", "2", "--perturb", "v1", "--t", "1e7", "--starts", "8")
+        assert p.returncode == 0, p.stderr
+        assert json.loads(p.stdout)["result"]["verdict"] == "negative-certificate"
+
+    def test_experimental_grid_at_large_weight(self):
+        p = run_cli(
+            "conjecture", "--n", "6", "--k", "3",
+            "--experimental", "--grid", "0:1e7:2", "--starts", "2",
+        )
+        assert p.returncode == 0, p.stderr
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_seesaw_minimum_at_huge_weight(self, n):
+        """At t = 1e12 one ulp of F exceeds an absolute monotonicity slack of 1e-10."""
+        k, t = 2, 1e12
+        p = run_cli("positivity", "--n", str(n), "--k", str(k), "--perturb", "v1", "--t", "1e12", "--starts", "8")
+        assert p.returncode == 0, p.stderr
+        res = json.loads(p.stdout)["result"]
+        assert res["verdict"] == "negative-certificate"
+        ref = ((n - k) - t) / n
+        assert ref - 1e-9 * t <= res["min_value"] <= ref + 1e-6 * t
 
 
 class TestGoldenBytes:

@@ -197,7 +197,7 @@ class TestAlternatingVector:
 
 class TestHadamardPerturbation:
     def test_rank_one_frozen_matrix(self):
-        pert = HadamardPerturbation.rank_one(alternating_vector(4), 2.0)
+        pert = HadamardPerturbation([alternating_vector(4)], [2.0])
         expected = 0.5 * np.array(
             [
                 [1.0, -1.0, 1.0, -1.0],
@@ -208,44 +208,63 @@ class TestHadamardPerturbation:
             dtype=np.complex128,
         )
         assert np.array_equal(pert.matrix, expected)
-        assert pert.weight == 2.0
+        assert pert.weights == (2.0,)
         assert pert.dim == 4
 
     def test_rank_one_requires_zero_sum(self):
         with pytest.raises(DomainError, match="sum to zero"):
-            HadamardPerturbation.rank_one(np.array([1.0, 1.0]), 1.0)
+            HadamardPerturbation([[1.0, 1.0]], [1.0])
 
     def test_rank_one_rejects_negative_weight(self):
         with pytest.raises(DomainError):
-            HadamardPerturbation.rank_one(np.array([1.0, -1.0]), -0.5)
+            HadamardPerturbation([[1.0, -1.0]], [-0.5])
 
-    def test_full_accepts_valid_subtraction(self):
-        a = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        pert = HadamardPerturbation.full(np.outer(a, a))
-        assert np.allclose(pert.matrix, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
+    def test_two_directions_add_their_outer_products(self):
+        a = np.array([1.0, -1.0, 0.0])
+        b = np.array([0.0, 1.0, -1.0])
+        pert = HadamardPerturbation([a, b], [0.5, 2.0])
+        assert np.array_equal(pert.matrix, 0.5 * np.outer(a, a) + 2.0 * np.outer(b, b))
+        assert pert.weights == (0.5, 2.0)
 
-    def test_full_rejects_indefinite(self):
-        with pytest.raises(DomainError, match="not PSD"):
-            HadamardPerturbation.full(np.diag([1.0, -1.0]))
-
-    def test_full_rejects_nonzero_entry_sum(self):
+    def test_rejects_any_nonzero_sum_direction(self):
         with pytest.raises(DomainError, match="sum to zero"):
-            HadamardPerturbation.full(np.eye(3))
+            HadamardPerturbation([[1.0, -1.0, 0.0], [1.0, 0.0, 0.0]], [1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "alphas, weights",
+        [([], []), ([[1.0]], [1.0]), ([1.0, -1.0], [1.0]), ([[1.0, -1.0]], [1.0, 2.0])],
+    )
+    def test_shape_checks(self, alphas, weights):
+        with pytest.raises(DimensionMismatchError):
+            HadamardPerturbation(alphas, weights)
+
+    @pytest.mark.parametrize(
+        "alphas, weights, match",
+        [
+            ([[np.nan, 0.0]], [1.0], "non-finite"),
+            ([[1.0, -1.0]], [np.inf], "finite and nonnegative"),
+            ([[1.0, -1.0]], [np.nan], "finite and nonnegative"),
+            ([[1e200, -1e200]], [1e10], "non-finite"),
+        ],
+    )
+    def test_rejects_non_finite_inputs_and_matrix(self, alphas, weights, match):
+        with pytest.raises(DomainError, match=match):
+            HadamardPerturbation(alphas, weights)
 
     def test_zero_sum_psd_annihilates_ones(self):
         rng = np.random.default_rng(11)
         ones = np.ones(5)
         P = np.eye(5) - np.outer(ones, ones) / 5.0
         for _ in range(50):
-            A = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-            L = P @ (A @ A.conj().T) @ P
-            pert = HadamardPerturbation.full(L)
+            A = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+            pert = HadamardPerturbation(A @ P, rng.exponential(size=3))
             assert np.abs(pert.matrix @ ones).max() <= 1e-9
+            assert np.linalg.eigvalsh(pert.matrix).min() >= -1e-9
 
 
 class TestTauMapProtocol:
     def test_perturbation_dimension_guard(self):
-        pert = HadamardPerturbation.rank_one(alternating_vector(4), 1.0)
+        pert = HadamardPerturbation([alternating_vector(4)], [1.0])
         with pytest.raises(DimensionMismatchError):
             TauMap(MapSpec(5, 1), pert)
 
@@ -269,7 +288,7 @@ class TestTauMapProtocol:
         rng = np.random.default_rng([17, n, k])
         pert = None
         if n % 2 == 0:
-            pert = HadamardPerturbation.rank_one(alternating_vector(n), 0.7)
+            pert = HadamardPerturbation([alternating_vector(n)], [0.7])
         map_ = TauMap(MapSpec(n, k), pert)
         for _ in range(25):
             x = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -280,7 +299,7 @@ class TestTauMapProtocol:
 
     def test_perturbed_apply_subtracts_schur_product(self):
         spec = MapSpec(4, 2)
-        pert = HadamardPerturbation.rank_one(alternating_vector(4), 2.0)
+        pert = HadamardPerturbation([alternating_vector(4)], [2.0])
         rng = np.random.default_rng(23)
         A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         X = A + A.conj().T

@@ -46,7 +46,7 @@ class TestFormValue:
             assert abs(form_value(map_, sx * x, sy * y) - ref) <= 1e-14 * ref
 
     def test_known_negative_direction(self):
-        pert = HadamardPerturbation.rank_one(alternating_vector(4), 2.5)
+        pert = HadamardPerturbation([alternating_vector(4)], [2.5])
         map_ = TauMap(MapSpec(4, 2), pert)
         mu = np.array([1.0, 0.0, 1.0, 0.0])
         value = form_value(map_, mu, mu)
@@ -75,20 +75,20 @@ class TestSeesaw:
         assert report.starts_capped == 1
 
     def test_frozen_negative_certificate(self):
-        pert = HadamardPerturbation.rank_one(alternating_vector(4), 2.1)
+        pert = HadamardPerturbation([alternating_vector(4)], [2.1])
         report = seesaw_minimize(TauMap(MapSpec(4, 2), pert), starts=16, seed=0)
         assert report.verdict == "negative-certificate"
         assert report.min_value == -0.024999999998625285
         assert report.iterations == 62
 
     def test_deeper_negative_certificate(self):
-        pert = HadamardPerturbation.rank_one(alternating_vector(4), 2.5)
+        pert = HadamardPerturbation([alternating_vector(4)], [2.5])
         report = seesaw_minimize(TauMap(MapSpec(4, 2), pert), starts=16, seed=0)
         assert report.verdict == "negative-certificate"
         assert report.min_value == -0.1249999999999748
 
     def test_witness_reproduces_min_value(self):
-        pert = HadamardPerturbation.rank_one(alternating_vector(4), 2.1)
+        pert = HadamardPerturbation([alternating_vector(4)], [2.1])
         map_ = TauMap(MapSpec(4, 2), pert)
         report = seesaw_minimize(map_, starts=16, seed=0)
         assert form_value(map_, report.witness_x, report.witness_y) == report.min_value
@@ -110,7 +110,7 @@ class TestSeesaw:
 
     @pytest.mark.parametrize("n, k, t, capped", [(4, 2, None, 8), (8, 2, 5.0, 0)])
     def test_capped_starts_are_counted(self, n, k, t, capped):
-        pert = None if t is None else HadamardPerturbation.rank_one(alternating_vector(n), t)
+        pert = None if t is None else HadamardPerturbation([alternating_vector(n)], [t])
         report = seesaw_minimize(TauMap(MapSpec(n, k), pert), starts=64, seed=0)
         assert report.starts_capped == capped
 
