@@ -8,6 +8,18 @@ dimension n^2 - n + 1 whose orthogonal complement is the traceless
 diagonal.  For k = n-1 the zero set is far larger (any x pairs with
 conj(x)) and the product vectors span all of C^n (x) C^n, which is the
 spanning property the rank computation detects.
+
+The rank is read from the weight spaces of the torus action.  F is
+invariant under (x, y) -> (D x, conj(D) y) for every diagonal unitary D,
+so the torus closure of the admitted pairs is itself a set of zero pairs,
+and the reported rank is the rank of its product vectors.  D (x) conj(D)
+scales product coordinate (i, j) by d_i conj(d_j): each off-diagonal
+coordinate is a weight space of its own and the n diagonal coordinates
+share the trivial weight.  The span of a torus-invariant set is the direct
+sum of its parts in the weight spaces, so the rank is the number of
+off-diagonal coordinates on which some pair has x_i y_j != 0, plus the rank
+of the m x n matrix of diagonal products x_i y_i.  No n^2-wide array is
+formed.
 """
 
 from __future__ import annotations
@@ -41,7 +53,7 @@ class ProductPair:
 
 @dataclass(frozen=True)
 class SpanningSet:
-    """Admitted pairs, the rank of their stacked products, and membership flags."""
+    """Admitted pairs, the rank of their products' torus closure, and membership flags."""
 
     pairs: list
     gram_rank: int
@@ -76,6 +88,26 @@ def gram_rank(vectors) -> int:
     return int(np.sum(sv > RANK_REL_TOL * sv[0]))
 
 
+def _form_values(map_, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """F on each row pair (x, y) of X and Y, rows unit-normalized here.
+
+    F = sum_ij |y_i|^2 C_ij |x_j|^2 - Re(z^T G conj(z)) with z = conj(x o y),
+    the expansion of <y, map(conj(x) conj(x)^dag) y>, for all rows at once.
+    """
+    X = X / np.linalg.norm(X, axis=1, keepdims=True)
+    Y = Y / np.linalg.norm(Y, axis=1, keepdims=True)
+    Z = (X * Y).conj()
+    diagonal = ((Y.real**2 + Y.imag**2) @ map_._C) * (X.real**2 + X.imag**2)
+    schur = (Z @ map_._G) * Z.conj()
+    return diagonal.sum(axis=1) - schur.real.sum(axis=1)
+
+
+def _pairs(map_, X: np.ndarray, Y: np.ndarray) -> list:
+    """One ProductPair per row pair of X and Y, valued in one batched pass."""
+    values = _form_values(map_, X, Y).tolist()
+    return [ProductPair(x=x, y=y, value=v) for x, y, v in zip(X, Y, values)]
+
+
 def unimodular_pairs(spec: MapSpec, samples: int, seed: int = 0) -> list:
     """Random phase vectors x with y = conj(x), all exact zeros of the form."""
     samples = _check_int(samples, "samples")
@@ -83,14 +115,8 @@ def unimodular_pairs(spec: MapSpec, samples: int, seed: int = 0) -> list:
     if samples < floor:
         raise DomainError(f"need at least {floor} samples for n={spec.n}, got {samples}")
     rng = np.random.default_rng([seed, _STREAM_UNIMODULAR])
-    tau = TauMap(spec)
-    root = math.sqrt(spec.n)
-    pairs = []
-    for _ in range(samples):
-        x = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, spec.n)) / root
-        y = x.conj()
-        pairs.append(ProductPair(x=x, y=y, value=form_value(tau, x, y)))
-    return pairs
+    X = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (samples, spec.n))) / math.sqrt(spec.n)
+    return _pairs(TauMap(spec), X, X.conj())
 
 
 def degenerate_pairs(spec: MapSpec, seed: int = 0) -> list:
@@ -104,17 +130,12 @@ def degenerate_pairs(spec: MapSpec, seed: int = 0) -> list:
     if spec.is_reduction:
         return []
     rng = np.random.default_rng([seed, _STREAM_DEGENERATE])
-    tau = TauMap(spec)
     width = n - k - 1
-    pairs = []
-    for j in range(n):
-        support = (j + k + 1 + np.arange(width)) % n
-        x = np.zeros(n, dtype=np.complex128)
-        x[support] = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, width)) / math.sqrt(width)
-        y = np.zeros(n, dtype=np.complex128)
-        y[j] = 1.0
-        pairs.append(ProductPair(x=x, y=y, value=form_value(tau, x, y)))
-    return pairs
+    phases = rng.uniform(0.0, 2.0 * np.pi, (n, width))
+    rows = np.arange(n)[:, None]
+    X = np.zeros((n, n), dtype=np.complex128)
+    X[rows, (rows + k + 1 + np.arange(width)) % n] = np.exp(1j * phases) / math.sqrt(width)
+    return _pairs(TauMap(spec), X, np.eye(n, dtype=np.complex128))
 
 
 def _polish_witness(spec: MapSpec, x: np.ndarray):
@@ -173,10 +194,18 @@ def build_spanning_set(spec: MapSpec, seed: int = 0, samples: int | None = None)
 
     samples defaults to 4 n^2 phase pairs; the see-saw harvest takes 2n
     witnesses, enough to reveal the spanning property (gram_rank == n^2) of
-    the reduction map while staying cheap.  Membership flags record whether
-    sigma_projector fixes each admitted product vector x (x) y; it does
-    exactly when the diagonal coordinates x_i y_i are all equal, so the
-    flag is an O(n) test on those n products.
+    the reduction map while staying cheap.
+
+    The rank is that of the torus closure of the admitted pairs, a set of
+    zero pairs because F(Dx, conj(D)y) = F(x, y) for diagonal unitaries D.
+    Its span splits over the weight spaces of D (x) conj(D): off-diagonal
+    coordinate (i, j) counts once when its column norm
+    c_ij = sqrt(sum_m |x_mi|^2 |y_mj|^2) exceeds RANK_REL_TOL times the
+    largest off-diagonal c_ij (one n x n product), and the shared diagonal
+    weight adds gram_rank of the m x n diagonal products x_i y_i.
+    Membership flags record whether sigma_projector fixes each admitted
+    product vector x (x) y; it does exactly when those diagonal products
+    are all equal, so the flag is an O(n) test too.
     """
     if spec.k < 1:
         raise DomainError("spanning analysis applies for k >= 1")
@@ -193,8 +222,10 @@ def build_spanning_set(spec: MapSpec, seed: int = 0, samples: int | None = None)
     m = len(admitted)
     X = np.array([p.x for p in admitted]).reshape(m, n)
     Y = np.array([p.y for p in admitted]).reshape(m, n)
-    products = (X[:, :, None] * Y[:, None, :]).reshape(m, n * n)
+    column = np.sqrt((X.real**2 + X.imag**2).T @ (Y.real**2 + Y.imag**2))
+    off = column[~np.eye(n, dtype=bool)]
     diag = X * Y
+    rank = int(np.sum(off > RANK_REL_TOL * off.max())) + gram_rank(diag)
     deviation = np.linalg.norm(diag - diag.mean(axis=1, keepdims=True), axis=1)
-    return SpanningSet(pairs=admitted, gram_rank=gram_rank(products),
+    return SpanningSet(pairs=admitted, gram_rank=rank,
                        sigma_membership=(deviation <= SIGMA_FIX_TOL).tolist())

@@ -1,11 +1,16 @@
 """Tests for zero-pair families, the phase-product subspace, and spanning rank."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from posmap import DomainError, MapSpec, TauMap
 from posmap.positivity import form_value
 from posmap.spanning import (
+    _STREAM_DEGENERATE,
+    _STREAM_UNIMODULAR,
     build_spanning_set,
     degenerate_pairs,
     gram_rank,
@@ -112,6 +117,61 @@ class TestDegeneratePairs:
         assert degenerate_pairs(MapSpec(4, 3)) == []
 
 
+class TestBatchedPairs:
+    """The pair families draw every phase at once; the per-sample loops stay here as the reference."""
+
+    SPECS = [MapSpec(n, k) for n in range(2, 10) for k in range(0, n)]
+
+    @staticmethod
+    def unimodular_loop(spec, samples, seed):
+        rng = np.random.default_rng([seed, _STREAM_UNIMODULAR])
+        return [np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, spec.n)) / math.sqrt(spec.n)
+                for _ in range(samples)]
+
+    @staticmethod
+    def degenerate_loop(spec, seed):
+        n, k = spec.n, spec.k
+        rng = np.random.default_rng([seed, _STREAM_DEGENERATE])
+        width = n - k - 1
+        xs = []
+        for j in range(n):
+            support = (j + k + 1 + np.arange(width)) % n
+            x = np.zeros(n, dtype=np.complex128)
+            x[support] = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, width)) / math.sqrt(width)
+            xs.append(x)
+        return xs
+
+    @staticmethod
+    def assert_values_match_form(spec, pairs):
+        tau = TauMap(spec)
+        for p in pairs:
+            assert abs(p.value - form_value(tau, p.x, p.y)) <= 1e-13
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_unimodular_bit_identical_to_loop(self, seed):
+        for spec in self.SPECS:
+            samples = 4 * spec.n * spec.n
+            pairs = unimodular_pairs(spec, samples, seed)
+            ref = self.unimodular_loop(spec, samples, seed)
+            assert len(pairs) == len(ref)
+            for p, x in zip(pairs, ref):
+                assert np.array_equal(p.x, x), (spec, seed)
+            self.assert_values_match_form(spec, pairs)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_degenerate_bit_identical_to_loop(self, seed):
+        for spec in self.SPECS:
+            if spec.is_reduction:
+                continue
+            pairs = degenerate_pairs(spec, seed)
+            ref = self.degenerate_loop(spec, seed)
+            assert len(pairs) == spec.n
+            for j, (p, x) in enumerate(zip(pairs, ref)):
+                assert np.array_equal(p.x, x), (spec, seed)
+                assert np.array_equal(p.y, np.eye(spec.n)[j])
+            self.assert_values_match_form(spec, pairs)
+
+
 class TestSpanningRank:
     LOW_RANK = [(3, 1), (4, 1), (4, 2), (5, 2), (5, 3)]
     FULL_RANK = [(3, 2), (4, 3), (5, 4)]
@@ -132,6 +192,32 @@ class TestSpanningRank:
     def test_k_zero_rejected(self):
         with pytest.raises(DomainError):
             build_spanning_set(MapSpec(4, 0))
+
+    @staticmethod
+    def product_rank(pairs, n):
+        """The (m, n^2) array of product vectors x (x) y, ranked by one full SVD."""
+        m = len(pairs)
+        X = np.array([p.x for p in pairs]).reshape(m, n)
+        Y = np.array([p.y for p in pairs]).reshape(m, n)
+        return gram_rank((X[:, :, None] * Y[:, None, :]).reshape(m, n * n))
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_weight_space_rank_matches_product_svd(self, seed):
+        """The torus weight-space rank equals the dense product-matrix rank on every member n <= 12."""
+        for n in range(2, 13):
+            for k in range(1, n):
+                ss = build_spanning_set(MapSpec(n, k), seed=seed)
+                assert ss.gram_rank == self.product_rank(ss.pairs, n), (n, k, seed)
+
+    def test_peak_memory_stays_below_product_matrix(self):
+        """No n^2-wide array: (24, 7) peaked at 29 MiB with the (m, n^2) product matrix."""
+        tracemalloc.start()
+        try:
+            build_spanning_set(MapSpec(24, 7), seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestSpanningSet:
