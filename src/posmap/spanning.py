@@ -5,9 +5,10 @@ paired with y = conj(x), and x supported off a cyclic window of k+1
 positions paired with the basis vector at the window start.  Both families
 live in the span of x (x) conj(x) over phase vectors, a subspace of
 dimension n^2 - n + 1 whose orthogonal complement is the traceless
-diagonal.  For k = n-1 the zero set is far larger (any x pairs with
-conj(x)) and the product vectors span all of C^n (x) C^n, which is the
-spanning property the rank computation detects.
+diagonal.  For k = n-1 the window family is empty but the zero set is far
+larger: any x pairs with conj(x).  With this third, reduction family the
+product vectors span all of C^n (x) C^n, which is the spanning property
+the rank computation detects.
 
 The rank is read from the weight spaces of the torus action.  F is
 invariant under (x, y) -> (D x, conj(D) y) for every diagonal unitary D,
@@ -29,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import DomainError, MapSpec, TauMap, _check_int
-from .positivity import _seesaw_single, form_value
+from .maps import DomainError, MapSpec, NumericalAnomalyError, TauMap, _check_int
 
 ADMISSION_TOL = 1e-9
 RANK_REL_TOL = 1e-8
@@ -38,8 +38,6 @@ SIGMA_FIX_TOL = 1e-9
 _STREAM_UNIMODULAR = 1000001
 _STREAM_DEGENERATE = 1000002
 _STREAM_HARVEST = 1000003
-_HARVEST_SWEEPS = 200
-_HARVEST_IMPROVE_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -138,63 +136,31 @@ def degenerate_pairs(spec: MapSpec, seed: int = 0) -> list:
     return _pairs(TauMap(spec), X, np.eye(n, dtype=np.complex128))
 
 
-def _polish_witness(spec: MapSpec, x: np.ndarray):
-    """Snap a converged see-saw witness onto the exact zero family it approximates.
-
-    Returns None when x matches neither family to working precision; raw
-    near-zeros are rejected rather than admitted, since a pair off the
-    zero set by sqrt(convergence tolerance) would pollute the rank.
-    """
-    n, k = spec.n, spec.k
-    if spec.is_reduction:
-        return x / np.linalg.norm(x)
-    mags = np.abs(x)
-    peak = mags.max()
-    if peak == 0.0:
-        return None
-    if mags.min() >= 0.5 * peak:
-        return (x / mags) / math.sqrt(n)
-    weight = mags**2
-    window = np.array([weight[(j + np.arange(k + 1)) % n].sum() for j in range(n)])
-    j = int(np.argmin(window))
-    if window[j] > 1e-12 * weight.sum():
-        return None
-    z = np.where(mags > 1e-8 * peak, x, 0.0)
-    inside = (j + np.arange(k + 1)) % n
-    z[inside] = 0.0
-    mz = np.abs(z)
-    live = mz > 0
-    if not np.any(live):
-        return None
-    z[live] = z[live] / mz[live]
-    return z / np.linalg.norm(z)
-
-
 def _harvest_zero_pairs(spec: MapSpec, count: int, seed: int) -> list:
-    """Zero-value witnesses from independent see-saw runs, polished and re-checked."""
-    tau = TauMap(spec)
-    pairs = []
-    for idx in range(count):
-        rng = np.random.default_rng([seed, _STREAM_HARVEST, idx])
-        x0 = rng.standard_normal(spec.n) + 1j * rng.standard_normal(spec.n)
-        _, x, _, _ = _seesaw_single(tau, x0, _HARVEST_SWEEPS, _HARVEST_IMPROVE_TOL)
-        z = _polish_witness(spec, x)
-        if z is None:
-            continue
-        evals, evecs = np.linalg.eigh(tau.on_projector(z))
-        y = evecs[:, 0]
-        value = form_value(tau, z, y)
-        if abs(value) <= 1e-12:
-            pairs.append(ProductPair(x=z, y=y, value=value))
-    return pairs
+    """The reduction family: count random unit x, each with y = conj(x).
+
+    For k = n-1 every x pairs with conj(x) on the zero set, and the unequal
+    moduli |x_i|^2 reach the traceless diagonal that the phase family
+    misses.  Empty for k <= n-2, as degenerate_pairs is empty for k = n-1.
+    The name and the positional (spec, count, seed) signature are the hook
+    perfbench/spans.py times as spanning.harvest.
+    """
+    if not spec.is_reduction:
+        return []
+    rng = np.random.default_rng([seed, _STREAM_HARVEST])
+    X = rng.standard_normal((count, spec.n)) + 1j * rng.standard_normal((count, spec.n))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    return _pairs(TauMap(spec), X, X.conj())
 
 
 def build_spanning_set(spec: MapSpec, seed: int = 0, samples: int | None = None) -> SpanningSet:
-    """Pool the zero-pair enumerations, re-check admission, and take the rank.
+    """Pool the three zero-pair families, check admission, and take the rank.
 
-    samples defaults to 4 n^2 phase pairs; the see-saw harvest takes 2n
-    witnesses, enough to reveal the spanning property (gram_rank == n^2) of
-    the reduction map while staying cheap.
+    samples defaults to 4 n^2 phase pairs; the reduction family takes 2n
+    pairs, enough to reveal the spanning property (gram_rank == n^2) of the
+    reduction map.  Every family is an exact zero set, so a pair whose form
+    value exceeds ADMISSION_TOL is a numerical fault and raises
+    NumericalAnomalyError rather than being dropped.
 
     The rank is that of the torus closure of the admitted pairs, a set of
     zero pairs because F(Dx, conj(D)y) = F(x, y) for diagonal unitaries D.
@@ -218,14 +184,18 @@ def build_spanning_set(spec: MapSpec, seed: int = 0, samples: int | None = None)
     pool = unimodular_pairs(spec, samples, seed)
     pool += degenerate_pairs(spec, seed)
     pool += _harvest_zero_pairs(spec, 2 * n, seed)
-    admitted = [p for p in pool if abs(p.value) <= ADMISSION_TOL]
-    m = len(admitted)
-    X = np.array([p.x for p in admitted]).reshape(m, n)
-    Y = np.array([p.y for p in admitted]).reshape(m, n)
+    for p in pool:
+        if abs(p.value) > ADMISSION_TOL:
+            raise NumericalAnomalyError(
+                f"zero pair has form value {p.value!r}, above ADMISSION_TOL {ADMISSION_TOL!r}"
+            )
+    m = len(pool)
+    X = np.array([p.x for p in pool]).reshape(m, n)
+    Y = np.array([p.y for p in pool]).reshape(m, n)
     column = np.sqrt((X.real**2 + X.imag**2).T @ (Y.real**2 + Y.imag**2))
     off = column[~np.eye(n, dtype=bool)]
     diag = X * Y
     rank = int(np.sum(off > RANK_REL_TOL * off.max())) + gram_rank(diag)
     deviation = np.linalg.norm(diag - diag.mean(axis=1, keepdims=True), axis=1)
-    return SpanningSet(pairs=admitted, gram_rank=rank,
+    return SpanningSet(pairs=pool, gram_rank=rank,
                        sigma_membership=(deviation <= SIGMA_FIX_TOL).tolist())

@@ -1,0 +1,37 @@
+"""Every attribute perfbench/spans.py hooks exists and is called the way its counts read it.
+
+A hook that cannot be installed, or whose count fails on a changed
+signature, turns the traced per-layer metrics null in every workload.
+"""
+
+import io
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import posmap.cli  # noqa: E402
+
+import spans  # noqa: E402
+
+ARGVS = [
+    ["spanning", "--n", "4", "--k", "3"],
+    ["spanning", "--n", "5", "--k", "2"],
+    ["positivity", "--n", "4", "--k", "2", "--starts", "2"],
+    ["certify", "--n", "4", "--k", "2"],
+]
+
+
+def test_every_hook_installs_and_counts():
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for argv in ARGVS:
+            with redirect_stdout(io.StringIO()):
+                assert posmap.cli.main(argv) == 0, argv
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == {}
+    traced = {rec[0] for rec in tracer.spans}
+    assert {"spanning.harvest", "spanning.build", "positivity.start"} <= traced

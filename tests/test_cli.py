@@ -361,7 +361,7 @@ class TestGoldenBytes:
             '{"command": "spanning", "config": {"experimental": false, "grid": null, '
             '"input": null, "k": 1, "n": 3, "output": "json", "perturb": null, '
             '"samples": 36, "seed": 0, "starts": 64, "t": null, "tol": 1e-09}, '
-            '"result": {"pairs_admitted": 43, "pairs_outside_sigma": 0, "rank": 7, '
+            '"result": {"pairs_admitted": 39, "pairs_outside_sigma": 0, "rank": 7, '
             '"spanning_property": false}, '
             '"schema": "posmap-report/2", "version": "0.1.0"}\n'
         ),

@@ -1,16 +1,21 @@
 """Tests for zero-pair families, the phase-product subspace, and spanning rank."""
 
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from posmap import DomainError, MapSpec, TauMap
+import posmap.cli
+import posmap.positivity
+import posmap.spanning
+from posmap import DomainError, MapSpec, NumericalAnomalyError, TauMap
 from posmap.positivity import form_value
 from posmap.spanning import (
     _STREAM_DEGENERATE,
     _STREAM_UNIMODULAR,
+    _harvest_zero_pairs,
     build_spanning_set,
     degenerate_pairs,
     gram_rank,
@@ -115,6 +120,34 @@ class TestDegeneratePairs:
 
     def test_reduction_member_has_no_degenerate_family(self):
         assert degenerate_pairs(MapSpec(4, 3)) == []
+
+
+class TestReductionFamily:
+    def test_empty_below_the_reduction(self):
+        for n in range(2, 11):
+            for k in range(0, n - 1):
+                assert _harvest_zero_pairs(MapSpec(n, k), 2 * n, 0) == []
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_unit_pairs_with_conjugate_partner(self, seed):
+        for n in range(2, 11):
+            spec = MapSpec(n, n - 1)
+            tau = TauMap(spec)
+            pairs = _harvest_zero_pairs(spec, 2 * n, seed)
+            assert len(pairs) == 2 * n
+            for p in pairs:
+                assert abs(np.linalg.norm(p.x) - 1.0) <= 1e-14
+                assert np.array_equal(p.y, p.x.conj())
+                assert abs(p.value) <= 1e-14
+                assert abs(form_value(tau, p.x, p.y)) <= 1e-14
+
+    def test_seed_determinism(self):
+        a = _harvest_zero_pairs(MapSpec(5, 4), 10, 3)
+        b = _harvest_zero_pairs(MapSpec(5, 4), 10, 3)
+        for pa, pb in zip(a, b, strict=True):
+            assert np.array_equal(pa.x, pb.x)
+            assert np.array_equal(pa.y, pb.y)
+            assert pa.value == pb.value
 
 
 class TestBatchedPairs:
@@ -256,3 +289,39 @@ class TestSpanningSet:
         for pa, pb in zip(a.pairs, b.pairs):
             assert np.array_equal(pa.x, pb.x)
             assert np.array_equal(pa.y, pb.y)
+
+    def test_runs_no_seesaw_and_no_eigh(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("spanning must not run a see-saw or an eigh")
+
+        monkeypatch.setattr(posmap.positivity, "_seesaw_single", boom)
+        monkeypatch.setattr(np.linalg, "eigh", boom)
+        for n in range(2, 11):
+            for k in range(1, n):
+                build_spanning_set(MapSpec(n, k), seed=0)
+
+
+class TestAdmission:
+    """A pair above ADMISSION_TOL is a numerical fault, reported rather than dropped."""
+
+    @staticmethod
+    def spoil_degenerate_family(monkeypatch):
+        exact = posmap.spanning.degenerate_pairs
+
+        def spoiled(spec, seed=0):
+            pairs = exact(spec, seed)
+            return [dataclasses.replace(pairs[0], value=1e-6)] + pairs[1:]
+
+        monkeypatch.setattr(posmap.spanning, "degenerate_pairs", spoiled)
+
+    def test_pair_above_tolerance_raises(self, monkeypatch):
+        self.spoil_degenerate_family(monkeypatch)
+        with pytest.raises(NumericalAnomalyError, match="1e-06"):
+            build_spanning_set(MapSpec(4, 2))
+
+    def test_spanning_command_exits_4(self, monkeypatch, capsys):
+        self.spoil_degenerate_family(monkeypatch)
+        assert posmap.cli.main(["spanning", "--n", "4", "--k", "2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "1e-06" in captured.err
