@@ -175,7 +175,12 @@ class HadamardPerturbation:
 
 
 class _EntrywiseMap:
-    """X -> Diag(C . diag X) - G o X, the template shared by all maps here."""
+    """X -> Diag(C . diag X) - G o X, the template shared by all maps here.
+
+    on_projector and quadratic_form take a vector of length n or a stack
+    of shape (..., n) and return one n x n matrix per row, shape (..., n, n);
+    each row comes out bit for bit as it would alone.
+    """
 
     def __init__(self, n: int, coupling: np.ndarray, schur: np.ndarray):
         self.n = n
@@ -186,20 +191,25 @@ class _EntrywiseMap:
         A = as_square_matrix(X, self.n)
         return np.diag(self._C @ np.diagonal(A)) - self._G * A
 
+    def _diag_minus_schur(self, K: np.ndarray, x) -> np.ndarray:
+        """Diag(K |v|^2) - G o outer(conj(v), v) for each row v of x."""
+        v = np.asarray(x, dtype=np.complex128)
+        n = self.n
+        if v.ndim == 0 or v.shape[-1] != n:
+            raise DimensionMismatchError(f"expected vectors of length {n}, got shape {v.shape}")
+        out = np.zeros(v.shape + (n,), dtype=np.complex128)
+        p = v.real**2 + v.imag**2
+        out.reshape(v.shape[:-1] + (n * n,))[..., :: n + 1] = np.matmul(K, p[..., None])[..., 0]
+        out -= self._G * (v.conj()[..., :, None] * v[..., None, :])
+        return out
+
     def on_projector(self, x) -> np.ndarray:
         """The map evaluated on conj(x) conj(x)^dag, given the vector x."""
-        v = np.asarray(x, dtype=np.complex128).reshape(-1)
-        if v.shape[0] != self.n:
-            raise DimensionMismatchError(f"expected a vector of length {self.n}, got {v.shape[0]}")
-        vb = v.conj()
-        return np.diag(self._C @ (v.real**2 + v.imag**2)) - self._G * np.outer(vb, v)
+        return self._diag_minus_schur(self._C, x)
 
     def quadratic_form(self, y) -> np.ndarray:
         """Hermitian Q(y) with x^dag Q x = <y, map(conj(x) conj(x)^dag) y>."""
-        w = np.asarray(y, dtype=np.complex128).reshape(-1)
-        if w.shape[0] != self.n:
-            raise DimensionMismatchError(f"expected a vector of length {self.n}, got {w.shape[0]}")
-        return np.diag(self._C.T @ (w.real**2 + w.imag**2)) - self._G * np.outer(w.conj(), w)
+        return self._diag_minus_schur(self._C.T, y)
 
     def choi(self) -> np.ndarray:
         """Block matrix whose (i, j) block is the map applied to e_ij."""

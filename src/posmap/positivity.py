@@ -8,8 +8,12 @@ over unit vectors.  The map is positive exactly when F is nonnegative
 everywhere, so the see-saw alternately minimizes F in y (smallest
 eigenvector of the map evaluated on the projector) and in x (smallest
 eigenvector of the Hermitian quadratic-form matrix Q(y)).  Each half step
-is an exact minimization, so the objective never increases; a negative
-limit is a certificate, a nonnegative one only evidence.
+is an exact minimization, so the objective never increases, and a step
+that raises it is reported as an anomaly; a negative limit is a
+certificate, a nonnegative one only evidence.  All starts advance
+together: a half-step is one stacked map evaluation and one stacked eigh
+over the starts still active, and each start's result is bit for bit the
+one it gives alone.
 
 For diagonal input X = diag(X_1, ..., X_n) the map's positivity reduces to
 scalar data: the profile D = S X with S the shift coupling, the ratio sum
@@ -40,6 +44,8 @@ NEGATIVITY_TOL = 1e-9
 MAX_SWEEPS = 500
 SWEEP_IMPROVEMENT_TOL = 1e-12
 _MONOTONE_SLACK = 1e-10
+# Matrix entries per stacked see-saw block (1 MiB per complex stack).
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -80,33 +86,57 @@ def form_value(map_, x, y) -> float:
     return float(np.real(np.vdot(yv, map_.on_projector(xv) @ yv)))
 
 
-def _seesaw_single(map_, x0: np.ndarray, max_sweeps: int, improve_tol: float):
-    """Run the alternation from one start; returns (value, x, y, sweeps)."""
-    x = _unit(x0, "x0")
-    value = np.inf
-    y = None
-    sweeps = 0
+def _check_monotone(before: np.ndarray, after: np.ndarray, step: str) -> None:
+    """Raise for the first row whose exact half-step raised the objective."""
+    bad = after > before + _MONOTONE_SLACK * np.maximum(1.0, np.abs(before))
+    if bad.any():
+        i = bad.argmax()
+        raise NumericalAnomalyError(
+            f"see-saw objective increased on the {step} step ({before[i]:.3e} -> {after[i]:.3e})"
+        )
+
+
+def _seesaw_batch(map_, X0: np.ndarray, max_sweeps: int, improve_tol: float):
+    """Run the alternation from every row of X0 at once; returns (values, X, Y, sweeps).
+
+    Each half-step is one stacked on_projector or quadratic_form call and
+    one stacked eigh over the rows still active.  Every row keeps its own
+    stop rule and monotonicity guards and is written out and dropped from
+    the stack when it stops, so row i of the result is bit for bit what
+    the alternation gives from X0[i] alone.
+    """
+    X = np.array([_unit(x0, "x0") for x0 in np.asarray(X0, dtype=np.complex128)])
+    Y = np.zeros_like(X)
+    values = np.full(len(X), np.inf)
+    sweeps = np.zeros(len(X), dtype=int)
+    active = np.arange(len(X))
+    x, value = X.copy(), values.copy()
     for sweep in range(1, max_sweeps + 1):
         evals, evecs = np.linalg.eigh(map_.on_projector(x))
-        half = float(evals[0])
-        y = evecs[:, 0]
-        if half > value + _MONOTONE_SLACK * max(1.0, abs(value)):
-            raise NumericalAnomalyError(
-                f"see-saw objective increased on the y step ({value:.3e} -> {half:.3e})"
-            )
+        half, y = evals[:, 0], evecs[:, :, 0]
+        _check_monotone(value, half, "y")
         evals, evecs = np.linalg.eigh(map_.quadratic_form(y))
-        new = float(evals[0])
-        x = evecs[:, 0]
-        if new > half + _MONOTONE_SLACK * max(1.0, abs(half)):
-            raise NumericalAnomalyError(
-                f"see-saw objective increased on the x step ({half:.3e} -> {new:.3e})"
-            )
-        sweeps = sweep
-        improved = value - new
+        new, x = evals[:, 0], evecs[:, :, 0]
+        _check_monotone(half, new, "x")
+        done = value - new < improve_tol
+        if sweep == max_sweeps:
+            done[:] = True
         value = new
-        if improved < improve_tol:
-            break
-    return value, x, y, sweeps
+        if done.any():
+            rows = active[done]
+            values[rows], X[rows], Y[rows], sweeps[rows] = new[done], x[done], y[done], sweep
+            keep = ~done
+            active, x, value = active[keep], x[keep], value[keep]
+            if not active.size:
+                break
+    return values, X, Y, sweeps
+
+
+def _seesaw_single(map_, x0: np.ndarray, max_sweeps: int, improve_tol: float):
+    """Run the alternation from one start; returns (value, x, y, sweeps)."""
+    values, X, Y, sweeps = _seesaw_batch(
+        map_, np.reshape(x0, (1, -1)), max_sweeps, improve_tol)
+    return float(values[0]), X[0], Y[0], int(sweeps[0])
 
 
 def seesaw_minimize(map_, starts: int = DEFAULT_STARTS, seed: int = 0,
@@ -115,11 +145,15 @@ def seesaw_minimize(map_, starts: int = DEFAULT_STARTS, seed: int = 0,
 
     Starts are independent, each with its own RNG stream derived from
     (seed, start index), so the result does not depend on evaluation
-    order; ties between starts resolve to the lowest index.  A verdict of
-    negative-certificate means the reported witness pair reproduces
-    min_value < -tol on re-evaluation; positive-evidence only records the
-    smallest value found and proves nothing.  starts_capped counts the
-    starts that ran all MAX_SWEEPS sweeps, which the cap may have cut short.
+    order; ties between starts resolve to the lowest index.  The starts
+    run together in blocks of at most _BLOCK_ENTRIES matrix entries, one
+    stacked eigh per half-step over a block's active starts, which bounds
+    memory at any starts and n and gives each start bit for bit the result
+    it has alone.  A verdict of negative-certificate means the reported
+    witness pair reproduces min_value < -tol on re-evaluation;
+    positive-evidence only records the smallest value found and proves
+    nothing.  starts_capped counts the starts that ran all MAX_SWEEPS
+    sweeps, which the cap may have cut short.
     """
     starts = _check_int(starts, "starts")
     seed = _check_int(seed, "seed")
@@ -130,17 +164,21 @@ def seesaw_minimize(map_, starts: int = DEFAULT_STARTS, seed: int = 0,
     if not 0 < tol < np.inf:
         raise DomainError(f"tol must be finite and positive, got {tol}")
     n = map_.n
+    block = max(1, _BLOCK_ENTRIES // (n * n))
     best = None
     total_best_sweeps = 0
     capped = 0
-    for idx in range(starts):
-        rng = np.random.default_rng([seed, idx])
-        x0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        value, x, y, sweeps = _seesaw_single(map_, x0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
-        capped += sweeps >= MAX_SWEEPS
-        if best is None or value < best[0]:
-            best = (value, x, y)
-            total_best_sweeps = sweeps
+    for lo in range(0, starts, block):
+        X0 = []
+        for idx in range(lo, min(lo + block, starts)):
+            rng = np.random.default_rng([seed, idx])
+            X0.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        values, X, Y, sweeps = _seesaw_batch(map_, np.array(X0), MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+        capped += int(np.count_nonzero(sweeps >= MAX_SWEEPS))
+        for i, value in enumerate(values.tolist()):
+            if best is None or value < best[0]:
+                best = (value, X[i], Y[i])
+                total_best_sweeps = int(sweeps[i])
     _, wx, wy = best
     min_value = form_value(map_, wx, wy)
     verdict = "negative-certificate" if min_value < -tol else "positive-evidence"

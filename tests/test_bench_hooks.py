@@ -11,7 +11,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
+import numpy as np  # noqa: E402
+
 import posmap.cli  # noqa: E402
+import posmap.positivity  # noqa: E402
+from posmap import MapSpec, TauMap  # noqa: E402
 
 import spans  # noqa: E402
 
@@ -30,8 +34,14 @@ def test_every_hook_installs_and_counts():
         for argv in ARGVS:
             with redirect_stdout(io.StringIO()):
                 assert posmap.cli.main(argv) == 0, argv
+        # The see-saw runs its starts through _seesaw_batch; call the one-row
+        # form the positivity.start hook wraps through the module, where the
+        # tracer rebound it, so its count reads the real arguments and result.
+        x0 = np.random.default_rng(0).standard_normal(4) + 0.5j
+        sweeps = posmap.positivity._seesaw_single(TauMap(MapSpec(4, 2)), x0, 7, 1e-12)[3]
     finally:
         tracer.uninstall()
     assert tracer.missing == {}
     traced = {rec[0] for rec in tracer.spans}
     assert {"spanning.harvest", "spanning.build", "positivity.start"} <= traced
+    assert [rec[5] for rec in tracer.spans if rec[0] == "positivity.start"] == [(sweeps, sweeps >= 7)]

@@ -308,6 +308,52 @@ class TestTauMapProtocol:
         assert np.allclose(got, expected, atol=1e-12)
 
 
+def stacked_kernel_maps():
+    for n in range(2, 13):
+        for k in range(n):
+            yield TauMap(MapSpec(n, k))
+            if n % 2 == 0:
+                yield TauMap(MapSpec(n, k), HadamardPerturbation([alternating_vector(n)], [1.3]))
+
+
+class TestStackedKernels:
+    """A (..., n) stack gives each row's n x n matrix bit for bit as the 1-D call does."""
+
+    @staticmethod
+    def reference(map_, K, v):
+        # The 1-D formula the stacked kernels replaced.
+        return np.diag(K @ (v.real**2 + v.imag**2)) - map_._G * np.outer(v.conj(), v)
+
+    @staticmethod
+    def rows(n, rng):
+        X = rng.normal(size=(6, n)) + 1j * rng.normal(size=(6, n))
+        X[1, ::2] = 0.0  # exact zero entries
+        X[2, 0] = -0.0
+        X[3] = X[3].real  # a purely real row
+        X[4] = 0.0
+        return X
+
+    def test_rows_match_the_one_dimensional_call(self):
+        rng = np.random.default_rng(29)
+        for map_ in stacked_kernel_maps():
+            X = self.rows(map_.n, rng)
+            for kernel, K in ((map_.on_projector, map_._C), (map_.quadratic_form, map_._C.T)):
+                stack = kernel(X)
+                assert stack.shape == X.shape + (map_.n,)
+                assert kernel(X.reshape(2, 3, map_.n)).tobytes() == stack.tobytes()
+                for row, out in zip(X, stack):
+                    alone = kernel(row)
+                    assert out.tobytes() == alone.tobytes()
+                    assert alone.tobytes() == self.reference(map_, K, row).tobytes()
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 5), (4, 1), ()])
+    def test_wrong_last_axis_rejected(self, shape):
+        map_ = TauMap(MapSpec(4, 2))
+        for kernel in (map_.on_projector, map_.quadratic_form):
+            with pytest.raises(DimensionMismatchError):
+                kernel(np.ones(shape))
+
+
 class TestChoi:
     def test_3_1_eigenvalues_frozen(self):
         eigs = np.linalg.eigvalsh(TauMap(MapSpec(3, 1)).choi())

@@ -3,17 +3,24 @@
 import numpy as np
 import pytest
 
+import posmap.cli
+import posmap.positivity
 from posmap import (
     DimensionMismatchError,
     DomainError,
     HadamardPerturbation,
     MapSpec,
+    NumericalAnomalyError,
     TauMap,
     alternating_vector,
     shift_coupling,
 )
 from posmap.positivity import (
+    MAX_SWEEPS,
+    SWEEP_IMPROVEMENT_TOL,
     _leave_one_out,
+    _seesaw_batch,
+    _seesaw_single,
     analytic_det,
     degenerate_det_bound,
     f_value,
@@ -123,6 +130,106 @@ class TestSeesaw:
         for tol in (float("nan"), 0.0, float("inf")):
             with pytest.raises(DomainError, match="tol must be finite and positive"):
                 seesaw_minimize(map_, tol=tol)
+
+
+def v1_map(n, k, t=None):
+    pert = None if t is None else HadamardPerturbation([alternating_vector(n)], [t])
+    return TauMap(MapSpec(n, k), pert)
+
+
+def seeded_starts(n, count, seed=0):
+    """The starts seesaw_minimize draws: one RNG stream per (seed, index)."""
+    out = []
+    for idx in range(count):
+        rng = np.random.default_rng([seed, idx])
+        out.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return np.array(out)
+
+
+class TestBatchedSeesaw:
+    """Starts run together in one stack but stay independent, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n, k, t, capped",
+        [
+            (3, 1, None, 1),
+            (4, 2, 2.1, 2),
+            (5, 2, None, 2),
+            (8, 6, 2.0, 0),
+            # The absolute SWEEP_IMPROVEMENT_TOL never stops a start at this weight.
+            (4, 2, 1e7, 16),
+        ],
+    )
+    def test_rows_equal_single_starts(self, n, k, t, capped):
+        map_ = v1_map(n, k, t)
+        X0 = seeded_starts(n, 16)
+        values, X, Y, sweeps = _seesaw_batch(map_, X0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+        for i, x0 in enumerate(X0):
+            value, x, y, count = _seesaw_single(map_, x0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+            assert values[i].tobytes() == np.float64(value).tobytes()
+            assert X[i].tobytes() == x.tobytes()
+            assert Y[i].tobytes() == y.tobytes()
+            assert sweeps[i] == count
+        assert np.count_nonzero(sweeps >= MAX_SWEEPS) == capped
+
+    def test_permuting_rows_permutes_outputs(self):
+        map_ = v1_map(4, 2, 2.1)
+        X0 = seeded_starts(4, 10)
+        perm = np.random.default_rng(3).permutation(10)
+        ref = _seesaw_batch(map_, X0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+        got = _seesaw_batch(map_, X0[perm], MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+        for a, b in zip(ref, got):
+            assert a[perm].tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("n, k, t", [(4, 2, 2.1), (5, 2, None), (6, 4, 2.5)])
+    def test_block_budget_leaves_report_unchanged(self, monkeypatch, n, k, t):
+        map_ = v1_map(n, k, t)
+        ref = seesaw_minimize(map_, starts=10, seed=1)
+        for per_block in (1, 3):
+            monkeypatch.setattr(posmap.positivity, "_BLOCK_ENTRIES", per_block * n * n)
+            got = seesaw_minimize(map_, starts=10, seed=1)
+            assert (got.verdict, got.iterations, got.starts_capped) == (
+                ref.verdict, ref.iterations, ref.starts_capped)
+            assert np.float64(got.min_value).tobytes() == np.float64(ref.min_value).tobytes()
+            assert got.witness_x.tobytes() == ref.witness_x.tobytes()
+            assert got.witness_y.tobytes() == ref.witness_y.tobytes()
+
+
+class TestMonotonicityGuards:
+    """An exact half-step that raises the objective is an anomaly, not a result."""
+
+    @staticmethod
+    def spoil_eigh(monkeypatch, call, row):
+        """Raise the smallest eigenvalue of one stacked row on the given eigh call (1-based)."""
+        exact = np.linalg.eigh
+        calls = []
+
+        def eigh(a):
+            evals, evecs = exact(a)
+            calls.append(None)
+            if len(calls) == call:
+                evals = evals.copy()
+                evals[row, 0] += 1.0
+            return evals, evecs
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+    # Odd calls are y steps and even calls x steps; the first y step has nothing to exceed.
+    @pytest.mark.parametrize("call, step", [(2, "x"), (3, "y"), (6, "x")])
+    def test_raised_eigenvalue_is_an_anomaly(self, monkeypatch, call, step):
+        self.spoil_eigh(monkeypatch, call, row=1)
+        with pytest.raises(NumericalAnomalyError,
+                           match=f"see-saw objective increased on the {step} step"):
+            seesaw_minimize(TauMap(MapSpec(4, 2)), starts=4, seed=0)
+
+    def test_cli_exits_4(self, monkeypatch, capsys):
+        self.spoil_eigh(monkeypatch, 2, row=1)
+        code = posmap.cli.main(["positivity", "--n", "4", "--k", "2", "--starts", "4"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "posmap: anomaly: see-saw objective increased on the x step")
 
 
 class TestDiagonalProfile:

@@ -295,6 +295,7 @@ class TestSpanningSet:
             raise AssertionError("spanning must not run a see-saw or an eigh")
 
         monkeypatch.setattr(posmap.positivity, "_seesaw_single", boom)
+        monkeypatch.setattr(posmap.positivity, "_seesaw_batch", boom)
         monkeypatch.setattr(np.linalg, "eigh", boom)
         for n in range(2, 11):
             for k in range(1, n):
