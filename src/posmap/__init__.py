@@ -3,7 +3,6 @@
 from .maps import (
     DimensionMismatchError,
     DomainError,
-    HadamardMap,
     HadamardPerturbation,
     MapSpec,
     NumericalAnomalyError,
@@ -24,7 +23,6 @@ from .positivity import (
     seesaw_minimize,
 )
 from .spanning import (
-    ProductPair,
     SpanningSet,
     build_spanning_set,
     degenerate_pairs,
@@ -51,7 +49,6 @@ __all__ = [
     "MapSpec",
     "HadamardPerturbation",
     "TauMap",
-    "HadamardMap",
     "alternating_vector",
     "shift_coupling",
     "as_square_matrix",
@@ -64,7 +61,6 @@ __all__ = [
     "hessian_shat",
     "degenerate_det_bound",
     "parity_witness_value",
-    "ProductPair",
     "SpanningSet",
     "sigma_projector",
     "unimodular_pairs",

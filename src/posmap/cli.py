@@ -5,8 +5,8 @@ and every float written as its shortest round-trip repr, so identical
 invocations produce byte-identical output and each float parses back to
 the same double.  Complex scalars appear as [re, im] pairs and
 matrices as arrays of rows of pairs, the same format accepted for input
-files.  Exit codes: 0 success, 2 configuration error, 3 input-data error,
-4 internal numerical anomaly.
+files.  Exit codes: 0 success, 2 configuration error (an allocation the
+host cannot make included), 3 input-data error, 4 internal numerical anomaly.
 """
 
 from __future__ import annotations
@@ -271,7 +271,7 @@ def cmd_positivity(spec: MapSpec, config: dict) -> dict:
 
 def cmd_spanning(spec: MapSpec, config: dict) -> dict:
     ss = build_spanning_set(spec, seed=config["seed"], samples=config["samples"])
-    outside = sum(1 for m in ss.sigma_membership if not m)
+    outside = int(np.count_nonzero(~ss.sigma_membership))
     if not spec.is_reduction and outside:
         raise NumericalAnomalyError(
             f"{outside} admitted pair(s) escaped the phase-product span"
@@ -389,6 +389,9 @@ def main(argv=None) -> int:
         text = render_text(report) if config["output"] == "text" else dumps_report(report)
     except (ConfigError, DomainError, DimensionMismatchError) as exc:
         print(f"posmap: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a size the host cannot allocate is a configuration error
+        print(f"posmap: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except InputDataError as exc:
         print(f"posmap: error: {exc}", file=sys.stderr)

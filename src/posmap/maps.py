@@ -18,9 +18,9 @@ Every map here fits a single template
     X  ->  Diag(C . diag X) - G o X
 
 for a real coupling matrix C and a Hermitian entrywise factor G.  TauMap
-and HadamardMap are the two instantiations used by the rest of the
-package; both expose the same small protocol (apply, on_projector,
-quadratic_form, choi) consumed by the positivity engine.
+is its one instantiation, with C = shift_coupling(spec) and G = 1 + L;
+it exposes the small protocol (apply, on_projector, quadratic_form, choi)
+consumed by the positivity engine.
 """
 
 from __future__ import annotations
@@ -231,11 +231,3 @@ class TauMap(_EntrywiseMap):
         if pert is not None:
             G = G + pert.matrix
         super().__init__(spec.n, shift_coupling(spec), G)
-
-
-class HadamardMap(_EntrywiseMap):
-    """The pure entrywise map X -> L o X; its Choi matrix embeds L on diagonal pairs."""
-
-    def __init__(self, L):
-        L = as_square_matrix(L)
-        super().__init__(L.shape[0], np.zeros_like(L, dtype=float), -L)

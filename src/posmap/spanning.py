@@ -8,7 +8,9 @@ dimension n^2 - n + 1 whose orthogonal complement is the traceless
 diagonal.  For k = n-1 the window family is empty but the zero set is far
 larger: any x pairs with conj(x).  With this third, reduction family the
 product vectors span all of C^n (x) C^n, which is the spanning property
-the rank computation detects.
+the rank computation detects.  Each family is one (m, 2, n) array with x
+at [:, 0] and y at [:, 1], and the pooled pairs stay one array through the
+closed-form admission check, the rank and the membership flags.
 
 The rank is read from the weight spaces of the torus action.  F is
 invariant under (x, y) -> (D x, conj(D) y) for every diagonal unitary D,
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import DomainError, MapSpec, NumericalAnomalyError, TauMap, _check_int
+from .maps import DomainError, MapSpec, NumericalAnomalyError, _check_int, shift_coupling
 
 ADMISSION_TOL = 1e-9
 RANK_REL_TOL = 1e-8
@@ -41,21 +43,17 @@ _STREAM_HARVEST = 1000003
 
 
 @dataclass(frozen=True)
-class ProductPair:
-    """A pair (x, y) of unit vectors with its form value at admission."""
-
-    x: np.ndarray
-    y: np.ndarray
-    value: float
-
-
-@dataclass(frozen=True)
 class SpanningSet:
-    """Admitted pairs, the rank of their products' torus closure, and membership flags."""
+    """Admitted pairs, their form values, their products' torus-closure rank, membership flags.
 
-    pairs: list
+    pairs is an (m, 2, n) array with x_i at [i, 0] and y_i at [i, 1];
+    values and sigma_membership hold one entry per pair.
+    """
+
+    pairs: np.ndarray
+    values: np.ndarray
     gram_rank: int
-    sigma_membership: list
+    sigma_membership: np.ndarray
 
 
 def sigma_projector(n: int) -> np.ndarray:
@@ -86,71 +84,55 @@ def gram_rank(vectors) -> int:
     return int(np.sum(sv > RANK_REL_TOL * sv[0]))
 
 
-def _form_values(map_, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """F on each row pair (x, y) of X and Y, rows unit-normalized here.
-
-    F = sum_ij |y_i|^2 C_ij |x_j|^2 - Re(z^T G conj(z)) with z = conj(x o y),
-    the expansion of <y, map(conj(x) conj(x)^dag) y>, for all rows at once.
-    """
-    X = X / np.linalg.norm(X, axis=1, keepdims=True)
-    Y = Y / np.linalg.norm(Y, axis=1, keepdims=True)
-    Z = (X * Y).conj()
-    diagonal = ((Y.real**2 + Y.imag**2) @ map_._C) * (X.real**2 + X.imag**2)
-    schur = (Z @ map_._G) * Z.conj()
-    return diagonal.sum(axis=1) - schur.real.sum(axis=1)
-
-
-def _pairs(map_, X: np.ndarray, Y: np.ndarray) -> list:
-    """One ProductPair per row pair of X and Y, valued in one batched pass."""
-    values = _form_values(map_, X, Y).tolist()
-    return [ProductPair(x=x, y=y, value=v) for x, y, v in zip(X, Y, values)]
-
-
-def unimodular_pairs(spec: MapSpec, samples: int, seed: int = 0) -> list:
-    """Random phase vectors x with y = conj(x), all exact zeros of the form."""
+def unimodular_pairs(spec: MapSpec, samples: int, seed: int = 0) -> np.ndarray:
+    """(samples, 2, n) random phase vectors x with y = conj(x), all exact zeros of the form."""
     samples = _check_int(samples, "samples")
     floor = spec.n * spec.n - spec.n + 1
     if samples < floor:
         raise DomainError(f"need at least {floor} samples for n={spec.n}, got {samples}")
     rng = np.random.default_rng([seed, _STREAM_UNIMODULAR])
-    X = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (samples, spec.n))) / math.sqrt(spec.n)
-    return _pairs(TauMap(spec), X, X.conj())
+    try:
+        phases = rng.uniform(0.0, 2.0 * np.pi, (samples, spec.n))
+    except ValueError as exc:  # a size NumPy cannot even describe
+        raise DomainError(f"cannot draw {samples} phase vectors of length {spec.n}: {exc}") from exc
+    X = np.exp(1j * phases) / math.sqrt(spec.n)
+    return np.stack((X, X.conj()), axis=1)
 
 
-def degenerate_pairs(spec: MapSpec, seed: int = 0) -> list:
-    """One zero pair per cyclic window: x off the window, y at its start.
+def degenerate_pairs(spec: MapSpec, seed: int = 0) -> np.ndarray:
+    """(n, 2, n) zero pairs, one per cyclic window: x off the window, y at its start.
 
     For offset j the window is positions j..j+k mod n; x carries random
-    phases on the complement and y = e_j.  Empty for k = n-1, where no
-    window leaves room for a support.
+    phases on the complement and y = e_j.  Empty, shape (0, 2, n), for
+    k = n-1, where no window leaves room for a support.
     """
     n, k = spec.n, spec.k
     if spec.is_reduction:
-        return []
+        return np.empty((0, 2, n), dtype=np.complex128)
     rng = np.random.default_rng([seed, _STREAM_DEGENERATE])
     width = n - k - 1
     phases = rng.uniform(0.0, 2.0 * np.pi, (n, width))
     rows = np.arange(n)[:, None]
     X = np.zeros((n, n), dtype=np.complex128)
     X[rows, (rows + k + 1 + np.arange(width)) % n] = np.exp(1j * phases) / math.sqrt(width)
-    return _pairs(TauMap(spec), X, np.eye(n, dtype=np.complex128))
+    return np.stack((X, np.eye(n, dtype=np.complex128)), axis=1)
 
 
-def _harvest_zero_pairs(spec: MapSpec, count: int, seed: int) -> list:
-    """The reduction family: count random unit x, each with y = conj(x).
+def _harvest_zero_pairs(spec: MapSpec, count: int, seed: int) -> np.ndarray:
+    """The reduction family: (count, 2, n) random unit x, each with y = conj(x).
 
     For k = n-1 every x pairs with conj(x) on the zero set, and the unequal
     moduli |x_i|^2 reach the traceless diagonal that the phase family
-    misses.  Empty for k <= n-2, as degenerate_pairs is empty for k = n-1.
-    The name and the positional (spec, count, seed) signature are the hook
-    perfbench/spans.py times as spanning.harvest.
+    misses.  Empty, shape (0, 2, n), for k <= n-2, as degenerate_pairs is
+    empty for k = n-1.  The name and the positional (spec, count, seed)
+    signature are the hook perfbench/spans.py times as spanning.harvest.
     """
     if not spec.is_reduction:
-        return []
+        return np.empty((0, 2, spec.n), dtype=np.complex128)
     rng = np.random.default_rng([seed, _STREAM_HARVEST])
     X = rng.standard_normal((count, spec.n)) + 1j * rng.standard_normal((count, spec.n))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
-    return _pairs(TauMap(spec), X, X.conj())
+    return np.stack((X, X.conj()), axis=1)
 
 
 def build_spanning_set(spec: MapSpec, seed: int = 0, samples: int | None = None) -> SpanningSet:
@@ -158,9 +140,11 @@ def build_spanning_set(spec: MapSpec, seed: int = 0, samples: int | None = None)
 
     samples defaults to 4 n^2 phase pairs; the reduction family takes 2n
     pairs, enough to reveal the spanning property (gram_rank == n^2) of the
-    reduction map.  Every family is an exact zero set, so a pair whose form
-    value exceeds ADMISSION_TOL is a numerical fault and raises
-    NumericalAnomalyError rather than being dropped.
+    reduction map.  Every family is an exact zero set of unit pairs, so F
+    is evaluated for all of them at once in closed form,
+    F = |y|^2 . S |x|^2 - |sum_i x_i y_i|^2 with S = shift_coupling(spec),
+    and a pair whose value exceeds ADMISSION_TOL is a numerical fault that
+    raises NumericalAnomalyError rather than being dropped.
 
     The rank is that of the torus closure of the admitted pairs, a set of
     zero pairs because F(Dx, conj(D)y) = F(x, y) for diagonal unitaries D.
@@ -181,21 +165,24 @@ def build_spanning_set(spec: MapSpec, seed: int = 0, samples: int | None = None)
     n = spec.n
     if samples is None:
         samples = 4 * n * n
-    pool = unimodular_pairs(spec, samples, seed)
-    pool += degenerate_pairs(spec, seed)
-    pool += _harvest_zero_pairs(spec, 2 * n, seed)
-    for p in pool:
-        if abs(p.value) > ADMISSION_TOL:
-            raise NumericalAnomalyError(
-                f"zero pair has form value {p.value!r}, above ADMISSION_TOL {ADMISSION_TOL!r}"
-            )
-    m = len(pool)
-    X = np.array([p.x for p in pool]).reshape(m, n)
-    Y = np.array([p.y for p in pool]).reshape(m, n)
-    column = np.sqrt((X.real**2 + X.imag**2).T @ (Y.real**2 + Y.imag**2))
-    off = column[~np.eye(n, dtype=bool)]
+    pairs = np.concatenate((
+        unimodular_pairs(spec, samples, seed),
+        degenerate_pairs(spec, seed),
+        _harvest_zero_pairs(spec, 2 * n, seed),
+    ))
+    X, Y = pairs[:, 0], pairs[:, 1]
+    px, py = X.real**2 + X.imag**2, Y.real**2 + Y.imag**2
     diag = X * Y
+    trace = diag.sum(axis=1)
+    values = ((py @ shift_coupling(spec)) * px).sum(axis=1) - (trace.real**2 + trace.imag**2)
+    bad = np.flatnonzero(np.abs(values) > ADMISSION_TOL)
+    if bad.size:
+        raise NumericalAnomalyError(
+            f"zero pair has form value {float(values[bad[0]])!r}, above ADMISSION_TOL {ADMISSION_TOL!r}"
+        )
+    column = np.sqrt(px.T @ py)
+    off = column[~np.eye(n, dtype=bool)]
     rank = int(np.sum(off > RANK_REL_TOL * off.max())) + gram_rank(diag)
     deviation = np.linalg.norm(diag - diag.mean(axis=1, keepdims=True), axis=1)
-    return SpanningSet(pairs=pool, gram_rank=rank,
-                       sigma_membership=(deviation <= SIGMA_FIX_TOL).tolist())
+    return SpanningSet(pairs=pairs, values=values, gram_rank=rank,
+                       sigma_membership=deviation <= SIGMA_FIX_TOL)

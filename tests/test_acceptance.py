@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from posmap import (
-    HadamardMap,
     HadamardPerturbation,
     MapSpec,
     TauMap,
@@ -348,8 +347,8 @@ def test_c10_weight_probes():
 
 
 def test_c11_schur_subtractions_vanish_on_phase_pairs():
-    """Random PSD matrices with zero entry sum annihilate the ones vector
-    and their entrywise maps vanish on unimodular phase pairs."""
+    """Random PSD matrices with zero entry sum annihilate the ones vector,
+    and every member corrected by one vanishes on unimodular phase pairs."""
     failures = []
     rng = np.random.default_rng(11)
     form_checks = 0
@@ -358,8 +357,9 @@ def test_c11_schur_subtractions_vanish_on_phase_pairs():
         ones = np.ones(n)
         P = np.eye(n) - np.outer(ones, ones) / n
         A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        L = P @ (A @ A.conj().T) @ P
-        L = (L + L.conj().T) / 2.0
+        # The columns of P A sum to zero, so L = P A A^dag P.
+        pert = HadamardPerturbation((P @ A).T, [1.0] * n)
+        L = pert.matrix
         row = float(np.abs(L @ ones).max())
         if row > 1e-9:
             failures.append(f"trial {trial}: ||L 1|| = {row:.3e} exceeds 1e-9")
@@ -367,9 +367,10 @@ def test_c11_schur_subtractions_vanish_on_phase_pairs():
         if form_checks < 100:
             form_checks += 1
             x = np.exp(2j * np.pi * rng.random(n))
-            value = form_value(HadamardMap(L), x, x.conj())
-            if abs(value) > 1e-10:
-                failures.append(f"trial {trial}: form value {value!r} exceeds 1e-10")
+            for k in range(n):
+                value = form_value(TauMap(MapSpec(n, k), pert), x, x.conj())
+                if abs(value) > 1e-10:
+                    failures.append(f"trial {trial}, k={k}: form value {value!r} exceeds 1e-10")
     if form_checks != 100:
         failures.append(f"only {form_checks} phase-pair form checks ran")
     assert not failures, "\n".join(failures)

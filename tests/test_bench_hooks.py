@@ -44,4 +44,8 @@ def test_every_hook_installs_and_counts():
     assert tracer.missing == {}
     traced = {rec[0] for rec in tracer.spans}
     assert {"spanning.harvest", "spanning.build", "positivity.start"} <= traced
+    # (pairs returned, pairs asked for) at (4, 3), then (5, 2), where the family is empty.
+    assert [rec[5] for rec in tracer.spans if rec[0] == "spanning.harvest"] == [(8, 8), (0, 10)]
+    # 4 n^2 phase pairs plus 2n reduction pairs at (4, 3), plus n window pairs at (5, 2).
+    assert [rec[5] for rec in tracer.spans if rec[0] == "spanning.build"] == [72, 105]
     assert [rec[5] for rec in tracer.spans if rec[0] == "positivity.start"] == [(sweeps, sweeps >= 7)]

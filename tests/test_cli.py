@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import posmap.spanning
 from posmap import MapSpec, TauMap, alternating_vector
 from posmap.cli import (
     REPORT_SCHEMA,
@@ -519,3 +520,26 @@ class TestMainInProcess:
         assert "tol must be finite" in err
         assert "grid weights must be finite" in err
         assert "posmap: anomaly: non-finite value in report" in err
+
+    def test_size_numpy_cannot_describe_exits_2(self, capsys):
+        """n = 10^6 asks for a 4 * 10^12 x 10^6 phase draw, refused before any allocation."""
+        assert main(["spanning", "--n", "1000000", "--k", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("posmap: error: cannot draw 4000000000000 phase vectors")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("exc,line", [
+        (MemoryError("Unable to allocate 5.82 TiB for an array"),
+         "posmap: error: Unable to allocate 5.82 TiB for an array\n"),
+        (MemoryError(), "posmap: error: out of memory\n"),
+    ])
+    def test_allocation_failure_exits_2(self, capsys, monkeypatch, exc, line):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(posmap.spanning, "unimodular_pairs", fail)
+        assert main(["spanning", "--n", "8", "--k", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == line

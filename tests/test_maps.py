@@ -6,7 +6,6 @@ import pytest
 from posmap import (
     DimensionMismatchError,
     DomainError,
-    HadamardMap,
     HadamardPerturbation,
     MapSpec,
     NumericalAnomalyError,
@@ -374,15 +373,19 @@ class TestChoi:
                 assert np.array_equal(blk, TauMap(spec).apply(basis_matrix(4, i, j)))
 
     def test_hadamard_map_choi_embeds_schur_matrix(self):
+        """The Choi matrix of X -> L o X, read as the drop a subtraction makes, embeds L."""
         a = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
         L = np.outer(a, a)
-        C = HadamardMap(L).choi()
+        pert = HadamardPerturbation([a], [1.0])
         n = 3
         embedded = np.zeros((9, 9))
         for i in range(n):
             for j in range(n):
                 embedded[i * n + i, j * n + j] = L[i, j]
-        assert np.allclose(C, embedded, atol=1e-15)
+        for k in range(n):
+            spec = MapSpec(n, k)
+            C = TauMap(spec).choi() - TauMap(spec, pert).choi()
+            assert np.allclose(C, embedded, atol=1e-15), k
 
 
 class TestDiagonalUnitaryCovariance:
@@ -409,12 +412,12 @@ class TestPublicApi:
         assert sorted(posmap.__all__) == sorted([
             "__version__",
             "DimensionMismatchError", "DomainError", "NumericalAnomalyError",
-            "MapSpec", "HadamardPerturbation", "TauMap", "HadamardMap",
+            "MapSpec", "HadamardPerturbation", "TauMap",
             "alternating_vector", "shift_coupling", "as_square_matrix", "require_hermitian",
             "PositivityReport", "form_value", "seesaw_minimize",
             "f_value", "analytic_det", "hessian_shat", "degenerate_det_bound",
             "parity_witness_value",
-            "ProductPair", "SpanningSet", "sigma_projector", "unimodular_pairs",
+            "SpanningSet", "sigma_projector", "unimodular_pairs",
             "degenerate_pairs", "build_spanning_set", "gram_rank",
             "CirculantConstraint", "OptimalityCertificate", "ConjectureEvidence",
             "build_circulant", "certify_optimality", "conjecture_probe",

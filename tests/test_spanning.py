@@ -1,6 +1,6 @@
 """Tests for zero-pair families, the phase-product subspace, and spanning rank."""
 
-import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -83,12 +83,12 @@ class TestUnimodularPairs:
         spec = MapSpec(4, 2)
         pairs = unimodular_pairs(spec, samples=20, seed=0)
         map_ = TauMap(spec)
-        assert len(pairs) == 20
-        for p in pairs:
-            assert np.allclose(np.abs(p.x), 0.5, atol=1e-14)
-            assert np.array_equal(p.y, p.x.conj())
-            assert abs(p.value) <= 1e-12
-            assert abs(form_value(map_, p.x, p.y)) <= 1e-12
+        assert pairs.shape == (20, 2, 4)
+        assert pairs.dtype == np.complex128
+        assert np.allclose(np.abs(pairs[:, 0]), 0.5, atol=1e-14)
+        assert np.array_equal(pairs[:, 1], pairs[:, 0].conj())
+        for x, y in pairs:
+            assert abs(form_value(map_, x, y)) <= 1e-12
 
     def test_requires_enough_samples(self):
         with pytest.raises(DomainError):
@@ -97,36 +97,44 @@ class TestUnimodularPairs:
     def test_seed_determinism(self):
         a = unimodular_pairs(MapSpec(3, 1), samples=9, seed=5)
         b = unimodular_pairs(MapSpec(3, 1), samples=9, seed=5)
-        for pa, pb in zip(a, b):
-            assert np.array_equal(pa.x, pb.x)
+        assert np.array_equal(a, b)
+
+    def test_size_numpy_cannot_describe_is_a_domain_error(self):
+        """n = 10^6 asks for 4 * 10^12 x 10^6 phases, which fails before allocating."""
+        with pytest.raises(DomainError, match="cannot draw 4000000000000 phase vectors"):
+            unimodular_pairs(MapSpec(10**6, 3), samples=4 * 10**12)
 
 
 class TestDegeneratePairs:
     def test_4_1_window_structure(self):
         pairs = degenerate_pairs(MapSpec(4, 1))
-        assert len(pairs) == 4
+        assert pairs.shape == (4, 2, 4)
         map_ = TauMap(MapSpec(4, 1))
-        for p in pairs:
-            assert abs(form_value(map_, p.x, p.y)) == 0.0
+        for x, y in pairs:
+            assert abs(form_value(map_, x, y)) == 0.0
 
     def test_y_is_window_anchor(self):
         pairs = degenerate_pairs(MapSpec(5, 2), seed=1)
-        anchors = {int(np.argmax(np.abs(p.y))) for p in pairs}
+        anchors = {int(np.argmax(np.abs(y))) for _, y in pairs}
         assert anchors == {0, 1, 2, 3, 4}
-        for p in pairs:
-            j = int(np.argmax(np.abs(p.y)))
+        for x, y in pairs:
+            j = int(np.argmax(np.abs(y)))
             window = {(j + m) % 5 for m in range(3)}
-            assert np.abs(p.x[list(window)]).max() == 0.0
+            assert np.abs(x[list(window)]).max() == 0.0
 
     def test_reduction_member_has_no_degenerate_family(self):
-        assert degenerate_pairs(MapSpec(4, 3)) == []
+        pairs = degenerate_pairs(MapSpec(4, 3))
+        assert pairs.shape == (0, 2, 4)
+        assert pairs.dtype == np.complex128
 
 
 class TestReductionFamily:
     def test_empty_below_the_reduction(self):
         for n in range(2, 11):
             for k in range(0, n - 1):
-                assert _harvest_zero_pairs(MapSpec(n, k), 2 * n, 0) == []
+                pairs = _harvest_zero_pairs(MapSpec(n, k), 2 * n, 0)
+                assert pairs.shape == (0, 2, n)
+                assert pairs.dtype == np.complex128
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_unit_pairs_with_conjugate_partner(self, seed):
@@ -134,20 +142,21 @@ class TestReductionFamily:
             spec = MapSpec(n, n - 1)
             tau = TauMap(spec)
             pairs = _harvest_zero_pairs(spec, 2 * n, seed)
+            assert pairs.shape == (2 * n, 2, n)
             assert len(pairs) == 2 * n
-            for p in pairs:
-                assert abs(np.linalg.norm(p.x) - 1.0) <= 1e-14
-                assert np.array_equal(p.y, p.x.conj())
-                assert abs(p.value) <= 1e-14
-                assert abs(form_value(tau, p.x, p.y)) <= 1e-14
+            assert np.array_equal(pairs[:, 1], pairs[:, 0].conj())
+            for x, y in pairs:
+                assert abs(np.linalg.norm(x) - 1.0) <= 1e-14
+                assert abs(form_value(tau, x, y)) <= 1e-14
+            # The reduction family closes the pool; its closed-form values are as small.
+            values = build_spanning_set(spec, seed=seed).values[-2 * n:]
+            assert np.abs(values).max() <= 1e-14
 
     def test_seed_determinism(self):
         a = _harvest_zero_pairs(MapSpec(5, 4), 10, 3)
         b = _harvest_zero_pairs(MapSpec(5, 4), 10, 3)
-        for pa, pb in zip(a, b, strict=True):
-            assert np.array_equal(pa.x, pb.x)
-            assert np.array_equal(pa.y, pb.y)
-            assert pa.value == pb.value
+        assert a.shape == b.shape == (10, 2, 5)
+        assert np.array_equal(a, b)
 
 
 class TestBatchedPairs:
@@ -174,22 +183,15 @@ class TestBatchedPairs:
             xs.append(x)
         return xs
 
-    @staticmethod
-    def assert_values_match_form(spec, pairs):
-        tau = TauMap(spec)
-        for p in pairs:
-            assert abs(p.value - form_value(tau, p.x, p.y)) <= 1e-13
-
     @pytest.mark.parametrize("seed", [0, 7])
     def test_unimodular_bit_identical_to_loop(self, seed):
         for spec in self.SPECS:
             samples = 4 * spec.n * spec.n
             pairs = unimodular_pairs(spec, samples, seed)
-            ref = self.unimodular_loop(spec, samples, seed)
-            assert len(pairs) == len(ref)
-            for p, x in zip(pairs, ref):
-                assert np.array_equal(p.x, x), (spec, seed)
-            self.assert_values_match_form(spec, pairs)
+            ref = np.array(self.unimodular_loop(spec, samples, seed))
+            assert pairs.shape == (samples, 2, spec.n)
+            assert np.array_equal(pairs[:, 0], ref), (spec, seed)
+            assert np.array_equal(pairs[:, 1], ref.conj()), (spec, seed)
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_degenerate_bit_identical_to_loop(self, seed):
@@ -197,12 +199,21 @@ class TestBatchedPairs:
             if spec.is_reduction:
                 continue
             pairs = degenerate_pairs(spec, seed)
-            ref = self.degenerate_loop(spec, seed)
-            assert len(pairs) == spec.n
-            for j, (p, x) in enumerate(zip(pairs, ref)):
-                assert np.array_equal(p.x, x), (spec, seed)
-                assert np.array_equal(p.y, np.eye(spec.n)[j])
-            self.assert_values_match_form(spec, pairs)
+            ref = np.array(self.degenerate_loop(spec, seed))
+            assert pairs.shape == (spec.n, 2, spec.n)
+            assert np.array_equal(pairs[:, 0], ref), (spec, seed)
+            assert np.array_equal(pairs[:, 1], np.eye(spec.n)), (spec, seed)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_closed_form_values_match_form_value(self, seed):
+        """build_spanning_set's closed-form F agrees with form_value on every pooled pair."""
+        for spec in self.SPECS:
+            if spec.k < 1:
+                continue
+            ss = build_spanning_set(spec, seed=seed)
+            tau = TauMap(spec)
+            reference = np.array([form_value(tau, x, y) for x, y in ss.pairs])
+            assert np.abs(ss.values - reference).max() <= 1e-13, (spec, seed)
 
 
 class TestSpanningRank:
@@ -229,10 +240,8 @@ class TestSpanningRank:
     @staticmethod
     def product_rank(pairs, n):
         """The (m, n^2) array of product vectors x (x) y, ranked by one full SVD."""
-        m = len(pairs)
-        X = np.array([p.x for p in pairs]).reshape(m, n)
-        Y = np.array([p.y for p in pairs]).reshape(m, n)
-        return gram_rank((X[:, :, None] * Y[:, None, :]).reshape(m, n * n))
+        X, Y = pairs[:, 0], pairs[:, 1]
+        return gram_rank((X[:, :, None] * Y[:, None, :]).reshape(len(pairs), n * n))
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_weight_space_rank_matches_product_svd(self, seed):
@@ -254,21 +263,33 @@ class TestSpanningRank:
 
 
 class TestSpanningSet:
+    @pytest.mark.parametrize("n,k,m", [(4, 2, 64 + 4), (4, 3, 64 + 8), (5, 1, 100 + 5)])
+    def test_structure(self, n, k, m):
+        """One (m, 2, n) array holds the pooled families in order, with one value and flag per pair."""
+        spec = MapSpec(n, k)
+        ss = build_spanning_set(spec, seed=2)
+        assert ss.pairs.shape == (m, 2, n) and ss.pairs.dtype == np.complex128
+        assert ss.values.shape == (m,) and ss.values.dtype == np.float64
+        assert ss.sigma_membership.shape == (m,) and ss.sigma_membership.dtype == bool
+        pool = np.concatenate((unimodular_pairs(spec, 4 * n * n, 2), degenerate_pairs(spec, 2),
+                               _harvest_zero_pairs(spec, 2 * n, 2)))
+        assert np.array_equal(ss.pairs, pool)
+
     def test_admitted_pairs_annihilate_form(self):
         spec = MapSpec(4, 2)
         ss = build_spanning_set(spec)
         map_ = TauMap(spec)
         assert len(ss.pairs) >= 4 * 4 - 4 + 1
-        for p in ss.pairs:
-            assert abs(form_value(map_, p.x, p.y)) <= 1e-9
+        for x, y in ss.pairs:
+            assert abs(form_value(map_, x, y)) <= 1e-9
 
     def test_interior_members_stay_in_phase_span(self):
         ss = build_spanning_set(MapSpec(5, 2))
-        assert all(ss.sigma_membership)
+        assert ss.sigma_membership.all()
 
     def test_reduction_member_escapes_phase_span(self):
         ss = build_spanning_set(MapSpec(4, 3))
-        assert any(not m for m in ss.sigma_membership)
+        assert not ss.sigma_membership.all()
         assert ss.gram_rank == 16
 
     @pytest.mark.parametrize("n,k", [(3, 1), (4, 3)])
@@ -276,8 +297,8 @@ class TestSpanningSet:
         """The O(n) membership flags agree with the dense projector; (4, 3) has both outcomes."""
         ss = build_spanning_set(MapSpec(n, k))
         P = sigma_projector(n)
-        for p, member in zip(ss.pairs, ss.sigma_membership):
-            w = np.kron(p.x, p.y)
+        for (x, y), member in zip(ss.pairs, ss.sigma_membership, strict=True):
+            w = np.kron(x, y)
             inside = np.linalg.norm(P @ w - w) <= 1e-9
             assert inside == member
 
@@ -285,10 +306,9 @@ class TestSpanningSet:
         a = build_spanning_set(MapSpec(4, 2), seed=7)
         b = build_spanning_set(MapSpec(4, 2), seed=7)
         assert a.gram_rank == b.gram_rank
-        assert len(a.pairs) == len(b.pairs)
-        for pa, pb in zip(a.pairs, b.pairs):
-            assert np.array_equal(pa.x, pb.x)
-            assert np.array_equal(pa.y, pb.y)
+        assert np.array_equal(a.pairs, b.pairs)
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.sigma_membership, b.sigma_membership)
 
     def test_runs_no_seesaw_and_no_eigh(self, monkeypatch):
         def boom(*args, **kwargs):
@@ -303,21 +323,30 @@ class TestSpanningSet:
 
 
 class TestAdmission:
-    """A pair above ADMISSION_TOL is a numerical fault, reported rather than dropped."""
+    """A pair above ADMISSION_TOL is a numerical fault, reported rather than dropped.
+
+    The spoiled pairs have exact closed-form values: x = e_0 with y = 2^-10 e_0
+    gives F = 2^-20 (n-k) - 2^-20 = 2^-20 at (4, 2), and x = y = e_0 gives 1.
+    """
+
+    FIRST = repr(2.0**-20)
 
     @staticmethod
     def spoil_degenerate_family(monkeypatch):
         exact = posmap.spanning.degenerate_pairs
 
         def spoiled(spec, seed=0):
-            pairs = exact(spec, seed)
-            return [dataclasses.replace(pairs[0], value=1e-6)] + pairs[1:]
+            pairs = exact(spec, seed).copy()
+            e0 = np.eye(spec.n)[0]
+            pairs[0] = (e0, 2.0**-10 * e0)
+            pairs[2] = (e0, e0)
+            return pairs
 
         monkeypatch.setattr(posmap.spanning, "degenerate_pairs", spoiled)
 
     def test_pair_above_tolerance_raises(self, monkeypatch):
         self.spoil_degenerate_family(monkeypatch)
-        with pytest.raises(NumericalAnomalyError, match="1e-06"):
+        with pytest.raises(NumericalAnomalyError, match=f"form value {self.FIRST}, above"):
             build_spanning_set(MapSpec(4, 2))
 
     def test_spanning_command_exits_4(self, monkeypatch, capsys):
@@ -325,4 +354,23 @@ class TestAdmission:
         assert posmap.cli.main(["spanning", "--n", "4", "--k", "2"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "1e-06" in captured.err
+        assert captured.err == (f"posmap: anomaly: zero pair has form value {self.FIRST}, "
+                                "above ADMISSION_TOL 1e-09\n")
+
+
+class TestWorkloadMembers:
+    """The five spanning benchmark members at seed 0, frozen as report counts."""
+
+    @pytest.mark.parametrize("n,k,admitted,outside,rank", [
+        (8, 3, 264, 0, 57),
+        (16, 5, 1040, 0, 241),
+        (24, 7, 2328, 0, 553),
+        (12, 11, 600, 24, 144),
+        (16, 15, 1056, 32, 256),
+    ])
+    def test_report_counts(self, capsys, n, k, admitted, outside, rank):
+        assert posmap.cli.main(["spanning", "--n", str(n), "--k", str(k), "--seed", "0"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert (result["pairs_admitted"], result["pairs_outside_sigma"], result["rank"]) == (
+            admitted, outside, rank)
+        assert result["spanning_property"] is (rank == n * n)
