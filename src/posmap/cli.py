@@ -5,8 +5,9 @@ and every float written as its shortest round-trip repr, so identical
 invocations produce byte-identical output and each float parses back to
 the same double.  Complex scalars appear as [re, im] pairs and
 matrices as arrays of rows of pairs, the same format accepted for input
-files.  Exit codes: 0 success, 2 configuration error (an allocation the
-host cannot make included), 3 input-data error, 4 internal numerical anomaly.
+files.  Exit codes: 0 success, 2 configuration error (a MemoryError and a
+spanning phase draw too large for NumPy included), 3 input-data error,
+4 internal numerical anomaly.
 """
 
 from __future__ import annotations
@@ -387,10 +388,7 @@ def main(argv=None) -> int:
             "result": _COMMANDS[args.command](spec, config),
         }
         text = render_text(report) if config["output"] == "text" else dumps_report(report)
-    except (ConfigError, DomainError, DimensionMismatchError) as exc:
-        print(f"posmap: error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:  # a size the host cannot allocate is a configuration error
+    except (ConfigError, DomainError, DimensionMismatchError, MemoryError) as exc:
         print(f"posmap: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except InputDataError as exc:

@@ -206,13 +206,24 @@ class TestBatchedPairs:
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_closed_form_values_match_form_value(self, seed):
-        """build_spanning_set's closed-form F agrees with form_value on every pooled pair."""
+        """Every family pair is a zero of form_value, and the closed-form F agrees with it.
+
+        build_spanning_set refuses k = 0 before any F, so there the family
+        pairs are checked against form_value alone.
+        """
         for spec in self.SPECS:
+            tau = TauMap(spec)
+            families = np.concatenate((
+                unimodular_pairs(spec, 4 * spec.n * spec.n, seed),
+                degenerate_pairs(spec, seed),
+                _harvest_zero_pairs(spec, 2 * spec.n, seed),
+            ))
+            reference = np.array([form_value(tau, x, y) for x, y in families])
+            assert np.abs(reference).max() <= 1e-13, (spec, seed)
             if spec.k < 1:
                 continue
             ss = build_spanning_set(spec, seed=seed)
-            tau = TauMap(spec)
-            reference = np.array([form_value(tau, x, y) for x, y in ss.pairs])
+            assert np.array_equal(ss.pairs, families), (spec, seed)
             assert np.abs(ss.values - reference).max() <= 1e-13, (spec, seed)
 
 
