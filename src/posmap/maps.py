@@ -179,7 +179,9 @@ class _EntrywiseMap:
 
     on_projector and quadratic_form take a vector of length n or a stack
     of shape (..., n) and return one n x n matrix per row, shape (..., n, n);
-    each row comes out bit for bit as it would alone.
+    each row comes out bit for bit as it would alone.  The result is
+    complex128 when the input or G is complex; a real input on a map with
+    a real G gives a real symmetric float64 matrix.
     """
 
     def __init__(self, n: int, coupling: np.ndarray, schur: np.ndarray):
@@ -193,11 +195,12 @@ class _EntrywiseMap:
 
     def _diag_minus_schur(self, K: np.ndarray, x) -> np.ndarray:
         """Diag(K |v|^2) - G o outer(conj(v), v) for each row v of x."""
-        v = np.asarray(x, dtype=np.complex128)
+        complex_ = np.iscomplexobj(x) or np.iscomplexobj(self._G)
+        v = np.asarray(x, dtype=np.complex128 if complex_ else np.float64)
         n = self.n
         if v.ndim == 0 or v.shape[-1] != n:
             raise DimensionMismatchError(f"expected vectors of length {n}, got shape {v.shape}")
-        out = np.zeros(v.shape + (n,), dtype=np.complex128)
+        out = np.zeros(v.shape + (n,), dtype=v.dtype)
         p = v.real**2 + v.imag**2
         out.reshape(v.shape[:-1] + (n * n,))[..., :: n + 1] = np.matmul(K, p[..., None])[..., 0]
         out -= self._G * (v.conj()[..., :, None] * v[..., None, :])
@@ -220,14 +223,19 @@ class _EntrywiseMap:
 
 
 class TauMap(_EntrywiseMap):
-    """One member tau_{n,k}, optionally corrected by a Hadamard subtraction."""
+    """One member tau_{n,k}, optionally corrected by a Hadamard subtraction.
+
+    G = 1 + L is stored as float64 when L has no imaginary part, which
+    covers the plain maps and every real direction such as v1.
+    """
 
     def __init__(self, spec: MapSpec, pert: HadamardPerturbation | None = None):
         if pert is not None and pert.dim != spec.n:
             raise DimensionMismatchError(
                 f"perturbation is {pert.dim}x{pert.dim} but the map acts on {spec.n}x{spec.n}"
             )
-        G = np.ones((spec.n, spec.n), dtype=np.complex128)
+        G = np.ones((spec.n, spec.n))
         if pert is not None:
-            G = G + pert.matrix
+            L = pert.matrix
+            G = G + (L if L.imag.any() else L.real)
         super().__init__(spec.n, shift_coupling(spec), G)

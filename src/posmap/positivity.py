@@ -13,7 +13,10 @@ that raises it is reported as an anomaly; a negative limit is a
 certificate, a nonnegative one only evidence.  All starts advance
 together: a half-step is one stacked map evaluation and one stacked eigh
 over the starts still active, and each start's result is bit for bit the
-one it gives alone.
+one it gives alone.  A half-step evaluates the map on the moduli |v| of
+its vector v = |v| o phase and multiplies the eigenvector by conj(phase):
+M(v) = Diag(conj(phase)) M(|v|) Diag(phase) is a diagonal unitary
+similarity, and M(|v|) is real symmetric whenever the map's G is real.
 
 For diagonal input X = diag(X_1, ..., X_n) the map's positivity reduces to
 scalar data: the profile D = S X with S the shift coupling, the ratio sum
@@ -96,11 +99,25 @@ def _check_monotone(before: np.ndarray, after: np.ndarray, step: str) -> None:
         )
 
 
+def _modulus_phase(v: np.ndarray):
+    """(|v|, phase) with v = |v| * phase, taking phase 1 where |v| is zero or subnormal.
+
+    Dividing by a subnormal modulus overflows, and the entries it skips
+    are below the smallest normal float, so the similarity holds there to
+    far below rounding.
+    """
+    a = np.abs(v)
+    phase = np.ones(v.shape, dtype=np.complex128)
+    np.divide(v, a, out=phase, where=a > np.finfo(float).tiny)
+    return a, phase
+
+
 def _seesaw_batch(map_, X0: np.ndarray, max_sweeps: int, improve_tol: float):
     """Run the alternation from every row of X0 at once; returns (values, X, Y, sweeps).
 
-    Each half-step is one stacked on_projector or quadratic_form call and
-    one stacked eigh over the rows still active.  Every row keeps its own
+    Each half-step is one stacked on_projector or quadratic_form call on
+    the moduli of the rows still active and one stacked eigh, whose
+    eigenvectors take the conjugate phases back.  Every row keeps its own
     stop rule and monotonicity guards and is written out and dropped from
     the stack when it stops, so row i of the result is bit for bit what
     the alternation gives from X0[i] alone.
@@ -112,11 +129,13 @@ def _seesaw_batch(map_, X0: np.ndarray, max_sweeps: int, improve_tol: float):
     active = np.arange(len(X))
     x, value = X.copy(), values.copy()
     for sweep in range(1, max_sweeps + 1):
-        evals, evecs = np.linalg.eigh(map_.on_projector(x))
-        half, y = evals[:, 0], evecs[:, :, 0]
+        a, phase = _modulus_phase(x)
+        evals, evecs = np.linalg.eigh(map_.on_projector(a))
+        half, y = evals[:, 0], phase.conj() * evecs[:, :, 0]
         _check_monotone(value, half, "y")
-        evals, evecs = np.linalg.eigh(map_.quadratic_form(y))
-        new, x = evals[:, 0], evecs[:, :, 0]
+        a, phase = _modulus_phase(y)
+        evals, evecs = np.linalg.eigh(map_.quadratic_form(a))
+        new, x = evals[:, 0], phase.conj() * evecs[:, :, 0]
         _check_monotone(half, new, "x")
         done = value - new < improve_tol
         if sweep == max_sweeps:

@@ -223,7 +223,7 @@ class TestReports:
         doc = json.loads(p.stdout)
         res = doc["result"]
         assert res["verdict"] == "positive-evidence"
-        assert res["min_value"] == 4.773540402040204e-14
+        assert res["min_value"] == 4.7703672361289797e-14
         assert res["starts_capped"] == 1
         assert "starts_used" not in res
         assert "seed" not in res
@@ -237,7 +237,7 @@ class TestReports:
         )
         doc = json.loads(p.stdout)
         assert doc["result"]["verdict"] == "negative-certificate"
-        assert doc["result"]["min_value"] == -0.024999999998625285
+        assert doc["result"]["min_value"] == -0.02499999999862532
         assert doc["result"]["perturbation"]["weight"] == 2.1
 
     def test_spanning_report(self):
@@ -370,13 +370,13 @@ class TestGoldenBytes:
             '{"command": "positivity", "config": {"experimental": false, "grid": null, '
             '"input": null, "k": 1, "n": 3, "output": "json", "perturb": null, '
             '"samples": 36, "seed": 0, "starts": 8, "t": null, "tol": 1e-09}, '
-            '"result": {"iterations": 13, "min_value": 4.773540402040204e-14, '
+            '"result": {"iterations": 13, "min_value": 4.7703672361289797e-14, '
             '"perturbation": null, "starts_capped": 1, "verdict": "positive-evidence", '
-            '"witness_x": [[-0.5773501626052766, 0.0], '
-            '[-0.16090568351756274, -0.5544752684606308], '
-            '[0.4981491106451704, 0.291857484023185]], "witness_y": '
-            '[[0.5773501523578249, -0.0], [0.16090562410813236, -0.5544750637378445], '
-            '[-0.49814930341297436, 0.2918575969627147]]}, '
+            '"witness_x": [[0.0943060057896975, 0.5695959862326394], '
+            '[-0.5207455276401961, 0.24931417481859364], '
+            '[0.2065685718364715, -0.5391314798324783]], "witness_y": '
+            '[[-0.09430600411584977, 0.5695959761228172], [0.5207453353710703, 0.24931408276707154], '
+            '[-0.20656865177191502, -0.5391316884591516]]}, '
             '"schema": "posmap-report/2", "version": "0.1.0"}\n'
         ),
     }

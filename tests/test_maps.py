@@ -12,6 +12,7 @@ from posmap import (
     TauMap,
     alternating_vector,
     as_square_matrix,
+    build_circulant,
     require_hermitian,
     shift_coupling,
 )
@@ -351,6 +352,39 @@ class TestStackedKernels:
         for kernel in (map_.on_projector, map_.quadratic_form):
             with pytest.raises(DimensionMismatchError):
                 kernel(np.ones(shape))
+
+
+class TestRealSchurFactor:
+    """A real G keeps real input real, so the see-saw's eigh runs on real symmetric stacks."""
+
+    @staticmethod
+    def real_g_maps():
+        yield TauMap(MapSpec(6, 2))
+        yield TauMap(MapSpec(6, 2), HadamardPerturbation([alternating_vector(6)], [1.3]))
+
+    def test_real_input_gives_float64(self):
+        a = np.abs(np.random.default_rng(31).normal(size=(3, 6)))
+        for map_ in self.real_g_maps():
+            assert map_._G.dtype == np.float64
+            for kernel in (map_.on_projector, map_.quadratic_form):
+                assert kernel(a).dtype == np.float64
+                assert kernel(a[0]).dtype == np.float64
+                assert kernel(a + 0j).dtype == np.complex128
+
+    def test_real_path_equals_complex_path(self):
+        """On real input the float64 result is the real part of the complex one, bit for bit."""
+        a = np.random.default_rng(37).normal(size=(3, 6))
+        for map_ in self.real_g_maps():
+            for kernel in (map_.on_projector, map_.quadratic_form):
+                full = kernel(a.astype(np.complex128))
+                assert kernel(a).tobytes() == full.real.tobytes()
+                assert not full.imag.any()
+
+    def test_complex_direction_keeps_complex_g(self):
+        spec = MapSpec(6, 3)
+        map_ = TauMap(spec, HadamardPerturbation(build_circulant(spec).kernel, [0.7, 0.4]))
+        assert map_._G.dtype == np.complex128
+        assert map_.on_projector(np.ones(6)).dtype == np.complex128
 
 
 class TestChoi:

@@ -13,12 +13,14 @@ from posmap import (
     NumericalAnomalyError,
     TauMap,
     alternating_vector,
+    build_circulant,
     shift_coupling,
 )
 from posmap.positivity import (
     MAX_SWEEPS,
     SWEEP_IMPROVEMENT_TOL,
     _leave_one_out,
+    _modulus_phase,
     _seesaw_batch,
     _seesaw_single,
     analytic_det,
@@ -77,7 +79,7 @@ class TestSeesaw:
     def test_frozen_unperturbed_run(self):
         report = seesaw_minimize(TauMap(MapSpec(3, 1)), starts=8, seed=0)
         assert report.verdict == "positive-evidence"
-        assert report.min_value == 4.773540402040204e-14
+        assert report.min_value == 4.7703672361289797e-14
         assert report.iterations == 13
         assert report.starts_capped == 1
 
@@ -85,14 +87,14 @@ class TestSeesaw:
         pert = HadamardPerturbation([alternating_vector(4)], [2.1])
         report = seesaw_minimize(TauMap(MapSpec(4, 2), pert), starts=16, seed=0)
         assert report.verdict == "negative-certificate"
-        assert report.min_value == -0.024999999998625285
+        assert report.min_value == -0.02499999999862532
         assert report.iterations == 62
 
     def test_deeper_negative_certificate(self):
         pert = HadamardPerturbation([alternating_vector(4)], [2.5])
         report = seesaw_minimize(TauMap(MapSpec(4, 2), pert), starts=16, seed=0)
         assert report.verdict == "negative-certificate"
-        assert report.min_value == -0.1249999999999748
+        assert report.min_value == -0.12499999999997458
 
     def test_witness_reproduces_min_value(self):
         pert = HadamardPerturbation([alternating_vector(4)], [2.1])
@@ -137,6 +139,12 @@ def v1_map(n, k, t=None):
     return TauMap(MapSpec(n, k), pert)
 
 
+def fourier_map(n, k, weights):
+    """A map corrected along the complex Fourier kernel directions, as conjecture --experimental builds it."""
+    spec = MapSpec(n, k)
+    return TauMap(spec, HadamardPerturbation(build_circulant(spec).kernel, weights))
+
+
 def seeded_starts(n, count, seed=0):
     """The starts seesaw_minimize draws: one RNG stream per (seed, index)."""
     out = []
@@ -161,8 +169,14 @@ class TestBatchedSeesaw:
         ],
     )
     def test_rows_equal_single_starts(self, n, k, t, capped):
-        map_ = v1_map(n, k, t)
-        X0 = seeded_starts(n, 16)
+        self.check_rows_equal_single_starts(v1_map(n, k, t), capped)
+
+    def test_complex_schur_rows_equal_single_starts(self):
+        self.check_rows_equal_single_starts(fourier_map(6, 3, [0.7, 0.4]), capped=0)
+
+    @staticmethod
+    def check_rows_equal_single_starts(map_, capped):
+        X0 = seeded_starts(map_.n, 16)
         values, X, Y, sweeps = _seesaw_batch(map_, X0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
         for i, x0 in enumerate(X0):
             value, x, y, count = _seesaw_single(map_, x0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
@@ -193,6 +207,55 @@ class TestBatchedSeesaw:
             assert np.float64(got.min_value).tobytes() == np.float64(ref.min_value).tobytes()
             assert got.witness_x.tobytes() == ref.witness_x.tobytes()
             assert got.witness_y.tobytes() == ref.witness_y.tobytes()
+
+
+SIMILARITY_MAPS = {
+    "plain-3-1": lambda: v1_map(3, 1),
+    "plain-8-3": lambda: v1_map(8, 3),
+    "plain-24-6": lambda: v1_map(24, 6),
+    "v1-8-2": lambda: v1_map(8, 2, 5.0),
+    "v1-24-6": lambda: v1_map(24, 6, 20.0),
+    "fourier-6-3": lambda: fourier_map(6, 3, [0.7, 0.4]),
+}
+
+
+class TestPhaseSimilarity:
+    """M(v) = Diag(conj(phase)) M(|v|) Diag(phase), so each half-step may work on |v|."""
+
+    @pytest.mark.parametrize("name", list(SIMILARITY_MAPS))
+    def test_moduli_give_the_same_minimum_and_eigenvector(self, name):
+        map_ = SIMILARITY_MAPS[name]()
+        rng = np.random.default_rng(47)
+        X = rng.standard_normal((10, map_.n)) + 1j * rng.standard_normal((10, map_.n))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        for kernel in (map_.on_projector, map_.quadratic_form):
+            for x in X:
+                a, phase = _modulus_phase(x)
+                assert np.abs(a * phase - x).max() <= 1e-15
+                evals, evecs = np.linalg.eigh(kernel(a))
+                full = kernel(x)
+                lam = np.linalg.eigvalsh(full)[0]
+                assert abs(evals[0] - lam) <= 1e-12 * max(1.0, abs(lam))
+                z = phase.conj() * evecs[:, 0]
+                assert np.abs(full @ z - evals[0] * z).max() <= 1e-12
+
+    def test_zero_and_subnormal_entries_take_phase_one(self):
+        v = np.array([0.0, -0.0, 1e-320, 1e-320j, -1e-310, 3.0 - 4.0j, -2.0])
+        with np.errstate(all="raise"):
+            a, phase = _modulus_phase(v)
+        assert a.tobytes() == np.abs(v).tobytes()
+        assert np.array_equal(phase[:5], np.ones(5))
+        assert np.abs(phase[5:] - [0.6 - 0.8j, -1.0]).max() <= 4e-16
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("make", [lambda: v1_map(6, 2), lambda: v1_map(6, 2, 3.0),
+                                      lambda: fourier_map(6, 3, [0.7, 0.4])],
+                             ids=["plain", "v1", "fourier"])
+    def test_start_with_zero_and_subnormal_entries(self, make):
+        x0 = np.array([1.0, 0.0, 1e-320, 1e-320j, -0.5 + 0.5j, -0.0])
+        value, x, y, _ = _seesaw_single(make(), x0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+        assert np.isfinite(value)
+        assert np.isfinite(x).all() and np.isfinite(y).all()
 
 
 class TestMonotonicityGuards:
