@@ -25,6 +25,7 @@ from .maps import (
     MapSpec,
     NumericalAnomalyError,
     TauMap,
+    alternating_vector,
 )
 from .positivity import (
     DEFAULT_STARTS,
@@ -158,7 +159,7 @@ def conjecture_probe(spec: MapSpec, seed: int = 0, t: float | None = None,
     n, k = spec.n, spec.k
     t_max = float(n - k)
     t_probe = t_max if t is None else float(t)
-    v1 = build_circulant(spec).kernel[0]
+    v1 = alternating_vector(n)
     pert = HadamardPerturbation([v1], [t_probe])
     report = seesaw_minimize(TauMap(spec, pert), starts=starts, seed=seed, tol=tol)
     witness_at_t, _ = parity_witness_value(n, k, t_probe)

@@ -57,7 +57,9 @@ class MapSpec:
     """Parameters (n, k) of one member of the shift family.
 
     n is the matrix dimension and k the number of cyclic diagonal shifts
-    mixed into the output diagonal, so 0 <= k <= n-1.
+    mixed into the output diagonal, so 0 <= k <= n-1.  n is at most the
+    largest size whose n x n complex128 matrix fits in np.intp-max bytes,
+    NumPy's platform bound on any array.
     """
 
     n: int
@@ -68,6 +70,8 @@ class MapSpec:
         k = _check_int(self.k, "k")
         if n < 2:
             raise DomainError(f"n must be at least 2, got {n}")
+        if 16 * n * n > np.iinfo(np.intp).max:
+            raise DomainError(f"n = {n} is too large for an n x n complex matrix")
         if not 0 <= k <= n - 1:
             raise DomainError(f"k out of range for n={n}: {k}")
         object.__setattr__(self, "n", n)

@@ -13,10 +13,11 @@ that raises it is reported as an anomaly; a negative limit is a
 certificate, a nonnegative one only evidence.  All starts advance
 together: a half-step is one stacked map evaluation and one stacked eigh
 over the starts still active, and each start's result is bit for bit the
-one it gives alone.  A half-step evaluates the map on the moduli |v| of
-its vector v = |v| o phase and multiplies the eigenvector by conj(phase):
-M(v) = Diag(conj(phase)) M(|v|) Diag(phase) is a diagonal unitary
-similarity, and M(|v|) is real symmetric whenever the map's G is real.
+one it gives alone.  F is invariant under (x, y) -> (D x, conj(D) y) for
+every diagonal unitary D, so each start x0 is replaced by its moduli
+|x0|, which gives the same sequence of values.  When the map's G is real
+the vectors then stay real throughout, every eigh is real symmetric, and
+the witness pair is real.
 
 For diagonal input X = diag(X_1, ..., X_n) the map's positivity reduces to
 scalar data: the profile D = S X with S the shift coupling, the ratio sum
@@ -99,43 +100,30 @@ def _check_monotone(before: np.ndarray, after: np.ndarray, step: str) -> None:
         )
 
 
-def _modulus_phase(v: np.ndarray):
-    """(|v|, phase) with v = |v| * phase, taking phase 1 where |v| is zero or subnormal.
-
-    Dividing by a subnormal modulus overflows, and the entries it skips
-    are below the smallest normal float, so the similarity holds there to
-    far below rounding.
-    """
-    a = np.abs(v)
-    phase = np.ones(v.shape, dtype=np.complex128)
-    np.divide(v, a, out=phase, where=a > np.finfo(float).tiny)
-    return a, phase
-
-
 def _seesaw_batch(map_, X0: np.ndarray, max_sweeps: int, improve_tol: float):
     """Run the alternation from every row of X0 at once; returns (values, X, Y, sweeps).
 
-    Each half-step is one stacked on_projector or quadratic_form call on
-    the moduli of the rows still active and one stacked eigh, whose
-    eigenvectors take the conjugate phases back.  Every row keeps its own
-    stop rule and monotonicity guards and is written out and dropped from
-    the stack when it stops, so row i of the result is bit for bit what
-    the alternation gives from X0[i] alone.
+    Each row starts from the unit vector along its moduli |X0[i]|, a
+    diagonal unitary image of X0[i] with the same values of F.  Each
+    half-step is one stacked on_projector or quadratic_form call on the
+    rows still active and one stacked eigh.  Every row keeps its own stop
+    rule and monotonicity guards and is written out and dropped from the
+    stack when it stops, so row i of the result is bit for bit what the
+    alternation gives from X0[i] alone.  X and Y are float64 when the
+    map's G is real.
     """
-    X = np.array([_unit(x0, "x0") for x0 in np.asarray(X0, dtype=np.complex128)])
+    X = np.array([_unit(np.abs(x0), "x0") for x0 in np.asarray(X0, dtype=np.complex128)])
     Y = np.zeros_like(X)
     values = np.full(len(X), np.inf)
     sweeps = np.zeros(len(X), dtype=int)
     active = np.arange(len(X))
     x, value = X.copy(), values.copy()
     for sweep in range(1, max_sweeps + 1):
-        a, phase = _modulus_phase(x)
-        evals, evecs = np.linalg.eigh(map_.on_projector(a))
-        half, y = evals[:, 0], phase.conj() * evecs[:, :, 0]
+        evals, evecs = np.linalg.eigh(map_.on_projector(x))
+        half, y = evals[:, 0], evecs[:, :, 0]
         _check_monotone(value, half, "y")
-        a, phase = _modulus_phase(y)
-        evals, evecs = np.linalg.eigh(map_.quadratic_form(a))
-        new, x = evals[:, 0], phase.conj() * evecs[:, :, 0]
+        evals, evecs = np.linalg.eigh(map_.quadratic_form(y))
+        new, x = evals[:, 0], evecs[:, :, 0]
         _check_monotone(half, new, "x")
         done = value - new < improve_tol
         if sweep == max_sweeps:
@@ -143,6 +131,8 @@ def _seesaw_batch(map_, X0: np.ndarray, max_sweeps: int, improve_tol: float):
         value = new
         if done.any():
             rows = active[done]
+            # A complex G makes the vectors complex from the first half-step on.
+            X, Y = X.astype(x.dtype, copy=False), Y.astype(y.dtype, copy=False)
             values[rows], X[rows], Y[rows], sweeps[rows] = new[done], x[done], y[done], sweep
             keep = ~done
             active, x, value = active[keep], x[keep], value[keep]
@@ -168,10 +158,10 @@ def seesaw_minimize(map_, starts: int = DEFAULT_STARTS, seed: int = 0,
     run together in blocks of at most _BLOCK_ENTRIES matrix entries, one
     stacked eigh per half-step over a block's active starts, which bounds
     memory at any starts and n and gives each start bit for bit the result
-    it has alone.  A verdict of negative-certificate means the reported
-    witness pair reproduces min_value < -tol on re-evaluation;
-    positive-evidence only records the smallest value found and proves
-    nothing.  starts_capped counts the starts that ran all MAX_SWEEPS
+    it has alone.  The witness pair is real when the map's G is real.  A
+    verdict of negative-certificate means the reported witness pair
+    reproduces min_value < -tol on re-evaluation; positive-evidence only
+    records the smallest value found and proves nothing.  starts_capped counts the starts that ran all MAX_SWEEPS
     sweeps, which the cap may have cut short.
     """
     starts = _check_int(starts, "starts")
@@ -185,7 +175,6 @@ def seesaw_minimize(map_, starts: int = DEFAULT_STARTS, seed: int = 0,
     n = map_.n
     block = max(1, _BLOCK_ENTRIES // (n * n))
     best = None
-    total_best_sweeps = 0
     capped = 0
     for lo in range(0, starts, block):
         X0 = []
@@ -194,11 +183,10 @@ def seesaw_minimize(map_, starts: int = DEFAULT_STARTS, seed: int = 0,
             X0.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
         values, X, Y, sweeps = _seesaw_batch(map_, np.array(X0), MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
         capped += int(np.count_nonzero(sweeps >= MAX_SWEEPS))
-        for i, value in enumerate(values.tolist()):
-            if best is None or value < best[0]:
-                best = (value, X[i], Y[i])
-                total_best_sweeps = int(sweeps[i])
-    _, wx, wy = best
+        i = int(np.argmin(values))
+        if best is None or values[i] < best[0]:
+            best = (values[i], X[i], Y[i], int(sweeps[i]))
+    _, wx, wy, best_sweeps = best
     min_value = form_value(map_, wx, wy)
     verdict = "negative-certificate" if min_value < -tol else "positive-evidence"
     return PositivityReport(
@@ -206,7 +194,7 @@ def seesaw_minimize(map_, starts: int = DEFAULT_STARTS, seed: int = 0,
         min_value=min_value,
         witness_x=wx,
         witness_y=wy,
-        iterations=total_best_sweeps,
+        iterations=best_sweeps,
         starts_capped=capped,
     )
 

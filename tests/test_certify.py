@@ -108,6 +108,14 @@ class TestKernelBasis:
             assert np.linalg.norm(c.matrix @ v) <= 1e-10
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
 
+    def test_index_half_n_is_the_alternating_vector(self):
+        """conjecture_probe takes alternating_vector(n) as v1, which must be this kernel row bit for bit."""
+        for n in range(2, 129, 2):
+            v1 = alternating_vector(n).tobytes()
+            for k in range(2, n, 2):
+                c = build_circulant(MapSpec(n, k))
+                assert c.kernel[c.zero_indices.index(n // 2)].tobytes() == v1
+
     @pytest.mark.parametrize("n,k", [(3, 1), (5, 3), (8, 3)])
     def test_coprime_members_have_empty_kernel(self, n, k):
         assert build_circulant(MapSpec(n, k)).kernel == ()

@@ -223,7 +223,7 @@ class TestReports:
         doc = json.loads(p.stdout)
         res = doc["result"]
         assert res["verdict"] == "positive-evidence"
-        assert res["min_value"] == 4.7703672361289797e-14
+        assert res["min_value"] == 4.760210664959707e-14
         assert res["starts_capped"] == 1
         assert "starts_used" not in res
         assert "seed" not in res
@@ -237,7 +237,7 @@ class TestReports:
         )
         doc = json.loads(p.stdout)
         assert doc["result"]["verdict"] == "negative-certificate"
-        assert doc["result"]["min_value"] == -0.02499999999862532
+        assert doc["result"]["min_value"] == -0.024999999998625382
         assert doc["result"]["perturbation"]["weight"] == 2.1
 
     def test_spanning_report(self):
@@ -370,13 +370,11 @@ class TestGoldenBytes:
             '{"command": "positivity", "config": {"experimental": false, "grid": null, '
             '"input": null, "k": 1, "n": 3, "output": "json", "perturb": null, '
             '"samples": 36, "seed": 0, "starts": 8, "t": null, "tol": 1e-09}, '
-            '"result": {"iterations": 13, "min_value": 4.7703672361289797e-14, '
+            '"result": {"iterations": 13, "min_value": 4.760210664959707e-14, '
             '"perturbation": null, "starts_capped": 1, "verdict": "positive-evidence", '
-            '"witness_x": [[0.0943060057896975, 0.5695959862326394], '
-            '[-0.5207455276401961, 0.24931417481859364], '
-            '[0.2065685718364715, -0.5391314798324783]], "witness_y": '
-            '[[-0.09430600411584977, 0.5695959761228172], [0.5207453353710703, 0.24931408276707154], '
-            '[-0.20656865177191502, -0.5391316884591516]]}, '
+            '"witness_x": [[-0.5773501626052768, 0.0], [-0.57735038089772, 0.0], '
+            '[-0.5773502640658594, 0.0]], "witness_y": '
+            '[[0.5773501523578249, 0.0], [0.5773501677290085, 0.0], [0.5773504874819818, 0.0]]}, '
             '"schema": "posmap-report/2", "version": "0.1.0"}\n'
         ),
     }
@@ -528,6 +526,13 @@ class TestMainInProcess:
         assert captured.out == ""
         assert captured.err.startswith("posmap: error: cannot draw 4000000000000 phase vectors")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["positivity", "certify"])
+    def test_n_too_large_for_an_array_exits_2(self, capsys, command):
+        assert main([command, "--n", "10000000000", "--k", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "posmap: error: n = 10000000000 is too large for an n x n complex matrix\n"
 
     @pytest.mark.parametrize("exc,line", [
         (MemoryError("Unable to allocate 5.82 TiB for an array"),

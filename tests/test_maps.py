@@ -1,5 +1,7 @@
 """Tests for map construction, basis action, and Hadamard subtractions."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,14 @@ class TestMapSpec:
     def test_n_too_small(self, n, k):
         with pytest.raises(DomainError):
             MapSpec(n, k)
+
+    def test_n_too_large_for_an_array(self):
+        """The bound is the largest n whose n x n complex128 matrix fits in intp bytes; nothing is allocated."""
+        n_max = math.isqrt(np.iinfo(np.intp).max // 16)
+        assert MapSpec(n_max, 1).n == n_max
+        for n in (n_max + 1, 10**10):
+            with pytest.raises(DomainError, match="too large"):
+                MapSpec(n, 1)
 
     @pytest.mark.parametrize("n,k", [(3, 9), (3, 3), (3, -1), (5, 5)])
     def test_k_out_of_range(self, n, k):

@@ -20,7 +20,6 @@ from posmap.positivity import (
     MAX_SWEEPS,
     SWEEP_IMPROVEMENT_TOL,
     _leave_one_out,
-    _modulus_phase,
     _seesaw_batch,
     _seesaw_single,
     analytic_det,
@@ -79,7 +78,7 @@ class TestSeesaw:
     def test_frozen_unperturbed_run(self):
         report = seesaw_minimize(TauMap(MapSpec(3, 1)), starts=8, seed=0)
         assert report.verdict == "positive-evidence"
-        assert report.min_value == 4.7703672361289797e-14
+        assert report.min_value == 4.760210664959707e-14
         assert report.iterations == 13
         assert report.starts_capped == 1
 
@@ -87,14 +86,14 @@ class TestSeesaw:
         pert = HadamardPerturbation([alternating_vector(4)], [2.1])
         report = seesaw_minimize(TauMap(MapSpec(4, 2), pert), starts=16, seed=0)
         assert report.verdict == "negative-certificate"
-        assert report.min_value == -0.02499999999862532
+        assert report.min_value == -0.024999999998625382
         assert report.iterations == 62
 
     def test_deeper_negative_certificate(self):
         pert = HadamardPerturbation([alternating_vector(4)], [2.5])
         report = seesaw_minimize(TauMap(MapSpec(4, 2), pert), starts=16, seed=0)
         assert report.verdict == "negative-certificate"
-        assert report.min_value == -0.12499999999997458
+        assert report.min_value == -0.12499999999997462
 
     def test_witness_reproduces_min_value(self):
         pert = HadamardPerturbation([alternating_vector(4)], [2.1])
@@ -220,7 +219,7 @@ SIMILARITY_MAPS = {
 
 
 class TestPhaseSimilarity:
-    """M(v) = Diag(conj(phase)) M(|v|) Diag(phase), so each half-step may work on |v|."""
+    """M(v) = Diag(conj(phase)) M(|v|) Diag(phase), so a start may be replaced by its moduli."""
 
     @pytest.mark.parametrize("name", list(SIMILARITY_MAPS))
     def test_moduli_give_the_same_minimum_and_eigenvector(self, name):
@@ -230,7 +229,8 @@ class TestPhaseSimilarity:
         X /= np.linalg.norm(X, axis=1, keepdims=True)
         for kernel in (map_.on_projector, map_.quadratic_form):
             for x in X:
-                a, phase = _modulus_phase(x)
+                a = np.abs(x)
+                phase = x / a
                 assert np.abs(a * phase - x).max() <= 1e-15
                 evals, evecs = np.linalg.eigh(kernel(a))
                 full = kernel(x)
@@ -239,13 +239,35 @@ class TestPhaseSimilarity:
                 z = phase.conj() * evecs[:, 0]
                 assert np.abs(full @ z - evals[0] * z).max() <= 1e-12
 
-    def test_zero_and_subnormal_entries_take_phase_one(self):
-        v = np.array([0.0, -0.0, 1e-320, 1e-320j, -1e-310, 3.0 - 4.0j, -2.0])
-        with np.errstate(all="raise"):
-            a, phase = _modulus_phase(v)
-        assert a.tobytes() == np.abs(v).tobytes()
-        assert np.array_equal(phase[:5], np.ones(5))
-        assert np.abs(phase[5:] - [0.6 - 0.8j, -1.0]).max() <= 4e-16
+    @pytest.mark.parametrize("name", ["plain-8-3", "v1-8-2", "fourier-6-3"])
+    def test_torus_image_of_a_start_gives_the_same_run(self, name):
+        """Starts x0 and phi o x0 give the same run, bit for bit.
+
+        phi takes quarter turns 1, i, -1, -i, which permute and negate the
+        real and imaginary parts exactly, so |phi o x0| = |x0| bit for bit.
+        """
+        map_ = SIMILARITY_MAPS[name]()
+        X0 = seeded_starts(map_.n, 16)
+        phi = np.random.default_rng(53).choice([1, 1j, -1, -1j], size=X0.shape)
+        ref = _seesaw_batch(map_, X0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+        got = _seesaw_batch(map_, phi * X0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+        for a, b in zip(ref, got):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("name", ["plain-3-1", "plain-8-3", "v1-8-2", "v1-24-6"])
+    def test_real_schur_factor_keeps_the_run_real(self, name, monkeypatch):
+        map_ = SIMILARITY_MAPS[name]()
+        report = seesaw_minimize(map_, starts=8, seed=0)
+        seen = []
+        for kernel in ("on_projector", "quadratic_form"):
+            def spy(v, exact=getattr(map_, kernel)):
+                seen.append(np.asarray(v).dtype)
+                return exact(v)
+            monkeypatch.setattr(map_, kernel, spy)
+        _seesaw_batch(map_, seeded_starts(map_.n, 8), MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+        assert seen and set(seen) == {np.dtype(np.float64)}
+        assert not np.imag(report.witness_x).any()
+        assert not np.imag(report.witness_y).any()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("make", [lambda: v1_map(6, 2), lambda: v1_map(6, 2, 3.0),
