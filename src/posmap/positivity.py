@@ -11,13 +11,16 @@ eigenvector of the Hermitian quadratic-form matrix Q(y)).  Each half step
 is an exact minimization, so the objective never increases, and a step
 that raises it is reported as an anomaly; a negative limit is a
 certificate, a nonnegative one only evidence.  All starts advance
-together: a half-step is one stacked map evaluation and one stacked eigh
-over the starts still active, and each start's result is bit for bit the
-one it gives alone.  F is invariant under (x, y) -> (D x, conj(D) y) for
-every diagonal unitary D, so each start x0 is replaced by its moduli
-|x0|, which gives the same sequence of values.  When the map's G is real
-the vectors then stay real throughout, every eigh is real symmetric, and
-the witness pair is real.
+together: a half-step is one stacked map evaluation and one stacked
+smallest-eigenpair solve over the starts still active, and each start's
+result is bit for bit the one it gives alone.  Below n = 16 that solve is
+eigh; from n = 16 on it is eigvalsh plus one shifted linear solve
+(inverse iteration) warm-started from the previous vector, with eigh for
+any row whose residual is above the rounding level.  F is invariant under
+(x, y) -> (D x, conj(D) y) for every diagonal unitary D, so each start x0
+is replaced by its moduli |x0|, which gives the same sequence of values.
+When the map's G is real the vectors then stay real throughout, every
+eigenproblem is real symmetric, and the witness pair is real.
 
 For diagonal input X = diag(X_1, ..., X_n) the map's positivity reduces to
 scalar data: the profile D = S X with S the shift coupling, the ratio sum
@@ -50,6 +53,9 @@ SWEEP_IMPROVEMENT_TOL = 1e-12
 _MONOTONE_SLACK = 1e-10
 # Matrix entries per stacked see-saw block (1 MiB per complex stack).
 _BLOCK_ENTRIES = 1 << 16
+# Matrix size from which a half-step takes eigvalsh plus one shifted solve,
+# not a full eigh (the crossover of the two on stacks of 1 to 16 rows).
+_INVERSE_ITERATION_MIN_N = 16
 
 
 @dataclass(frozen=True)
@@ -100,17 +106,69 @@ def _check_monotone(before: np.ndarray, after: np.ndarray, step: str) -> None:
         )
 
 
+def _smallest_eigenpairs(A: np.ndarray, z0: np.ndarray):
+    """Smallest eigenvalue and a unit eigenvector of each Hermitian matrix in the stack A.
+
+    Below _INVERSE_ITERATION_MIN_N this is eigh.  From there on each matrix
+    is scaled by a power of two to max-abs entry in [1/2, 1), which is exact
+    and keeps the factorization clear of overflow and underflow at any
+    weight.  eigvalsh gives the eigenvalue, and one solve with the matrix
+    shifted a few ulps below it, started from z0 (inverse iteration), gives
+    the vector.  A row whose residual |A z - lambda z| exceeds the rounding
+    level n eps of the scaled matrix, or whose shifted matrix is exactly
+    singular, takes eigh instead, so every result is an eigenpair to eigh's
+    accuracy and each half-step stays an exact minimization.  Each row
+    depends only on its own matrix and z0.
+    """
+    n = A.shape[-1]
+    if n < _INVERSE_ITERATION_MIN_N:
+        evals, evecs = np.linalg.eigh(A)
+        return evals[:, 0], evecs[:, :, 0]
+    _, exponent = np.frexp(np.abs(A).max(axis=(1, 2)))
+    scale = np.ldexp(1.0, -exponent)
+    As = A * scale[:, None, None]
+    lam = np.linalg.eigvalsh(As)[:, 0]
+    eps = np.finfo(float).eps
+    # Four ulps of the unit scale: with one or two, the shifted see-saw
+    # matrices came out exactly singular in about one row of 40 to 80.
+    shifted = As - (lam - 4 * eps)[:, None, None] * np.eye(n)
+    try:
+        z = np.linalg.solve(shifted, z0[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # Some shifted matrix is exactly singular: solve row by row, so that
+        # only the singular rows are left as NaN for eigh.
+        z = np.full(z0.shape, np.nan, dtype=np.result_type(shifted, z0))
+        for i, (m, b) in enumerate(zip(shifted, z0)):
+            try:
+                z[i] = np.linalg.solve(m, b)
+            except np.linalg.LinAlgError:
+                pass
+    # A nearly singular shift gives a huge but finite z; a row that is not
+    # finite or not an eigenvector fails the residual test and takes eigh.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        z /= np.abs(z).max(axis=1, keepdims=True)
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        resid = np.linalg.norm((As @ z[..., None])[..., 0] - lam[:, None] * z, axis=1)
+    lam /= scale
+    bad = ~(resid <= n * eps)
+    if bad.any():
+        evals, evecs = np.linalg.eigh(A[bad])
+        lam[bad], z[bad] = evals[:, 0], evecs[:, :, 0]
+    return lam, z
+
+
 def _seesaw_batch(map_, X0: np.ndarray, max_sweeps: int, improve_tol: float):
     """Run the alternation from every row of X0 at once; returns (values, X, Y, sweeps).
 
     Each row starts from the unit vector along its moduli |X0[i]|, a
     diagonal unitary image of X0[i] with the same values of F.  Each
     half-step is one stacked on_projector or quadratic_form call on the
-    rows still active and one stacked eigh.  Every row keeps its own stop
-    rule and monotonicity guards and is written out and dropped from the
-    stack when it stops, so row i of the result is bit for bit what the
-    alternation gives from X0[i] alone.  X and Y are float64 when the
-    map's G is real.
+    rows still active and one stacked _smallest_eigenpairs call, warm-started
+    from the vector the half-step replaces (x for the first y-step).  Every
+    row keeps its own stop rule and monotonicity guards and is written out
+    and dropped from the stack when it stops, so row i of the result is bit
+    for bit what the alternation gives from X0[i] alone.  X and Y are
+    float64 when the map's G is real.
     """
     X = np.array([_unit(np.abs(x0), "x0") for x0 in np.asarray(X0, dtype=np.complex128)])
     Y = np.zeros_like(X)
@@ -119,11 +177,9 @@ def _seesaw_batch(map_, X0: np.ndarray, max_sweeps: int, improve_tol: float):
     active = np.arange(len(X))
     x, value = X.copy(), values.copy()
     for sweep in range(1, max_sweeps + 1):
-        evals, evecs = np.linalg.eigh(map_.on_projector(x))
-        half, y = evals[:, 0], evecs[:, :, 0]
+        half, y = _smallest_eigenpairs(map_.on_projector(x), x if sweep == 1 else y)
         _check_monotone(value, half, "y")
-        evals, evecs = np.linalg.eigh(map_.quadratic_form(y))
-        new, x = evals[:, 0], evecs[:, :, 0]
+        new, x = _smallest_eigenpairs(map_.quadratic_form(y), x)
         _check_monotone(half, new, "x")
         done = value - new < improve_tol
         if sweep == max_sweeps:
@@ -135,7 +191,7 @@ def _seesaw_batch(map_, X0: np.ndarray, max_sweeps: int, improve_tol: float):
             X, Y = X.astype(x.dtype, copy=False), Y.astype(y.dtype, copy=False)
             values[rows], X[rows], Y[rows], sweeps[rows] = new[done], x[done], y[done], sweep
             keep = ~done
-            active, x, value = active[keep], x[keep], value[keep]
+            active, x, y, value = active[keep], x[keep], y[keep], value[keep]
             if not active.size:
                 break
     return values, X, Y, sweeps
@@ -156,12 +212,13 @@ def seesaw_minimize(map_, starts: int = DEFAULT_STARTS, seed: int = 0,
     (seed, start index), so the result does not depend on evaluation
     order; ties between starts resolve to the lowest index.  The starts
     run together in blocks of at most _BLOCK_ENTRIES matrix entries, one
-    stacked eigh per half-step over a block's active starts, which bounds
-    memory at any starts and n and gives each start bit for bit the result
-    it has alone.  The witness pair is real when the map's G is real.  A
-    verdict of negative-certificate means the reported witness pair
-    reproduces min_value < -tol on re-evaluation; positive-evidence only
-    records the smallest value found and proves nothing.  starts_capped counts the starts that ran all MAX_SWEEPS
+    stacked smallest-eigenpair solve per half-step over a block's active
+    starts, which bounds memory at any starts and n and gives each start
+    bit for bit the result it has alone.  The witness pair is real when
+    the map's G is real.  A verdict of negative-certificate means the
+    reported witness pair reproduces min_value < -tol on re-evaluation;
+    positive-evidence only records the smallest value found and proves
+    nothing.  starts_capped counts the starts that ran all MAX_SWEEPS
     sweeps, which the cap may have cut short.
     """
     starts = _check_int(starts, "starts")

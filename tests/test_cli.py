@@ -343,6 +343,25 @@ class TestLargeWeights:
         ref = ((n - k) - t) / n
         assert ref - 1e-9 * t <= res["min_value"] <= ref + 1e-6 * t
 
+    @pytest.mark.parametrize(
+        "n, k, t, verdict",
+        [
+            (16, 4, "1e300", "negative-certificate"),
+            (16, 4, "1e-300", "positive-evidence"),
+            (24, 6, "1e300", "negative-certificate"),
+            (24, 6, "1e-300", "positive-evidence"),
+        ],
+    )
+    def test_extreme_weights_from_n_16(self, n, k, t, verdict):
+        """The shifted solve of the half-steps factorizes each matrix scaled by a power of two."""
+        p = run_cli(
+            "positivity", "--n", str(n), "--k", str(k), "--perturb", "v1", "--t", t,
+            env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"},
+        )
+        assert p.returncode == 0, p.stderr
+        assert p.stderr == ""
+        assert json.loads(p.stdout)["result"]["verdict"] == verdict
+
 
 class TestGoldenBytes:
     """Full stdout of three invocations, frozen: the byte-identity contract itself."""

@@ -19,9 +19,11 @@ from posmap import (
 from posmap.positivity import (
     MAX_SWEEPS,
     SWEEP_IMPROVEMENT_TOL,
+    _INVERSE_ITERATION_MIN_N,
     _leave_one_out,
     _seesaw_batch,
     _seesaw_single,
+    _smallest_eigenpairs,
     analytic_det,
     degenerate_det_bound,
     f_value,
@@ -144,6 +146,10 @@ def fourier_map(n, k, weights):
     return TauMap(spec, HadamardPerturbation(build_circulant(spec).kernel, weights))
 
 
+# Unequal weights on the five Fourier kernel directions of (18, 12), so G is complex.
+LARGE_FOURIER_WEIGHTS = [10.0, 2.0, 1.0, 3.0, 6.0]
+
+
 def seeded_starts(n, count, seed=0):
     """The starts seesaw_minimize draws: one RNG stream per (seed, index)."""
     out = []
@@ -165,6 +171,9 @@ class TestBatchedSeesaw:
             (8, 6, 2.0, 0),
             # The absolute SWEEP_IMPROVEMENT_TOL never stops a start at this weight.
             (4, 2, 1e7, 16),
+            # From n = 16 on a half-step is eigvalsh plus one shifted solve.
+            (24, 6, 20.0, 0),
+            (32, 8, None, 0),
         ],
     )
     def test_rows_equal_single_starts(self, n, k, t, capped):
@@ -172,6 +181,9 @@ class TestBatchedSeesaw:
 
     def test_complex_schur_rows_equal_single_starts(self):
         self.check_rows_equal_single_starts(fourier_map(6, 3, [0.7, 0.4]), capped=0)
+
+    def test_complex_schur_rows_equal_single_starts_by_inverse_iteration(self):
+        self.check_rows_equal_single_starts(fourier_map(18, 12, LARGE_FOURIER_WEIGHTS), capped=0)
 
     @staticmethod
     def check_rows_equal_single_starts(map_, capped):
@@ -186,8 +198,20 @@ class TestBatchedSeesaw:
         assert np.count_nonzero(sweeps >= MAX_SWEEPS) == capped
 
     def test_permuting_rows_permutes_outputs(self):
-        map_ = v1_map(4, 2, 2.1)
-        X0 = seeded_starts(4, 10)
+        self.check_permuting_rows_permutes_outputs(v1_map(4, 2, 2.1))
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: v1_map(24, 6, 20.0), lambda: v1_map(32, 8),
+         lambda: fourier_map(18, 12, LARGE_FOURIER_WEIGHTS)],
+        ids=["v1-24-6", "plain-32-8", "fourier-18-12"],
+    )
+    def test_permuting_rows_permutes_outputs_by_inverse_iteration(self, make):
+        self.check_permuting_rows_permutes_outputs(make())
+
+    @staticmethod
+    def check_permuting_rows_permutes_outputs(map_):
+        X0 = seeded_starts(map_.n, 10)
         perm = np.random.default_rng(3).permutation(10)
         ref = _seesaw_batch(map_, X0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
         got = _seesaw_batch(map_, X0[perm], MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
@@ -280,6 +304,110 @@ class TestPhaseSimilarity:
         assert np.isfinite(x).all() and np.isfinite(y).all()
 
 
+def hermitian_stack(n, rows, dtype, seed):
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((rows, n, n))
+    if dtype is complex:
+        B = B + 1j * rng.standard_normal((rows, n, n))
+    return (B + np.conj(np.swapaxes(B, 1, 2))) / 2
+
+
+def eigen_residual(A, lam, z):
+    return np.linalg.norm((A @ z[..., None])[..., 0] - lam[:, None] * z, axis=1)
+
+
+class TestSmallestEigenpairs:
+    """From n = 16 on: eigvalsh plus one shifted solve, checked per row against eigh's accuracy."""
+
+    @staticmethod
+    def count_eigh(monkeypatch):
+        exact = np.linalg.eigh
+        rows = []
+
+        def eigh(a):
+            rows.append(len(a))
+            return exact(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        return rows
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n", [16, 24, 64])
+    @pytest.mark.parametrize("magnitude", [1.0, 1e300, 1e-300])
+    def test_warm_start_matches_eigh(self, monkeypatch, n, dtype, magnitude):
+        A = magnitude * hermitian_stack(n, 6, dtype, seed=n)
+        evals, evecs = np.linalg.eigh(A)
+        noise = np.random.default_rng(1).standard_normal((6, n))
+        z0 = evecs[:, :, 0] + 0.1 * noise / np.sqrt(n)
+        fallbacks = self.count_eigh(monkeypatch)
+        lam, z = _smallest_eigenpairs(A, z0)
+        assert fallbacks == []
+        peak = np.abs(A).max(axis=(1, 2))
+        ref = np.linalg.eigvalsh(A)[:, 0]
+        assert np.all(np.abs(lam - ref) <= 4 * n * np.finfo(float).eps * peak)
+        assert np.allclose(np.linalg.norm(z, axis=1), 1.0, rtol=0, atol=4e-16)
+        # The check runs on A scaled to max-abs entry in [1/2, 1), so relative
+        # to max|A| the residual is below 2 n eps.
+        unit = A / peak[:, None, None]
+        resid = eigen_residual(unit, lam / peak, z)
+        assert np.all(resid <= 2 * n * np.finfo(float).eps)
+        eigh_resid = eigen_residual(unit, evals[:, 0] / peak, evecs[:, :, 0])
+        assert np.all(resid <= 8 * eigh_resid.max())
+
+    def test_below_the_crossover_is_eigh(self):
+        n = _INVERSE_ITERATION_MIN_N - 1
+        A = hermitian_stack(n, 4, complex, seed=2)
+        evals, evecs = np.linalg.eigh(A)
+        lam, z = _smallest_eigenpairs(A, np.ones((4, n)))
+        assert lam.tobytes() == evals[:, 0].tobytes()
+        assert z.tobytes() == evecs[:, :, 0].tobytes()
+
+    def test_start_without_the_eigenvector_takes_eigh(self, monkeypatch):
+        """z0 = e_2 has no component on e_1, the smallest eigenvector of a diagonal matrix.
+
+        The solve returns e_2 exactly, its residual is the gap, and that row
+        takes eigh; the row started from e_1 keeps its solve.
+        """
+        n = 16
+        d = np.arange(1.0, n + 1)
+        A = np.stack([np.diag(d), np.diag(d)])
+        z0 = np.stack([unit_basis(n, 1), unit_basis(n, 0)])
+        fallbacks = self.count_eigh(monkeypatch)
+        lam, z = _smallest_eigenpairs(A, z0)
+        assert fallbacks == [1]
+        evals, evecs = np.linalg.eigh(A[:1])
+        assert lam[:1].tobytes() == evals[:, 0].tobytes()
+        assert z[:1].tobytes() == evecs[:, :, 0].tobytes()
+        assert lam[1] == 1.0
+        assert np.array_equal(np.abs(z[1]), unit_basis(n, 0))
+
+    def test_singular_row_takes_eigh_and_others_keep_their_solve(self, monkeypatch):
+        n = 24
+        A = hermitian_stack(n, 3, float, seed=5)
+        z0 = np.linalg.eigh(A)[1][:, :, 0] + 0.01
+        ref_lam, ref_z = _smallest_eigenpairs(A, z0)
+        exact = np.linalg.solve
+        calls = []
+
+        def solve(a, b):
+            # The stacked call, then row 1 of the row-by-row retry, find a zero pivot.
+            calls.append(a.ndim)
+            if a.ndim == 3 or len(calls) == 3:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return exact(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        lam, z = _smallest_eigenpairs(A, z0)
+        assert calls == [3, 2, 2, 2]
+        evals, evecs = np.linalg.eigh(A[1:2])
+        for i in (0, 2):
+            assert lam[i].tobytes() == ref_lam[i].tobytes()
+            assert z[i].tobytes() == ref_z[i].tobytes()
+        assert lam[1].tobytes() == evals[0, 0].tobytes()
+        assert z[1].tobytes() == evecs[0, :, 0].tobytes()
+
+
 class TestMonotonicityGuards:
     """An exact half-step that raises the objective is an anomaly, not a result."""
 
@@ -309,12 +437,69 @@ class TestMonotonicityGuards:
 
     def test_cli_exits_4(self, monkeypatch, capsys):
         self.spoil_eigh(monkeypatch, 2, row=1)
-        code = posmap.cli.main(["positivity", "--n", "4", "--k", "2", "--starts", "4"])
+        self.check_cli_exits_4(capsys, 4, 2)
+
+    @staticmethod
+    def check_cli_exits_4(capsys, n, k):
+        code = posmap.cli.main(["positivity", "--n", str(n), "--k", str(k), "--starts", "4"])
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""
         assert captured.err.startswith(
             "posmap: anomaly: see-saw objective increased on the x step")
+
+    @staticmethod
+    def spoil_lapack(monkeypatch, call, row, fallback_raise=1.0):
+        """From n = 16 on, raise one row's smallest eigenvalue by 1 on the given eigvalsh call.
+
+        The residual check sends that row to eigh, so while the same
+        half-step lasts eigh raises each row it is given by fallback_raise.
+        Returns the list of stack sizes eigh was given in that half-step.
+        """
+        exact_vals, exact_eigh = np.linalg.eigvalsh, np.linalg.eigh
+        calls, fallback_rows = [], []
+
+        def eigvalsh(a):
+            evals = exact_vals(a)
+            calls.append(None)
+            if len(calls) == call:
+                evals = evals.copy()
+                evals[row, 0] += 1.0
+            return evals
+
+        def eigh(a):
+            evals, evecs = exact_eigh(a)
+            if len(calls) == call:
+                fallback_rows.append(len(a))
+                evals = evals.copy()
+                evals[:, 0] += fallback_raise
+            return evals, evecs
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        return fallback_rows
+
+    @pytest.mark.parametrize("call, step", [(2, "x"), (3, "y"), (6, "x")])
+    def test_raised_eigenvalue_is_an_anomaly_from_n_16(self, monkeypatch, call, step):
+        fallback_rows = self.spoil_lapack(monkeypatch, call, row=1)
+        with pytest.raises(NumericalAnomalyError,
+                           match=f"see-saw objective increased on the {step} step"):
+            seesaw_minimize(TauMap(MapSpec(16, 4)), starts=4, seed=0)
+        assert fallback_rows == [1]
+
+    def test_raised_eigvalsh_alone_takes_eigh(self, monkeypatch):
+        """A raised eigvalsh value is no eigenvalue: the residual check sends its row to eigh."""
+        map_ = TauMap(MapSpec(16, 4))
+        ref = seesaw_minimize(map_, starts=4, seed=0)
+        fallback_rows = self.spoil_lapack(monkeypatch, 2, row=1, fallback_raise=0.0)
+        got = seesaw_minimize(map_, starts=4, seed=0)
+        assert fallback_rows == [1]
+        assert got.verdict == ref.verdict
+        assert abs(got.min_value - ref.min_value) <= 1e-12
+
+    def test_cli_exits_4_from_n_16(self, monkeypatch, capsys):
+        self.spoil_lapack(monkeypatch, 2, row=1)
+        self.check_cli_exits_4(capsys, 16, 4)
 
 
 class TestDiagonalProfile:
