@@ -41,9 +41,8 @@ PROBE_SEESAW_TOL = 1e-7
 
 @dataclass(frozen=True)
 class CirculantConstraint:
-    """The window-sum system: circulant matrix, closed-form spectrum, kernel."""
+    """The window-sum system: circulant first row, closed-form spectrum, kernel."""
 
-    matrix: np.ndarray
     first_row: np.ndarray
     eigenvalues: np.ndarray
     zero_indices: tuple
@@ -82,13 +81,13 @@ def _root_power(n: int, m: int) -> complex:
 
 
 def build_circulant(spec: MapSpec) -> CirculantConstraint:
-    """Assemble the window-sum circulant for 1 <= k <= n-1 and cross-check it.
+    """Spectrum and kernel of the window-sum circulant M from its first row, 1 <= k <= n-1.
 
     M[i][j] = first_row[(j - i) mod n] with first_row starting in n-k ones,
-    so row j states that the window sum at offset j vanishes.  Eigenvalues
-    lambda_j = sum_{m < n-k} omega^{jm} are verified against M acting on
-    Fourier vectors; zero eigenvalues sit exactly at multiples of n/d, and
-    each kernel vector's entries must sum to zero, as a subtraction needs.
+    so row j states that the window sum at offset j vanishes.  M is never
+    formed: lambda_j = sum_{m < n-k} omega^{jm} is checked against M's
+    spectrum conj(fft(first_row)); zero eigenvalues sit exactly at multiples
+    of n/d, and each kernel vector's entries must sum to zero.
     """
     if spec.k == 0:
         raise DomainError("k = 0 admits no subtraction constraints")
@@ -96,32 +95,30 @@ def build_circulant(spec: MapSpec) -> CirculantConstraint:
     first = np.zeros(n, dtype=int)
     first[: n - k] = 1
     idx = np.arange(n)
-    M = first[(idx - idx[:, None]) % n]
-    # R[j, m] = omega^{jm}; row j over sqrt(n) is the Fourier vector (omega^{ji})_i / sqrt(n).
-    R = np.array([_root_power(n, m) for m in range(n)])[np.outer(idx, idx) % n]
-    lam = sum(R[:, m] for m in range(n - k))
-    fourier = R / math.sqrt(n)
-    # Row j of fourier @ M^T is M applied to Fourier vector j.
-    residuals = np.abs(fourier @ M.T - lam[:, None] * fourier).max(axis=1)
-    d = spec.gcd
-    zeros = tuple(r * (n // d) for r in range(1, d))
-    for j, (f, resid) in enumerate(zip(fourier, residuals)):
-        if resid > SPECTRUM_CHECK_TOL:
-            raise NumericalAnomalyError(
-                f"closed-form eigenvalue {j} disagrees with the matrix by {resid:.3e}"
-            )
-        analytically_zero = j in zeros
-        if analytically_zero != (abs(lam[j]) <= SPECTRUM_CHECK_TOL):
-            raise NumericalAnomalyError(f"zero set mismatch at eigenvalue index {j}")
-        if analytically_zero and abs(f.sum()) > ENTRY_SUM_ATOL:
-            raise NumericalAnomalyError(f"kernel vector {j} has entry sum {f.sum():.3e}, not zero")
-    kernel = tuple(fourier[j] for j in zeros)
+    roots = np.array([_root_power(n, m) for m in range(n)])
+    # Column m of the root table omega^{jm}, added in order: these bits are reported.
+    lam = sum(roots[(idx * m) % n] for m in range(n - k))
+    # Entrywise, M f_j - lambda_j f_j has modulus |error| / sqrt(n): bound that by the tolerance.
+    residuals = np.abs(lam - np.fft.fft(first).conj())
+    bad = np.flatnonzero(residuals > SPECTRUM_CHECK_TOL * math.sqrt(n))
+    if bad.size:
+        raise NumericalAnomalyError(f"closed-form eigenvalue {bad[0]} disagrees with the "
+                                    f"first row's FFT by {residuals[bad[0]]:.3e}")
+    zeros = tuple(range(n // spec.gcd, n, n // spec.gcd))
+    bad = np.flatnonzero((np.abs(lam) <= SPECTRUM_CHECK_TOL) != np.isin(idx, zeros))
+    if bad.size:
+        raise NumericalAnomalyError(f"zero set mismatch at eigenvalue index {bad[0]}")
+    kernel = roots[(np.array(zeros, dtype=int)[:, None] * idx) % n] / math.sqrt(n)
+    sums = kernel.sum(axis=1)
+    bad = np.flatnonzero(np.abs(sums) > ENTRY_SUM_ATOL)
+    if bad.size:
+        raise NumericalAnomalyError(f"kernel vector {zeros[bad[0]]} has entry sum "
+                                    f"{sums[bad[0]]:.3e}, not zero")
     return CirculantConstraint(
-        matrix=M,
         first_row=first,
         eigenvalues=lam,
         zero_indices=zeros,
-        kernel=kernel,
+        kernel=tuple(kernel),
     )
 
 

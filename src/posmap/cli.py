@@ -319,6 +319,8 @@ def cmd_conjecture(spec: MapSpec, config: dict) -> dict:
     if config["experimental"]:
         if config["grid"] is None:
             raise ConfigError("--experimental requires --grid START:STOP:NUM")
+        if config["t"] is not None:
+            raise ConfigError("--experimental sweeps --grid and takes no --t")
         if spec.gcd < 2:
             raise ConfigError(f"no kernel directions to sweep: gcd(n, k) = {spec.gcd}")
         axes = spec.gcd - 1
@@ -344,6 +346,8 @@ def cmd_conjecture(spec: MapSpec, config: dict) -> dict:
             "points": points,
             "verdict": "not-asserted",
         }
+    if config["grid"] is not None:
+        raise ConfigError("--grid requires --experimental")
     evidence = conjecture_probe(
         spec, seed=config["seed"], t=config["t"],
         starts=config["starts"], tol=config["tol"],

@@ -1,5 +1,8 @@
 """Tests for the window-sum circulant, kernel certificates, and the weight probe."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,23 +17,31 @@ from posmap import (
 )
 from posmap import certify
 from posmap.certify import build_circulant, certify_optimality, conjecture_probe
+from posmap.cli import main
+
+
+def dense_circulant(c):
+    """M[i][j] = first_row[(j - i) mod n], the matrix build_circulant never forms."""
+    idx = np.arange(len(c.first_row))
+    return c.first_row[(idx - idx[:, None]) % len(idx)]
 
 
 class TestBuildCirculant:
     def test_3_1_frozen(self):
         c = build_circulant(MapSpec(3, 1))
+        M = dense_circulant(c)
         expected = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=float)
-        assert np.array_equal(c.matrix, expected)
+        assert np.array_equal(M, expected)
         assert np.array_equal(c.first_row, [1, 1, 0])
-        assert round(np.linalg.det(c.matrix)) == 2
+        assert round(np.linalg.det(M)) == 2
 
     def test_4_3_is_identity(self):
-        c = build_circulant(MapSpec(4, 3))
-        assert np.array_equal(c.matrix, np.eye(4))
-        assert round(np.linalg.det(c.matrix)) == 1
+        M = dense_circulant(build_circulant(MapSpec(4, 3)))
+        assert np.array_equal(M, np.eye(4))
+        assert round(np.linalg.det(M)) == 1
 
     def test_5_3_frozen(self):
-        c = build_circulant(MapSpec(5, 3))
+        M = dense_circulant(build_circulant(MapSpec(5, 3)))
         expected = np.array(
             [
                 [1, 1, 0, 0, 0],
@@ -41,8 +52,8 @@ class TestBuildCirculant:
             ],
             dtype=float,
         )
-        assert np.array_equal(c.matrix, expected)
-        assert round(np.linalg.det(c.matrix)) == 2
+        assert np.array_equal(M, expected)
+        assert round(np.linalg.det(M)) == 2
 
     def test_4_2_spectrum_frozen(self):
         c = build_circulant(MapSpec(4, 2))
@@ -71,10 +82,11 @@ class TestBuildCirculant:
     @pytest.mark.parametrize("n,k", [(5, 2), (7, 3), (8, 6), (11, 4)])
     def test_closed_form_diagonalizes_matrix(self, n, k):
         c = build_circulant(MapSpec(n, k))
+        M = dense_circulant(c)
         idx = np.arange(n)
         for j in range(n):
             fourier = np.exp(2j * np.pi * j * idx / n) / np.sqrt(n)
-            residual = c.matrix @ fourier - c.eigenvalues[j] * fourier
+            residual = M @ fourier - c.eigenvalues[j] * fourier
             assert np.linalg.norm(residual) <= 1e-10
 
 
@@ -104,8 +116,9 @@ class TestKernelBasis:
     def test_dimension_is_gcd_minus_one(self, n, k, dim):
         c = build_circulant(MapSpec(n, k))
         assert len(c.kernel) == dim
+        M = dense_circulant(c)
         for v in c.kernel:
-            assert np.linalg.norm(c.matrix @ v) <= 1e-10
+            assert np.linalg.norm(M @ v) <= 1e-10
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
 
     def test_index_half_n_is_the_alternating_vector(self):
@@ -142,6 +155,32 @@ class TestCertifyOptimality:
     def test_k_zero_rejected(self):
         with pytest.raises(DomainError):
             certify_optimality(MapSpec(5, 0))
+
+    def test_spectrum_is_cross_checked(self, monkeypatch, capsys):
+        """A closed-form eigenvalue off M's spectrum, the FFT of its first row, is an anomaly."""
+        root_power = certify._root_power
+        monkeypatch.setattr(
+            certify, "_root_power", lambda n, m: root_power(n, m) + (1e-6 if m == 1 else 0.0)
+        )
+        with pytest.raises(NumericalAnomalyError, match="disagrees"):
+            certify_optimality(MapSpec(5, 2))
+        assert main(["certify", "--n", "5", "--k", "2"]) == 4
+        assert "disagrees" in capsys.readouterr().err
+
+    def test_large_n_forms_no_dense_array(self, capsys):
+        """One 4099 x 4099 complex array alone would be 256 MiB."""
+        tracemalloc.start()
+        try:
+            c = build_circulant(MapSpec(4099, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert len(c.eigenvalues) == 4099 and c.kernel == ()
+        assert main(["certify", "--n", "4099", "--k", "2"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["verdict"] == "optimal-certified"
+        assert len(result["eigenvalues"]) == 4099
 
     def test_kernel_entry_sum_is_cross_checked(self, monkeypatch):
         """A kernel vector whose entries do not sum to zero is an anomaly, not a candidate."""

@@ -488,6 +488,17 @@ class TestMainInProcess:
         assert main([command, "--n", "4", "--k", "2", flag, value]) == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--grid", "0:1:2"], "--grid requires --experimental"),
+        (["--experimental", "--grid", "0:1:1", "--t", "5"],
+         "--experimental sweeps --grid and takes no --t"),
+    ])
+    def test_conjecture_flag_the_mode_ignores_exits_2(self, capsys, flags, message):
+        assert main(["conjecture", "--n", "4", "--k", "2", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"posmap: error: {message}\n"
+
     BAD_FILES = {
         "integer-beyond-float": b"[[[1" + b"0" * 400 + b", 0], [0, 0]], [[0, 0], [1, 0]]]",
         "integer-beyond-digit-limit": b"[[[" + b"1" * 5000 + b", 0], [0, 0]], [[0, 0], [1, 0]]]",
