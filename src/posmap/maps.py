@@ -20,7 +20,10 @@ Every map here fits a single template
 for a real coupling matrix C and a Hermitian entrywise factor G.  TauMap
 is its one instantiation, with C = shift_coupling(spec) and G = 1 + L;
 it exposes the small protocol (apply, on_projector, quadratic_form, choi)
-consumed by the positivity engine.
+consumed by the positivity engine.  G = B B^dag for the n x (1 + r)
+factor B = [1, sqrt(w_r) alpha_r], so each matrix on_projector and
+quadratic_form return is a diagonal minus a rank-(1 + r) term, which the
+*_factors methods give without forming it.
 """
 
 from __future__ import annotations
@@ -185,30 +188,42 @@ class _EntrywiseMap:
     of shape (..., n) and return one n x n matrix per row, shape (..., n, n);
     each row comes out bit for bit as it would alone.  The result is
     complex128 when the input or G is complex; a real input on a map with
-    a real G gives a real symmetric float64 matrix.
+    a real G gives a real symmetric float64 matrix.  factor is an n x m
+    matrix B with B B^dag = G, real when G is.
     """
 
-    def __init__(self, n: int, coupling: np.ndarray, schur: np.ndarray):
+    def __init__(self, n: int, coupling: np.ndarray, schur: np.ndarray, factor: np.ndarray):
         self.n = n
         self._C = coupling
         self._G = schur
+        self.factor = factor
 
     def apply(self, X) -> np.ndarray:
         A = as_square_matrix(X, self.n)
         return np.diag(self._C @ np.diagonal(A)) - self._G * A
 
-    def _diag_minus_schur(self, K: np.ndarray, x) -> np.ndarray:
-        """Diag(K |v|^2) - G o outer(conj(v), v) for each row v of x."""
+    def _vectors_and_profile(self, K: np.ndarray, x):
+        """(v, K |v|^2) for the rows v of x, float64 when x and G are real."""
         complex_ = np.iscomplexobj(x) or np.iscomplexobj(self._G)
         v = np.asarray(x, dtype=np.complex128 if complex_ else np.float64)
-        n = self.n
-        if v.ndim == 0 or v.shape[-1] != n:
-            raise DimensionMismatchError(f"expected vectors of length {n}, got shape {v.shape}")
-        out = np.zeros(v.shape + (n,), dtype=v.dtype)
+        if v.ndim == 0 or v.shape[-1] != self.n:
+            raise DimensionMismatchError(f"expected vectors of length {self.n}, got shape {v.shape}")
         p = v.real**2 + v.imag**2
-        out.reshape(v.shape[:-1] + (n * n,))[..., :: n + 1] = np.matmul(K, p[..., None])[..., 0]
+        return v, np.matmul(K, p[..., None])[..., 0]
+
+    def _diag_minus_schur(self, K: np.ndarray, x) -> np.ndarray:
+        """Diag(K |v|^2) - G o outer(conj(v), v) for each row v of x."""
+        v, d = self._vectors_and_profile(K, x)
+        n = self.n
+        out = np.zeros(v.shape + (n,), dtype=v.dtype)
+        out.reshape(v.shape[:-1] + (n * n,))[..., :: n + 1] = d
         out -= self._G * (v.conj()[..., :, None] * v[..., None, :])
         return out
+
+    def _diag_and_factor(self, K: np.ndarray, x):
+        """(d, U) with Diag(d) - U U^dag = _diag_minus_schur(K, x): d = K |v|^2, U = conj(v) o B."""
+        v, d = self._vectors_and_profile(K, x)
+        return d, v.conj()[..., :, None] * self.factor
 
     def on_projector(self, x) -> np.ndarray:
         """The map evaluated on conj(x) conj(x)^dag, given the vector x."""
@@ -217,6 +232,14 @@ class _EntrywiseMap:
     def quadratic_form(self, y) -> np.ndarray:
         """Hermitian Q(y) with x^dag Q x = <y, map(conj(x) conj(x)^dag) y>."""
         return self._diag_minus_schur(self._C.T, y)
+
+    def on_projector_factors(self, x):
+        """on_projector(x) as (d, U), the matrix being Diag(d) - U U^dag."""
+        return self._diag_and_factor(self._C, x)
+
+    def quadratic_form_factors(self, y):
+        """quadratic_form(y) as (d, U), the matrix being Diag(d) - U U^dag."""
+        return self._diag_and_factor(self._C.T, y)
 
     def choi(self) -> np.ndarray:
         """Block matrix whose (i, j) block is the map applied to e_ij."""
@@ -230,7 +253,10 @@ class TauMap(_EntrywiseMap):
     """One member tau_{n,k}, optionally corrected by a Hadamard subtraction.
 
     G = 1 + L is stored as float64 when L has no imaginary part, which
-    covers the plain maps and every real direction such as v1.
+    covers the plain maps and every real direction such as v1.  Its factor
+    is B = [1, sqrt(w_r) alpha_r]; when G is real, B is replaced by the
+    real factor [Re B, Im B]; zero columns are dropped, so that plain maps
+    have m = 1 and v1 has m = 2.
     """
 
     def __init__(self, spec: MapSpec, pert: HadamardPerturbation | None = None):
@@ -239,7 +265,13 @@ class TauMap(_EntrywiseMap):
                 f"perturbation is {pert.dim}x{pert.dim} but the map acts on {spec.n}x{spec.n}"
             )
         G = np.ones((spec.n, spec.n))
+        B = np.ones((spec.n, 1), dtype=np.complex128)
         if pert is not None:
             L = pert.matrix
             G = G + (L if L.imag.any() else L.real)
-        super().__init__(spec.n, shift_coupling(spec), G)
+            roots = np.sqrt(np.array(pert.weights))
+            B = np.concatenate((B, (pert.alphas * roots[:, None]).T), axis=1)
+        if not np.iscomplexobj(G):
+            B = np.concatenate((B.real, B.imag), axis=1)
+        B = B[:, B.any(axis=0)]
+        super().__init__(spec.n, shift_coupling(spec), G, B)

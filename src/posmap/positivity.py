@@ -14,13 +14,17 @@ certificate, a nonnegative one only evidence.  All starts advance
 together: a half-step is one stacked map evaluation and one stacked
 smallest-eigenpair solve over the starts still active, and each start's
 result is bit for bit the one it gives alone.  Below n = 16 that solve is
-eigh; from n = 16 on it is eigvalsh plus one shifted linear solve
-(inverse iteration) warm-started from the previous vector, with eigh for
-any row whose residual is above the rounding level.  F is invariant under
-(x, y) -> (D x, conj(D) y) for every diagonal unitary D, so each start x0
-is replaced by its moduli |x0|, which gives the same sequence of values.
-When the map's G is real the vectors then stay real throughout, every
-eigenproblem is real symmetric, and the witness pair is real.
+eigh on the n x n matrices.  From n = 16 on no n x n matrix is formed:
+each half-step matrix is Diag(d) - U U^dag with d = K |v|^2 and
+U = conj(v) o B of rank m = 1 + r (B B^dag = G), and Newton's method on
+the m x m secular equation, warm-started from the previous vector, gives
+the eigenpair in O(n m) per step; eigh takes any row that has no pole at
+min d, does not converge, or whose residual is above the rounding level.
+F is invariant under (x, y) -> (D x, conj(D) y) for every diagonal
+unitary D, so each start x0 is replaced by its moduli |x0|, which gives
+the same sequence of values.  When the map's G is real the vectors then
+stay real throughout, every eigenproblem is real symmetric, and the
+witness pair is real.
 
 For diagonal input X = diag(X_1, ..., X_n) the map's positivity reduces to
 scalar data: the profile D = S X with S the shift coupling, the ratio sum
@@ -31,6 +35,7 @@ product-form determinant that never divides and so survives D_i = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -53,9 +58,13 @@ SWEEP_IMPROVEMENT_TOL = 1e-12
 _MONOTONE_SLACK = 1e-10
 # Matrix entries per stacked see-saw block (1 MiB per complex stack).
 _BLOCK_ENTRIES = 1 << 16
-# Matrix size from which a half-step takes eigvalsh plus one shifted solve,
-# not a full eigh (the crossover of the two on stacks of 1 to 16 rows).
-_INVERSE_ITERATION_MIN_N = 16
+# Matrix size from which a half-step solves the secular equation of the
+# low-rank form Diag(d) - U U^dag, not a full eigh.
+_SECULAR_MIN_N = 16
+# Newton steps after which a row of the secular solve takes eigh (see-saw
+# rows over n = 16..64, plain, v1 and Fourier maps, took at most 11).
+_SECULAR_MAX_ITERATIONS = 30
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -91,6 +100,8 @@ def form_value(map_, x, y) -> float:
         raise DimensionMismatchError(
             f"vectors of length {xv.shape[0]}, {yv.shape[0]} against a map on dimension {map_.n}"
         )
+    if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
+        raise DomainError("x and y must have finite entries")
     xv = _unit(xv, "x")
     yv = _unit(yv, "y")
     return float(np.real(np.vdot(yv, map_.on_projector(xv) @ yv)))
@@ -106,54 +117,113 @@ def _check_monotone(before: np.ndarray, after: np.ndarray, step: str) -> None:
         )
 
 
-def _smallest_eigenpairs(A: np.ndarray, z0: np.ndarray):
-    """Smallest eigenvalue and a unit eigenvector of each Hermitian matrix in the stack A.
+def _eigh_smallest(A: np.ndarray):
+    """Smallest eigenvalue and a unit eigenvector of each Hermitian matrix in the stack A."""
+    evals, evecs = np.linalg.eigh(A)
+    return evals[:, 0], evecs[:, :, 0]
 
-    Below _INVERSE_ITERATION_MIN_N this is eigh.  From there on each matrix
-    is scaled by a power of two to max-abs entry in [1/2, 1), which is exact
-    and keeps the factorization clear of overflow and underflow at any
-    weight.  eigvalsh gives the eigenvalue, and one solve with the matrix
-    shifted a few ulps below it, started from z0 (inverse iteration), gives
-    the vector.  A row whose residual |A z - lambda z| exceeds the rounding
-    level n eps of the scaled matrix, or whose shifted matrix is exactly
-    singular, takes eigh instead, so every result is an eigenpair to eigh's
-    accuracy and each half-step stays an exact minimization.  Each row
-    depends only on its own matrix and z0.
+
+def _abs2(a: np.ndarray) -> np.ndarray:
+    """|a|^2 entrywise."""
+    return a.real**2 + a.imag**2 if np.iscomplexobj(a) else a * a
+
+
+def _newton_step(gaps: np.ndarray, U: np.ndarray, mu: np.ndarray):
+    """(step, z) of Newton on g = 1 / lambda_max(K) = 1 at lam = min d + mu < min d, for each row.
+
+    gaps = d - min d.  K = U^dag (D - lam)^-1 U is m x m, with top
+    eigenvalue rho and unit eigenvector a; z = (D - lam)^-1 U a, and
+    rho' = a^dag K' a = |z|^2, so the step is rho (rho - 1) / |z|^2.
     """
-    n = A.shape[-1]
-    if n < _INVERSE_ITERATION_MIN_N:
-        evals, evecs = np.linalg.eigh(A)
-        return evals[:, 0], evecs[:, :, 0]
-    _, exponent = np.frexp(np.abs(A).max(axis=(1, 2)))
-    scale = np.ldexp(1.0, -exponent)
-    As = A * scale[:, None, None]
-    lam = np.linalg.eigvalsh(As)[:, 0]
-    eps = np.finfo(float).eps
-    # Four ulps of the unit scale: with one or two, the shifted see-saw
-    # matrices came out exactly singular in about one row of 40 to 80.
-    shifted = As - (lam - 4 * eps)[:, None, None] * np.eye(n)
-    try:
-        z = np.linalg.solve(shifted, z0[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        # Some shifted matrix is exactly singular: solve row by row, so that
-        # only the singular rows are left as NaN for eigh.
-        z = np.full(z0.shape, np.nan, dtype=np.result_type(shifted, z0))
-        for i, (m, b) in enumerate(zip(shifted, z0)):
-            try:
-                z[i] = np.linalg.solve(m, b)
-            except np.linalg.LinAlgError:
-                pass
-    # A nearly singular shift gives a huge but finite z; a row that is not
-    # finite or not an eigenvector fails the residual test and takes eigh.
+    W = 1.0 / (gaps - mu[:, None])
+    if U.shape[2] == 1:
+        y = U[..., 0]
+        rho = (W * _abs2(y)).sum(axis=1)
+    else:
+        evals, evecs = np.linalg.eigh(np.swapaxes(U.conj() * W[..., None], 1, 2) @ U)
+        rho = evals[:, -1]
+        y = (U @ evecs[:, :, -1:])[..., 0]
+    z = W * y
+    return rho * (rho - 1.0) / _abs2(z).sum(axis=1), z
+
+
+def _secular_newton(gaps: np.ndarray, U: np.ndarray, mu: np.ndarray):
+    """Smallest eigenpair (mu, z) of each Diag(gaps) - U U^dag by Newton from mu < 0, or NaN.
+
+    g(mu) = 1 / lambda_max(K(mu)) is decreasing and concave below the
+    pole at 0, and the smallest eigenvalue is its root g = 1.  Started at
+    or right of the root, Newton's iterates decrease to it without
+    crossing it or the pole.  Iterating on mu, not on lam = min d + mu,
+    keeps every d_i - lam = gaps_i - mu to full relative accuracy, which
+    the vector needs when the root lies within rounding of min d.  A row
+    stops when its step is below one ulp of |mu|; a row whose step would
+    raise mu, or that runs _SECULAR_MAX_ITERATIONS steps, is left as NaN.
+    Each row depends only on its own gaps, U and start.
+    """
+    out = np.full(len(gaps), np.nan)
+    Z = np.full(U.shape[:2], np.nan, dtype=U.dtype)
+    rows = np.arange(len(gaps))
+    for _ in range(_SECULAR_MAX_ITERATIONS):
+        step, z = _newton_step(gaps, U, mu)
+        tol = _EPS * np.abs(mu)
+        go = step > tol
+        if not go.all():
+            done = ~go & (step >= -64 * tol)
+            out[rows[done]], Z[rows[done]] = mu[done], z[done]
+            rows, gaps, U, mu, step = rows[go], gaps[go], U[go], mu[go], step[go]
+            if not rows.size:
+                break
+        mu = mu - step
+    return out, Z
+
+
+def _secular_eigenpairs(d: np.ndarray, U: np.ndarray, z0: np.ndarray):
+    """Smallest eigenpair of each Diag(d) - U U^dag from d and the n x m factor U; (lam, z, bad).
+
+    Each row is scaled by a power of two to max(d, |U_i|^2) in [1/4, 1),
+    which is exact and keeps every step clear of overflow and underflow.
+    Newton starts from the smaller of two upper bounds on the root, the
+    Rayleigh quotient of z0 and the diagonal entry at argmin d.  A row is
+    bad, with lam and z left for eigh, when U vanishes at argmin d (no pole
+    there: deflation) or the start is not below min d, when Newton does not
+    converge, or when the residual |A z - lam z| exceeds the rounding level
+    n eps of the scaled matrix.  No n x n matrix is formed.
+    """
+    rows, n, _ = U.shape
+    half = -(-np.frexp(np.maximum(d.max(axis=1), _abs2(U).sum(axis=2).max(axis=1)))[1] // 2)
+    d = np.ldexp(d, -2 * half[:, None])
+    U = U * np.ldexp(1.0, -half)[:, None, None]
+    imin = d.argmin(axis=1)
+    dmin, umin = d[np.arange(rows), imin], U[np.arange(rows), imin]
+    gaps = d - dmin[:, None]
+    Uh = np.swapaxes(U.conj(), 1, 2)
+    w2, Uz0 = _abs2(z0), (Uh @ z0[..., None])[..., 0]
+    rayleigh = ((gaps * w2).sum(axis=1) - _abs2(Uz0).sum(axis=1)) / w2.sum(axis=1)
+    mu = np.fmin(rayleigh, -_abs2(umin).sum(axis=1))
+    ok = umin.any(axis=1) & (mu < 0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if ok.all():
+            mu, z = _secular_newton(gaps, U, mu)
+        else:
+            z = np.full((rows, n), np.nan, dtype=U.dtype)
+            mu[ok], z[ok] = _secular_newton(gaps[ok], U[ok], mu[ok])
         z /= np.abs(z).max(axis=1, keepdims=True)
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        resid = np.linalg.norm((As @ z[..., None])[..., 0] - lam[:, None] * z, axis=1)
-    lam /= scale
-    bad = ~(resid <= n * eps)
+        z /= np.sqrt(_abs2(z).sum(axis=1))[:, None]
+        r = (gaps - mu[:, None]) * z - (U @ (Uh @ z[..., None]))[..., 0]
+        resid = np.sqrt(_abs2(r).sum(axis=1))
+    return np.ldexp(dmin + mu, 2 * half), z, ~(resid <= n * _EPS)
+
+
+def _eigh_halfstep(dense, factors, v: np.ndarray, z0: np.ndarray):
+    """Smallest eigenpairs of the matrices dense(v) by one stacked eigh."""
+    return _eigh_smallest(dense(v))
+
+
+def _secular_halfstep(dense, factors, v: np.ndarray, z0: np.ndarray):
+    """Smallest eigenpairs of the matrices dense(v) from factors(v) = (d, U), eigh for bad rows."""
+    lam, z, bad = _secular_eigenpairs(*factors(v), z0)
     if bad.any():
-        evals, evecs = np.linalg.eigh(A[bad])
-        lam[bad], z[bad] = evals[:, 0], evecs[:, :, 0]
+        lam[bad], z[bad] = _eigh_smallest(dense(v[bad]))
     return lam, z
 
 
@@ -162,13 +232,15 @@ def _seesaw_batch(map_, X0: np.ndarray, max_sweeps: int, improve_tol: float):
 
     Each row starts from the unit vector along its moduli |X0[i]|, a
     diagonal unitary image of X0[i] with the same values of F.  Each
-    half-step is one stacked on_projector or quadratic_form call on the
-    rows still active and one stacked _smallest_eigenpairs call, warm-started
-    from the vector the half-step replaces (x for the first y-step).  Every
-    row keeps its own stop rule and monotonicity guards and is written out
-    and dropped from the stack when it stops, so row i of the result is bit
-    for bit what the alternation gives from X0[i] alone.  X and Y are
-    float64 when the map's G is real.
+    half-step solves for the smallest eigenpairs of the on_projector or
+    quadratic_form matrices of the rows still active: below _SECULAR_MIN_N
+    by one stacked eigh, from there on by _secular_halfstep on the
+    *_factors of those matrices, warm-started from the vector the
+    half-step replaces (x for the first y-step).  The path is chosen once
+    per call, from n.  Every row keeps its own stop rule and monotonicity
+    guards and is written out and dropped from the stack when it stops, so
+    row i of the result is bit for bit what the alternation gives from
+    X0[i] alone.  X and Y are float64 when the map's G is real.
     """
     X = np.array([_unit(np.abs(x0), "x0") for x0 in np.asarray(X0, dtype=np.complex128)])
     Y = np.zeros_like(X)
@@ -176,10 +248,13 @@ def _seesaw_batch(map_, X0: np.ndarray, max_sweeps: int, improve_tol: float):
     sweeps = np.zeros(len(X), dtype=int)
     active = np.arange(len(X))
     x, value = X.copy(), values.copy()
+    halfstep = _eigh_halfstep if map_.n < _SECULAR_MIN_N else _secular_halfstep
+    y_step = partial(halfstep, map_.on_projector, map_.on_projector_factors)
+    x_step = partial(halfstep, map_.quadratic_form, map_.quadratic_form_factors)
     for sweep in range(1, max_sweeps + 1):
-        half, y = _smallest_eigenpairs(map_.on_projector(x), x if sweep == 1 else y)
+        half, y = y_step(x, x if sweep == 1 else y)
         _check_monotone(value, half, "y")
-        new, x = _smallest_eigenpairs(map_.quadratic_form(y), x)
+        new, x = x_step(y, x)
         _check_monotone(half, new, "x")
         done = value - new < improve_tol
         if sweep == max_sweeps:
@@ -257,10 +332,12 @@ def seesaw_minimize(map_, starts: int = DEFAULT_STARTS, seed: int = 0,
 
 
 def _diagonal(spec: MapSpec, X_vec) -> np.ndarray:
-    """X_vec as a float vector, checked to be a nonnegative diagonal of length n."""
+    """X_vec as a float vector, checked to be a finite nonnegative diagonal of length n."""
     X = np.asarray(X_vec, dtype=float).reshape(-1)
     if X.shape[0] != spec.n:
         raise DimensionMismatchError(f"profile length {X.shape[0]} against n={spec.n}")
+    if not np.isfinite(X).all():
+        raise DomainError("diagonal entries must be finite")
     if np.any(X < 0):
         raise DomainError("diagonal entries must be nonnegative")
     return X

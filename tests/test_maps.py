@@ -397,6 +397,47 @@ class TestRealSchurFactor:
         assert map_.on_projector(np.ones(6)).dtype == np.complex128
 
 
+class TestSchurFactor:
+    """G = B B^dag, so each kernel matrix is Diag(d) - U U^dag with U = conj(v) o B."""
+
+    @staticmethod
+    def factor_maps():
+        yield TauMap(MapSpec(6, 2)), 1, np.float64
+        yield TauMap(MapSpec(6, 2), HadamardPerturbation([alternating_vector(6)], [1.3])), 2, np.float64
+        spec = MapSpec(6, 3)
+        kernel = build_circulant(spec).kernel
+        yield TauMap(spec, HadamardPerturbation(kernel, [0.7, 0.4])), 3, np.complex128
+        # A zero weight drops its column.
+        yield TauMap(spec, HadamardPerturbation(kernel, [0.0, 0.4])), 2, np.complex128
+        # Equal weights on a conjugate pair give a real G and a real factor [Re B, Im B].
+        spec = MapSpec(16, 12)
+        kernel = build_circulant(spec).kernel
+        yield TauMap(spec, HadamardPerturbation(kernel, [1.0, 2.0, 1.0])), 6, np.float64
+
+    def test_factor_reproduces_g(self):
+        for map_, m, dtype in self.factor_maps():
+            B = map_.factor
+            assert B.shape == (map_.n, m) and B.dtype == dtype
+            assert map_._G.dtype == dtype
+            assert np.abs(B @ B.conj().T - map_._G).max() <= 1e-15 * np.abs(map_._G).max()
+
+    def test_factors_reproduce_the_kernels(self):
+        rng = np.random.default_rng(41)
+        for map_, _, dtype in self.factor_maps():
+            X = np.abs(rng.normal(size=(3, map_.n)))
+            X[1, 0] = 0.0
+            for dense, factors, K in ((map_.on_projector, map_.on_projector_factors, map_._C),
+                                      (map_.quadratic_form, map_.quadratic_form_factors, map_._C.T)):
+                A = dense(X)
+                d, U = factors(X)
+                assert d.shape == X.shape and U.shape == X.shape + (map_.factor.shape[1],)
+                assert U.dtype == dtype
+                assert np.abs(d - X**2 @ K.T).max() <= 1e-15 * d.max()
+                low_rank = -U @ np.conj(np.swapaxes(U, 1, 2))
+                low_rank[:, np.arange(map_.n), np.arange(map_.n)] += d
+                assert np.abs(low_rank - A).max() <= 1e-14 * np.abs(A).max()
+
+
 class TestChoi:
     def test_3_1_eigenvalues_frozen(self):
         eigs = np.linalg.eigvalsh(TauMap(MapSpec(3, 1)).choi())

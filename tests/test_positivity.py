@@ -19,11 +19,12 @@ from posmap import (
 from posmap.positivity import (
     MAX_SWEEPS,
     SWEEP_IMPROVEMENT_TOL,
-    _INVERSE_ITERATION_MIN_N,
+    _SECULAR_MIN_N,
     _leave_one_out,
+    _secular_eigenpairs,
+    _secular_halfstep,
     _seesaw_batch,
     _seesaw_single,
-    _smallest_eigenpairs,
     analytic_det,
     degenerate_det_bound,
     f_value,
@@ -66,6 +67,16 @@ class TestFormValue:
         map_ = TauMap(MapSpec(3, 1))
         with pytest.raises(DomainError):
             form_value(map_, np.zeros(3), unit_basis(3, 0))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_vector_rejected(self, bad):
+        map_ = TauMap(MapSpec(3, 1))
+        v = np.array([1.0, bad, 0.5])
+        with pytest.raises(DomainError, match="finite"):
+            form_value(map_, v, unit_basis(3, 0))
+        with pytest.raises(DomainError, match="finite"):
+            form_value(map_, unit_basis(3, 0), v)
 
     @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (5, 3)])
     def test_unimodular_phase_pairs_annihilate(self, n, k):
@@ -171,7 +182,7 @@ class TestBatchedSeesaw:
             (8, 6, 2.0, 0),
             # The absolute SWEEP_IMPROVEMENT_TOL never stops a start at this weight.
             (4, 2, 1e7, 16),
-            # From n = 16 on a half-step is eigvalsh plus one shifted solve.
+            # From n = 16 on a half-step is the secular solve of Diag(d) - U U^dag.
             (24, 6, 20.0, 0),
             (32, 8, None, 0),
         ],
@@ -182,6 +193,8 @@ class TestBatchedSeesaw:
     def test_complex_schur_rows_equal_single_starts(self):
         self.check_rows_equal_single_starts(fourier_map(6, 3, [0.7, 0.4]), capped=0)
 
+    # The "_by_inverse_iteration" tests name the n >= 16 kernel the see-saw
+    # had when they were written; they now cover the secular solve.
     def test_complex_schur_rows_equal_single_starts_by_inverse_iteration(self):
         self.check_rows_equal_single_starts(fourier_map(18, 12, LARGE_FOURIER_WEIGHTS), capped=0)
 
@@ -208,6 +221,23 @@ class TestBatchedSeesaw:
     )
     def test_permuting_rows_permutes_outputs_by_inverse_iteration(self, make):
         self.check_permuting_rows_permutes_outputs(make())
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: v1_map(24, 6, 20.0), lambda: v1_map(32, 8),
+         lambda: fourier_map(18, 12, LARGE_FOURIER_WEIGHTS),
+         lambda: fourier_map(16, 12, [1.0, 2.0, 1.0])],
+        ids=["v1-24-6", "plain-32-8", "fourier-18-12", "fourier-pair-16-12"],
+    )
+    def test_secular_solve_follows_the_eigh_run(self, monkeypatch, make):
+        """From n = 16 on, every start takes the sweeps it takes with eigh, to the same values."""
+        map_ = make()
+        X0 = seeded_starts(map_.n, 8)
+        values, _, _, sweeps = _seesaw_batch(map_, X0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+        monkeypatch.setattr(posmap.positivity, "_SECULAR_MIN_N", map_.n + 1)
+        ref, _, _, ref_sweeps = _seesaw_batch(map_, X0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+        assert np.array_equal(sweeps, ref_sweeps)
+        assert np.all(np.abs(values - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
     @staticmethod
     def check_permuting_rows_permutes_outputs(map_):
@@ -239,6 +269,8 @@ SIMILARITY_MAPS = {
     "v1-8-2": lambda: v1_map(8, 2, 5.0),
     "v1-24-6": lambda: v1_map(24, 6, 20.0),
     "fourier-6-3": lambda: fourier_map(6, 3, [0.7, 0.4]),
+    # Equal weights on a conjugate pair of Fourier directions: G is real.
+    "fourier-pair-16-12": lambda: fourier_map(16, 12, [1.0, 2.0, 1.0]),
 }
 
 
@@ -278,12 +310,14 @@ class TestPhaseSimilarity:
         for a, b in zip(ref, got):
             assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("name", ["plain-3-1", "plain-8-3", "v1-8-2", "v1-24-6"])
+    @pytest.mark.parametrize("name", ["plain-3-1", "plain-8-3", "v1-8-2", "v1-24-6",
+                                      "fourier-pair-16-12"])
     def test_real_schur_factor_keeps_the_run_real(self, name, monkeypatch):
         map_ = SIMILARITY_MAPS[name]()
         report = seesaw_minimize(map_, starts=8, seed=0)
         seen = []
-        for kernel in ("on_projector", "quadratic_form"):
+        for kernel in ("on_projector", "quadratic_form",
+                       "on_projector_factors", "quadratic_form_factors"):
             def spy(v, exact=getattr(map_, kernel)):
                 seen.append(np.asarray(v).dtype)
                 return exact(v)
@@ -304,108 +338,154 @@ class TestPhaseSimilarity:
         assert np.isfinite(x).all() and np.isfinite(y).all()
 
 
-def hermitian_stack(n, rows, dtype, seed):
+def low_rank_stack(n, m, rows, dtype, magnitude, seed):
+    """(d, U, A): rows of d >= 0 and n x m factors U, with A = Diag(d) - U U^dag formed densely."""
     rng = np.random.default_rng(seed)
-    B = rng.standard_normal((rows, n, n))
+    d = magnitude * rng.random((rows, n))
+    U = rng.standard_normal((rows, n, m))
     if dtype is complex:
-        B = B + 1j * rng.standard_normal((rows, n, n))
-    return (B + np.conj(np.swapaxes(B, 1, 2))) / 2
+        U = U + 1j * rng.standard_normal((rows, n, m))
+    U *= np.sqrt(magnitude / n)
+    A = -U @ np.conj(np.swapaxes(U, 1, 2))
+    A[:, np.arange(n), np.arange(n)] += d
+    return d, U, A
 
 
 def eigen_residual(A, lam, z):
     return np.linalg.norm((A @ z[..., None])[..., 0] - lam[:, None] * z, axis=1)
 
 
+def halfstep(A, d, U, z0, dense_rows):
+    """_secular_halfstep on a stack indexed by row number; dense_rows records the rows sent to eigh."""
+    def dense(v):
+        dense_rows.extend(v.tolist())
+        return A[v]
+    return _secular_halfstep(dense, lambda v: (d[v], U[v]), np.arange(len(d)), z0)
+
+
 class TestSmallestEigenpairs:
-    """From n = 16 on: eigvalsh plus one shifted solve, checked per row against eigh's accuracy."""
-
-    @staticmethod
-    def count_eigh(monkeypatch):
-        exact = np.linalg.eigh
-        rows = []
-
-        def eigh(a):
-            rows.append(len(a))
-            return exact(a)
-
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
-        return rows
+    """From n = 16 on: Newton on the secular equation of Diag(d) - U U^dag, eigh for the rows it cannot take."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("n", [16, 24, 64])
     @pytest.mark.parametrize("magnitude", [1.0, 1e300, 1e-300])
-    def test_warm_start_matches_eigh(self, monkeypatch, n, dtype, magnitude):
-        A = magnitude * hermitian_stack(n, 6, dtype, seed=n)
-        evals, evecs = np.linalg.eigh(A)
-        noise = np.random.default_rng(1).standard_normal((6, n))
-        z0 = evecs[:, :, 0] + 0.1 * noise / np.sqrt(n)
-        fallbacks = self.count_eigh(monkeypatch)
-        lam, z = _smallest_eigenpairs(A, z0)
-        assert fallbacks == []
-        peak = np.abs(A).max(axis=(1, 2))
-        ref = np.linalg.eigvalsh(A)[:, 0]
-        assert np.all(np.abs(lam - ref) <= 4 * n * np.finfo(float).eps * peak)
-        assert np.allclose(np.linalg.norm(z, axis=1), 1.0, rtol=0, atol=4e-16)
-        # The check runs on A scaled to max-abs entry in [1/2, 1), so relative
-        # to max|A| the residual is below 2 n eps.
-        unit = A / peak[:, None, None]
-        resid = eigen_residual(unit, lam / peak, z)
-        assert np.all(resid <= 2 * n * np.finfo(float).eps)
-        eigh_resid = eigen_residual(unit, evals[:, 0] / peak, evecs[:, :, 0])
-        assert np.all(resid <= 8 * eigh_resid.max())
+    def test_warm_start_matches_eigh(self, n, dtype, magnitude):
+        eps = np.finfo(float).eps
+        for m in (1, 2) if dtype is float else (1, 2, 4, 8):
+            d, U, A = low_rank_stack(n, m, 6, dtype, magnitude, seed=n + m)
+            evals, evecs = np.linalg.eigh(A)
+            noise = np.random.default_rng(1).standard_normal((6, n))
+            z0 = evecs[:, :, 0] + 0.1 * noise / np.sqrt(n)
+            dense_rows = []
+            lam, z = halfstep(A, d, U, z0, dense_rows)
+            assert dense_rows == []
+            assert lam.dtype == np.float64 and z.dtype == U.dtype
+            # The scale the solve works in: max(d, |U_i|^2), an upper bound on max|A|.
+            scale = np.maximum(d.max(axis=1), (np.abs(U) ** 2).sum(axis=2).max(axis=1))
+            ref = np.linalg.eigvalsh(A)[:, 0]
+            assert np.all(np.abs(lam - ref) <= 4 * n * eps * scale)
+            assert np.allclose(np.linalg.norm(z, axis=1), 1.0, rtol=0, atol=4e-16)
+            unit = A / scale[:, None, None]
+            resid = eigen_residual(unit, lam / scale, z)
+            assert np.all(resid <= 2 * n * eps)
+            eigh_resid = eigen_residual(unit, evals[:, 0] / scale, evecs[:, :, 0])
+            assert np.all(resid <= 8 * eigh_resid.max())
 
-    def test_below_the_crossover_is_eigh(self):
-        n = _INVERSE_ITERATION_MIN_N - 1
-        A = hermitian_stack(n, 4, complex, seed=2)
-        evals, evecs = np.linalg.eigh(A)
-        lam, z = _smallest_eigenpairs(A, np.ones((4, n)))
-        assert lam.tobytes() == evals[:, 0].tobytes()
-        assert z.tobytes() == evecs[:, :, 0].tobytes()
+    @pytest.mark.parametrize("dtype, m", [(float, 1), (float, 2), (complex, 4)])
+    def test_newton_iterates_never_increase(self, monkeypatch, dtype, m):
+        d, U, A = low_rank_stack(24, m, 8, dtype, 1.0, seed=7)
+        iterates = {}
+        exact = posmap.positivity._newton_step
 
-    def test_start_without_the_eigenvector_takes_eigh(self, monkeypatch):
-        """z0 = e_2 has no component on e_1, the smallest eigenvector of a diagonal matrix.
+        def newton_step(gaps, U, mu):
+            for g, x in zip(gaps, mu):
+                iterates.setdefault(g.tobytes(), []).append(x)
+            return exact(gaps, U, mu)
 
-        The solve returns e_2 exactly, its residual is the gap, and that row
-        takes eigh; the row started from e_1 keeps its solve.
-        """
-        n = 16
-        d = np.arange(1.0, n + 1)
-        A = np.stack([np.diag(d), np.diag(d)])
-        z0 = np.stack([unit_basis(n, 1), unit_basis(n, 0)])
-        fallbacks = self.count_eigh(monkeypatch)
-        lam, z = _smallest_eigenpairs(A, z0)
-        assert fallbacks == [1]
-        evals, evecs = np.linalg.eigh(A[:1])
-        assert lam[:1].tobytes() == evals[:, 0].tobytes()
-        assert z[:1].tobytes() == evecs[:, :, 0].tobytes()
-        assert lam[1] == 1.0
-        assert np.array_equal(np.abs(z[1]), unit_basis(n, 0))
+        monkeypatch.setattr(posmap.positivity, "_newton_step", newton_step)
+        dense_rows = []
+        halfstep(A, d, U, np.ones((8, 24)), dense_rows)
+        assert dense_rows == [] and len(iterates) == 8
+        assert max(len(seq) for seq in iterates.values()) >= 3
+        for seq in iterates.values():
+            assert all(b <= a for a, b in zip(seq, seq[1:]))
+            assert seq[-1] < 0
+        # Warm-started at the eigenvector, the Rayleigh quotient is the root
+        # to rounding: one step to land on it and one to confirm.
+        iterates.clear()
+        halfstep(A, d, U, np.linalg.eigh(A)[1][:, :, 0], dense_rows)
+        assert dense_rows == [] and max(len(seq) for seq in iterates.values()) <= 2
 
-    def test_singular_row_takes_eigh_and_others_keep_their_solve(self, monkeypatch):
-        n = 24
-        A = hermitian_stack(n, 3, float, seed=5)
-        z0 = np.linalg.eigh(A)[1][:, :, 0] + 0.01
-        ref_lam, ref_z = _smallest_eigenpairs(A, z0)
-        exact = np.linalg.solve
+    def test_below_the_crossover_is_eigh(self, monkeypatch):
+        """Below _SECULAR_MIN_N every half-step is eigh; from there on the secular solve."""
         calls = []
 
-        def solve(a, b):
-            # The stacked call, then row 1 of the row-by-row retry, find a zero pivot.
-            calls.append(a.ndim)
-            if a.ndim == 3 or len(calls) == 3:
-                raise np.linalg.LinAlgError("Singular matrix")
-            return exact(a, b)
+        def secular(dense, factors, v, z0):
+            calls.append(v.shape[-1])
+            return _secular_halfstep(dense, factors, v, z0)
 
-        monkeypatch.setattr(np.linalg, "solve", solve)
-        lam, z = _smallest_eigenpairs(A, z0)
-        assert calls == [3, 2, 2, 2]
+        monkeypatch.setattr(posmap.positivity, "_secular_halfstep", secular)
+        for n in (_SECULAR_MIN_N - 1, _SECULAR_MIN_N):
+            map_ = v1_map(n, 4)
+            _seesaw_batch(map_, seeded_starts(n, 4), MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+        assert calls and set(calls) == {_SECULAR_MIN_N}
+
+    def test_deflated_row_takes_eigh(self):
+        """U = 0 at argmin d leaves no pole there: that row takes eigh, and the others keep their bytes.
+
+        The row starts at its eigenvector, so its Rayleigh quotient is below
+        min d and only the deflation test routes it.
+        """
+        d, U, A = low_rank_stack(16, 2, 3, float, 1.0, seed=11)
+        i = d[1].argmin()
+        U[1, i] = 0.0
+        A[1] = np.diag(d[1]) - U[1] @ U[1].T
+        evals, evecs = np.linalg.eigh(A)
+        assert evals[1, 0] < d[1, i]
+        z0 = np.ones((3, 16))
+        z0[1] = evecs[1, :, 0]
+        ref_lam, ref_z = halfstep(A[::2], d[::2], U[::2], z0[::2], [])
+        dense_rows = []
+        lam, z = halfstep(A, d, U, z0, dense_rows)
+        assert dense_rows == [1]
+        assert lam[1].tobytes() == evals[1, 0].tobytes()
+        assert z[1].tobytes() == evecs[1, :, 0].tobytes()
+        assert lam[::2].tobytes() == ref_lam.tobytes()
+        assert z[::2].tobytes() == ref_z.tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_wrong_start_takes_eigh(self, monkeypatch):
+        """A start left of the root makes Newton raise mu: it gives up on that row, which takes eigh."""
+        d, U, A = low_rank_stack(24, 1, 3, float, 1.0, seed=13)
+        z0 = np.ones((3, 24))
+        ref_lam, ref_z = halfstep(A, d, U, z0, [])
+        gaps = d - d.min(axis=1, keepdims=True)
+        root = np.linalg.eigvalsh(A)[:, 0] - d.min(axis=1)
+        mu, z = posmap.positivity._secular_newton(gaps, U, root + [1e-3, -1.0, 1e-3])
+        assert np.isnan(mu[1]) and np.isnan(z[1]).all()
+        assert np.isfinite(mu[::2]).all() and np.isfinite(z[::2]).all()
+        exact = posmap.positivity._secular_newton
+
+        def mutant(gaps, U, mu):
+            return exact(gaps, U, mu - np.array([0.0, 1.0, 0.0]))
+
+        monkeypatch.setattr(posmap.positivity, "_secular_newton", mutant)
+        dense_rows = []
+        lam, z = halfstep(A, d, U, z0, dense_rows)
+        assert dense_rows == [1]
         evals, evecs = np.linalg.eigh(A[1:2])
-        for i in (0, 2):
-            assert lam[i].tobytes() == ref_lam[i].tobytes()
-            assert z[i].tobytes() == ref_z[i].tobytes()
         assert lam[1].tobytes() == evals[0, 0].tobytes()
         assert z[1].tobytes() == evecs[0, :, 0].tobytes()
+        for r in (0, 2):
+            assert lam[r].tobytes() == ref_lam[r].tobytes()
+            assert z[r].tobytes() == ref_z[r].tobytes()
+
+    def test_solve_flags_only_the_rows_it_cannot_take(self):
+        d, U, A = low_rank_stack(16, 2, 4, complex, 1.0, seed=17)
+        U[2, d[2].argmin()] = 0.0
+        _, _, bad = _secular_eigenpairs(d, U, np.ones((4, 16)))
+        assert bad.tolist() == [False, False, True, False]
 
 
 class TestMonotonicityGuards:
@@ -450,22 +530,22 @@ class TestMonotonicityGuards:
 
     @staticmethod
     def spoil_lapack(monkeypatch, call, row, fallback_raise=1.0):
-        """From n = 16 on, raise one row's smallest eigenvalue by 1 on the given eigvalsh call.
+        """From n = 16 on, raise one row's smallest eigenvalue by 1 on the given secular solve (1-based).
 
         The residual check sends that row to eigh, so while the same
         half-step lasts eigh raises each row it is given by fallback_raise.
         Returns the list of stack sizes eigh was given in that half-step.
         """
-        exact_vals, exact_eigh = np.linalg.eigvalsh, np.linalg.eigh
+        exact_newton, exact_eigh = posmap.positivity._secular_newton, np.linalg.eigh
         calls, fallback_rows = [], []
 
-        def eigvalsh(a):
-            evals = exact_vals(a)
+        def secular_newton(gaps, U, mu):
+            mu, z = exact_newton(gaps, U, mu)
             calls.append(None)
             if len(calls) == call:
-                evals = evals.copy()
-                evals[row, 0] += 1.0
-            return evals
+                mu = mu.copy()
+                mu[row] += 1.0
+            return mu, z
 
         def eigh(a):
             evals, evecs = exact_eigh(a)
@@ -475,7 +555,7 @@ class TestMonotonicityGuards:
                 evals[:, 0] += fallback_raise
             return evals, evecs
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        monkeypatch.setattr(posmap.positivity, "_secular_newton", secular_newton)
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         return fallback_rows
 
@@ -487,8 +567,8 @@ class TestMonotonicityGuards:
             seesaw_minimize(TauMap(MapSpec(16, 4)), starts=4, seed=0)
         assert fallback_rows == [1]
 
-    def test_raised_eigvalsh_alone_takes_eigh(self, monkeypatch):
-        """A raised eigvalsh value is no eigenvalue: the residual check sends its row to eigh."""
+    def test_raised_secular_root_alone_takes_eigh(self, monkeypatch):
+        """A raised secular root is no eigenvalue: the residual check sends its row to eigh."""
         map_ = TauMap(MapSpec(16, 4))
         ref = seesaw_minimize(map_, starts=4, seed=0)
         fallback_rows = self.spoil_lapack(monkeypatch, 2, row=1, fallback_raise=0.0)
@@ -515,6 +595,14 @@ class TestDiagonalProfile:
         for fn in (f_value, analytic_det):
             with pytest.raises(DimensionMismatchError):
                 fn(MapSpec(3, 1), [1.0, 2.0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        for fn in (f_value, analytic_det):
+            for profile in ([bad, 1.0, 1.0], [1.0, 1.0, bad]):
+                with pytest.raises(DomainError, match="finite"):
+                    fn(MapSpec(3, 1), profile)
 
 
 class TestFValue:
