@@ -27,7 +27,6 @@ from .spanning import (
     build_spanning_set,
     degenerate_pairs,
     gram_rank,
-    sigma_projector,
     unimodular_pairs,
 )
 from .certify import (
@@ -62,7 +61,6 @@ __all__ = [
     "degenerate_det_bound",
     "parity_witness_value",
     "SpanningSet",
-    "sigma_projector",
     "unimodular_pairs",
     "degenerate_pairs",
     "build_spanning_set",

@@ -36,7 +36,6 @@ from .positivity import (
 )
 
 SPECTRUM_CHECK_TOL = 1e-10
-PROBE_SEESAW_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -149,7 +148,9 @@ def conjecture_probe(spec: MapSpec, seed: int = 0, t: float | None = None,
     Requires gcd(n, k) = 2.  Runs the see-saw on the corrected map at
     weight t (default n - k) and evaluates the analytic parity witness at
     t and just above n - k, where it must go negative.  The verdict is
-    evidence-positive or counterexample-found, never a claim of proof.
+    counterexample-found when the witness at t is negative or the see-saw
+    reports a negative-certificate (a minimum below -tol), and otherwise
+    evidence-positive, never a claim of proof.
     """
     if spec.gcd != 2:
         raise DomainError(f"probe requires gcd(n, k) = 2, got {spec.gcd}")
@@ -161,7 +162,7 @@ def conjecture_probe(spec: MapSpec, seed: int = 0, t: float | None = None,
     report = seesaw_minimize(TauMap(spec, pert), starts=starts, seed=seed, tol=tol)
     witness_at_t, _ = parity_witness_value(n, k, t_probe)
     witness_above, _ = parity_witness_value(n, k, t_max + 0.1)
-    failed = witness_at_t < -1e-12 or report.min_value < -PROBE_SEESAW_TOL
+    failed = witness_at_t < -1e-12 or report.verdict == "negative-certificate"
     mu = None
     if witness_at_t < -1e-12:
         mu = np.zeros(n)

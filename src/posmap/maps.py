@@ -18,9 +18,9 @@ Every map here fits a single template
     X  ->  Diag(C . diag X) - G o X
 
 for a real coupling matrix C and a Hermitian entrywise factor G.  TauMap
-is its one instantiation, with C = shift_coupling(spec) and G = 1 + L;
-it exposes the small protocol (apply, on_projector, quadratic_form, choi)
-consumed by the positivity engine.  G = B B^dag for the n x (1 + r)
+implements it, with C = shift_coupling(spec) and G = 1 + L; it exposes
+the small protocol (apply, on_projector, quadratic_form, choi) consumed
+by the positivity engine.  G = B B^dag for the n x (1 + r)
 factor B = [1, sqrt(w_r) alpha_r], so each matrix on_projector and
 quadratic_form return is a diagonal minus a rank-(1 + r) term, which the
 *_factors methods give without forming it.
@@ -181,22 +181,41 @@ class HadamardPerturbation:
         return self.matrix.shape[0]
 
 
-class _EntrywiseMap:
-    """X -> Diag(C . diag X) - G o X, the template shared by all maps here.
+class TauMap:
+    """One member tau_{n,k}, optionally corrected by a Hadamard subtraction.
+
+    G = 1 + L is stored as float64 when L has no imaginary part, which
+    covers the plain maps and every real direction such as v1.  Its factor
+    is B = [1, sqrt(w_r) alpha_r]; when G is real, B is replaced by the
+    real factor [Re B, Im B]; zero columns are dropped, so that plain maps
+    have m = 1 and v1 has m = 2.  factor is this n x m matrix B with
+    B B^dag = G, real when G is.
 
     on_projector and quadratic_form take a vector of length n or a stack
     of shape (..., n) and return one n x n matrix per row, shape (..., n, n);
     each row comes out bit for bit as it would alone.  The result is
     complex128 when the input or G is complex; a real input on a map with
-    a real G gives a real symmetric float64 matrix.  factor is an n x m
-    matrix B with B B^dag = G, real when G is.
+    a real G gives a real symmetric float64 matrix.
     """
 
-    def __init__(self, n: int, coupling: np.ndarray, schur: np.ndarray, factor: np.ndarray):
-        self.n = n
-        self._C = coupling
-        self._G = schur
-        self.factor = factor
+    def __init__(self, spec: MapSpec, pert: HadamardPerturbation | None = None):
+        if pert is not None and pert.dim != spec.n:
+            raise DimensionMismatchError(
+                f"perturbation is {pert.dim}x{pert.dim} but the map acts on {spec.n}x{spec.n}"
+            )
+        G = np.ones((spec.n, spec.n))
+        B = np.ones((spec.n, 1), dtype=np.complex128)
+        if pert is not None:
+            L = pert.matrix
+            G = G + (L if L.imag.any() else L.real)
+            roots = np.sqrt(np.array(pert.weights))
+            B = np.concatenate((B, (pert.alphas * roots[:, None]).T), axis=1)
+        if not np.iscomplexobj(G):
+            B = np.concatenate((B.real, B.imag), axis=1)
+        self.n = spec.n
+        self._C = shift_coupling(spec)
+        self._G = G
+        self.factor = B[:, B.any(axis=0)]
 
     def apply(self, X) -> np.ndarray:
         A = as_square_matrix(X, self.n)
@@ -249,29 +268,6 @@ class _EntrywiseMap:
         return C
 
 
-class TauMap(_EntrywiseMap):
-    """One member tau_{n,k}, optionally corrected by a Hadamard subtraction.
-
-    G = 1 + L is stored as float64 when L has no imaginary part, which
-    covers the plain maps and every real direction such as v1.  Its factor
-    is B = [1, sqrt(w_r) alpha_r]; when G is real, B is replaced by the
-    real factor [Re B, Im B]; zero columns are dropped, so that plain maps
-    have m = 1 and v1 has m = 2.
-    """
-
-    def __init__(self, spec: MapSpec, pert: HadamardPerturbation | None = None):
-        if pert is not None and pert.dim != spec.n:
-            raise DimensionMismatchError(
-                f"perturbation is {pert.dim}x{pert.dim} but the map acts on {spec.n}x{spec.n}"
-            )
-        G = np.ones((spec.n, spec.n))
-        B = np.ones((spec.n, 1), dtype=np.complex128)
-        if pert is not None:
-            L = pert.matrix
-            G = G + (L if L.imag.any() else L.real)
-            roots = np.sqrt(np.array(pert.weights))
-            B = np.concatenate((B, (pert.alphas * roots[:, None]).T), axis=1)
-        if not np.iscomplexobj(G):
-            B = np.concatenate((B.real, B.imag), axis=1)
-        B = B[:, B.any(axis=0)]
-        super().__init__(spec.n, shift_coupling(spec), G, B)
+# perfbench/spans.py hooks TauMap's kernels under this name; direction 6 of
+# ROADMAP.md replaces those hooks and deletes it.
+_EntrywiseMap = TauMap

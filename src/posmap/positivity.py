@@ -35,7 +35,6 @@ product-form determinant that never divides and so survives D_i = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -201,22 +200,14 @@ def _secular_eigenpairs(d: np.ndarray, U: np.ndarray, z0: np.ndarray):
     rayleigh = ((gaps * w2).sum(axis=1) - _abs2(Uz0).sum(axis=1)) / w2.sum(axis=1)
     mu = np.fmin(rayleigh, -_abs2(umin).sum(axis=1))
     ok = umin.any(axis=1) & (mu < 0)
+    z = np.full((rows, n), np.nan, dtype=U.dtype)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if ok.all():
-            mu, z = _secular_newton(gaps, U, mu)
-        else:
-            z = np.full((rows, n), np.nan, dtype=U.dtype)
-            mu[ok], z[ok] = _secular_newton(gaps[ok], U[ok], mu[ok])
+        mu[ok], z[ok] = _secular_newton(gaps[ok], U[ok], mu[ok])
         z /= np.abs(z).max(axis=1, keepdims=True)
         z /= np.sqrt(_abs2(z).sum(axis=1))[:, None]
         r = (gaps - mu[:, None]) * z - (U @ (Uh @ z[..., None]))[..., 0]
         resid = np.sqrt(_abs2(r).sum(axis=1))
     return np.ldexp(dmin + mu, 2 * half), z, ~(resid <= n * _EPS)
-
-
-def _eigh_halfstep(dense, factors, v: np.ndarray, z0: np.ndarray):
-    """Smallest eigenpairs of the matrices dense(v) by one stacked eigh."""
-    return _eigh_smallest(dense(v))
 
 
 def _secular_halfstep(dense, factors, v: np.ndarray, z0: np.ndarray):
@@ -240,17 +231,24 @@ def _seesaw_batch(map_, X0: np.ndarray, max_sweeps: int, improve_tol: float):
     per call, from n.  Every row keeps its own stop rule and monotonicity
     guards and is written out and dropped from the stack when it stops, so
     row i of the result is bit for bit what the alternation gives from
-    X0[i] alone.  X and Y are float64 when the map's G is real.
+    X0[i] alone.  X and Y have the dtype of the map's factor, float64 when
+    its G is real.
     """
-    X = np.array([_unit(np.abs(x0), "x0") for x0 in np.asarray(X0, dtype=np.complex128)])
+    X = np.array([_unit(np.abs(x0), "x0") for x0 in np.asarray(X0, dtype=np.complex128)],
+                 dtype=map_.factor.dtype)
     Y = np.zeros_like(X)
     values = np.full(len(X), np.inf)
     sweeps = np.zeros(len(X), dtype=int)
     active = np.arange(len(X))
     x, value = X.copy(), values.copy()
-    halfstep = _eigh_halfstep if map_.n < _SECULAR_MIN_N else _secular_halfstep
-    y_step = partial(halfstep, map_.on_projector, map_.on_projector_factors)
-    x_step = partial(halfstep, map_.quadratic_form, map_.quadratic_form_factors)
+    if map_.n < _SECULAR_MIN_N:
+        y_step = lambda v, z0: _eigh_smallest(map_.on_projector(v))
+        x_step = lambda v, z0: _eigh_smallest(map_.quadratic_form(v))
+    else:
+        y_step = lambda v, z0: _secular_halfstep(
+            map_.on_projector, map_.on_projector_factors, v, z0)
+        x_step = lambda v, z0: _secular_halfstep(
+            map_.quadratic_form, map_.quadratic_form_factors, v, z0)
     for sweep in range(1, max_sweeps + 1):
         half, y = y_step(x, x if sweep == 1 else y)
         _check_monotone(value, half, "y")
@@ -262,8 +260,6 @@ def _seesaw_batch(map_, X0: np.ndarray, max_sweeps: int, improve_tol: float):
         value = new
         if done.any():
             rows = active[done]
-            # A complex G makes the vectors complex from the first half-step on.
-            X, Y = X.astype(x.dtype, copy=False), Y.astype(y.dtype, copy=False)
             values[rows], X[rows], Y[rows], sweeps[rows] = new[done], x[done], y[done], sweep
             keep = ~done
             active, x, y, value = active[keep], x[keep], y[keep], value[keep]

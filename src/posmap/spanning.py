@@ -56,23 +56,6 @@ class SpanningSet:
     sigma_membership: np.ndarray
 
 
-def sigma_projector(n: int) -> np.ndarray:
-    """Orthogonal projector onto the span of x (x) conj(x) over phase vectors.
-
-    The complement is the (n-1)-dimensional traceless diagonal subspace,
-    so the projector acts as the identity off the diagonal coordinates and
-    averages over them.  build_spanning_set tests membership without
-    forming this dense n^2 x n^2 matrix; it stays as the reference.
-    """
-    n = _check_int(n, "n")
-    if n < 2:
-        raise DomainError(f"n must be at least 2, got {n}")
-    P = np.eye(n * n)
-    diag_idx = np.arange(n) * (n + 1)
-    P[np.ix_(diag_idx, diag_idx)] = 1.0 / n
-    return P
-
-
 def gram_rank(vectors) -> int:
     """Rank of the stacked vectors by singular values above RANK_REL_TOL * sigma_max."""
     A = np.asarray(vectors, dtype=np.complex128)
@@ -87,9 +70,8 @@ def gram_rank(vectors) -> int:
 def unimodular_pairs(spec: MapSpec, samples: int, seed: int = 0) -> np.ndarray:
     """(samples, 2, n) random phase vectors x with y = conj(x), all exact zeros of the form."""
     samples = _check_int(samples, "samples")
-    floor = spec.n * spec.n - spec.n + 1
-    if samples < floor:
-        raise DomainError(f"need at least {floor} samples for n={spec.n}, got {samples}")
+    if samples < 1:
+        raise DomainError(f"samples must be positive, got {samples}")
     rng = np.random.default_rng([seed, _STREAM_UNIMODULAR])
     try:
         phases = rng.uniform(0.0, 2.0 * np.pi, (samples, spec.n))
@@ -153,9 +135,11 @@ def build_spanning_set(spec: MapSpec, seed: int = 0, samples: int | None = None)
     c_ij = sqrt(sum_m |x_mi|^2 |y_mj|^2) exceeds RANK_REL_TOL times the
     largest off-diagonal c_ij (one n x n product), and the shared diagonal
     weight adds gram_rank of the m x n diagonal products x_i y_i.
-    Membership flags record whether sigma_projector fixes each admitted
-    product vector x (x) y; it does exactly when those diagonal products
-    are all equal, so the flag is an O(n) test too.
+    Membership flags record whether the orthogonal projector onto the
+    phase-product span fixes each admitted product vector x (x) y.  That
+    projector is the identity off the diagonal coordinates and averages
+    over them, so it fixes x (x) y exactly when the diagonal products are
+    all equal, and the flag is an O(n) test.
     """
     if spec.k < 1:
         raise DomainError("spanning analysis applies for k >= 1")

@@ -12,6 +12,7 @@ from posmap import (
     HadamardPerturbation,
     MapSpec,
     NumericalAnomalyError,
+    PositivityReport,
     TauMap,
     alternating_vector,
 )
@@ -227,6 +228,20 @@ class TestConjectureProbe:
         assert ev.verdict == "counterexample-found"
         assert ev.witness_value_at_t == -0.25
         assert np.array_equal(ev.counterexample_mu, [1.0, 0.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("tol, verdict", [(None, "counterexample-found"),
+                                              (1e-6, "evidence-positive")])
+    def test_seesaw_minimum_is_judged_by_tol(self, monkeypatch, tol, verdict):
+        """A see-saw minimum of -5e-8 is a counterexample at the default tol 1e-9, not at 1e-6."""
+        def seesaw_minimize(map_, starts, seed, tol):
+            value = -5e-8
+            found = "negative-certificate" if value < -tol else "positive-evidence"
+            return PositivityReport(found, value, np.ones(map_.n), np.ones(map_.n), 1, 0)
+
+        monkeypatch.setattr(certify, "seesaw_minimize", seesaw_minimize)
+        ev = conjecture_probe(MapSpec(4, 2), **({} if tol is None else {"tol": tol}))
+        assert ev.witness_value_at_t == 0.0 and ev.seesaw.min_value == -5e-8
+        assert ev.verdict == verdict
 
     def test_seesaw_confirms_analytic_counterexample(self):
         ev = conjecture_probe(MapSpec(4, 2), t=2.5, starts=8)

@@ -353,7 +353,7 @@ class TestLargeWeights:
         ],
     )
     def test_extreme_weights_from_n_16(self, n, k, t, verdict):
-        """The shifted solve of the half-steps factorizes each matrix scaled by a power of two."""
+        """The secular solve of the half-steps works on each matrix scaled by a power of two."""
         p = run_cli(
             "positivity", "--n", str(n), "--k", str(k), "--perturb", "v1", "--t", t,
             env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"},
@@ -540,7 +540,7 @@ class TestMainInProcess:
         err = capsys.readouterr().err
         assert "starts must be positive, got 0" in err
         assert "tol must be finite and positive, got 0.0" in err
-        assert "need at least 13 samples for n=4, got 0" in err
+        assert "samples must be positive, got 0" in err
         assert "weight must be finite and nonnegative, got -1.0" in err
         assert "seed must be nonnegative, got -1" in err
         assert "non-finite entries" in err

@@ -502,7 +502,7 @@ class TestPublicApi:
             "PositivityReport", "form_value", "seesaw_minimize",
             "f_value", "analytic_det", "hessian_shat", "degenerate_det_bound",
             "parity_witness_value",
-            "SpanningSet", "sigma_projector", "unimodular_pairs",
+            "SpanningSet", "unimodular_pairs",
             "degenerate_pairs", "build_spanning_set", "gram_rank",
             "CirculantConstraint", "OptimalityCertificate", "ConjectureEvidence",
             "build_circulant", "certify_optimality", "conjecture_probe",

@@ -193,9 +193,7 @@ class TestBatchedSeesaw:
     def test_complex_schur_rows_equal_single_starts(self):
         self.check_rows_equal_single_starts(fourier_map(6, 3, [0.7, 0.4]), capped=0)
 
-    # The "_by_inverse_iteration" tests name the n >= 16 kernel the see-saw
-    # had when they were written; they now cover the secular solve.
-    def test_complex_schur_rows_equal_single_starts_by_inverse_iteration(self):
+    def test_complex_schur_secular_rows_equal_single_starts(self):
         self.check_rows_equal_single_starts(fourier_map(18, 12, LARGE_FOURIER_WEIGHTS), capped=0)
 
     @staticmethod
@@ -219,7 +217,7 @@ class TestBatchedSeesaw:
          lambda: fourier_map(18, 12, LARGE_FOURIER_WEIGHTS)],
         ids=["v1-24-6", "plain-32-8", "fourier-18-12"],
     )
-    def test_permuting_rows_permutes_outputs_by_inverse_iteration(self, make):
+    def test_secular_rows_permute_outputs(self, make):
         self.check_permuting_rows_permutes_outputs(make())
 
     @pytest.mark.parametrize(
@@ -529,7 +527,7 @@ class TestMonotonicityGuards:
             "posmap: anomaly: see-saw objective increased on the x step")
 
     @staticmethod
-    def spoil_lapack(monkeypatch, call, row, fallback_raise=1.0):
+    def spoil_secular_root(monkeypatch, call, row, fallback_raise=1.0):
         """From n = 16 on, raise one row's smallest eigenvalue by 1 on the given secular solve (1-based).
 
         The residual check sends that row to eigh, so while the same
@@ -561,7 +559,7 @@ class TestMonotonicityGuards:
 
     @pytest.mark.parametrize("call, step", [(2, "x"), (3, "y"), (6, "x")])
     def test_raised_eigenvalue_is_an_anomaly_from_n_16(self, monkeypatch, call, step):
-        fallback_rows = self.spoil_lapack(monkeypatch, call, row=1)
+        fallback_rows = self.spoil_secular_root(monkeypatch, call, row=1)
         with pytest.raises(NumericalAnomalyError,
                            match=f"see-saw objective increased on the {step} step"):
             seesaw_minimize(TauMap(MapSpec(16, 4)), starts=4, seed=0)
@@ -571,14 +569,14 @@ class TestMonotonicityGuards:
         """A raised secular root is no eigenvalue: the residual check sends its row to eigh."""
         map_ = TauMap(MapSpec(16, 4))
         ref = seesaw_minimize(map_, starts=4, seed=0)
-        fallback_rows = self.spoil_lapack(monkeypatch, 2, row=1, fallback_raise=0.0)
+        fallback_rows = self.spoil_secular_root(monkeypatch, 2, row=1, fallback_raise=0.0)
         got = seesaw_minimize(map_, starts=4, seed=0)
         assert fallback_rows == [1]
         assert got.verdict == ref.verdict
         assert abs(got.min_value - ref.min_value) <= 1e-12
 
     def test_cli_exits_4_from_n_16(self, monkeypatch, capsys):
-        self.spoil_lapack(monkeypatch, 2, row=1)
+        self.spoil_secular_root(monkeypatch, 2, row=1)
         self.check_cli_exits_4(capsys, 16, 4)
 
 

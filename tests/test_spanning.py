@@ -19,9 +19,22 @@ from posmap.spanning import (
     build_spanning_set,
     degenerate_pairs,
     gram_rank,
-    sigma_projector,
     unimodular_pairs,
 )
+
+
+def sigma_projector(n):
+    """Orthogonal projector onto the span of x (x) conj(x) over phase vectors.
+
+    The complement is the (n-1)-dimensional traceless diagonal subspace,
+    so the projector acts as the identity off the diagonal coordinates and
+    averages over them.  build_spanning_set tests membership without
+    forming this dense n^2 x n^2 matrix; it is the reference for that test.
+    """
+    P = np.eye(n * n)
+    diag_idx = np.arange(n) * (n + 1)
+    P[np.ix_(diag_idx, diag_idx)] = 1.0 / n
+    return P
 
 
 class TestSigmaProjector:
@@ -91,8 +104,9 @@ class TestUnimodularPairs:
             assert abs(form_value(map_, x, y)) <= 1e-12
 
     def test_requires_enough_samples(self):
-        with pytest.raises(DomainError):
-            unimodular_pairs(MapSpec(3, 1), samples=3)
+        with pytest.raises(DomainError, match="samples must be positive, got 0"):
+            unimodular_pairs(MapSpec(3, 1), samples=0)
+        assert unimodular_pairs(MapSpec(3, 1), samples=1).shape == (1, 2, 3)
 
     def test_seed_determinism(self):
         a = unimodular_pairs(MapSpec(3, 1), samples=9, seed=5)
@@ -238,6 +252,12 @@ class TestSpanningRank:
     @pytest.mark.parametrize("n,k", FULL_RANK)
     def test_full_rank_members(self, n, k):
         assert build_spanning_set(MapSpec(n, k)).gram_rank == n * n
+
+    @pytest.mark.parametrize("n,k", LOW_RANK + FULL_RANK)
+    def test_one_phase_pair_gives_the_rank(self, n, k):
+        """The torus closure of one phase pair reaches every off-diagonal coordinate."""
+        want = n * n if k == n - 1 else n * n - n + 1
+        assert build_spanning_set(MapSpec(n, k), samples=1).gram_rank == want
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rank_is_seed_stable(self, seed):
