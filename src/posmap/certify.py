@@ -162,9 +162,9 @@ def conjecture_probe(spec: MapSpec, seed: int = 0, t: float | None = None,
     report = seesaw_minimize(TauMap(spec, pert), starts=starts, seed=seed, tol=tol)
     witness_at_t, _ = parity_witness_value(n, k, t_probe)
     witness_above, _ = parity_witness_value(n, k, t_max + 0.1)
-    failed = witness_at_t < -1e-12 or report.verdict == "negative-certificate"
+    failed = witness_at_t < 0 or report.verdict == "negative-certificate"
     mu = None
-    if witness_at_t < -1e-12:
+    if witness_at_t < 0:
         mu = np.zeros(n)
         mu[0::2] = 1.0
     return ConjectureEvidence(

@@ -55,6 +55,11 @@ def _check_int(value, name: str) -> int:
     return int(value)
 
 
+def _abs2(a: np.ndarray) -> np.ndarray:
+    """|a|^2 entrywise."""
+    return a.real**2 + a.imag**2 if np.iscomplexobj(a) else a * a
+
+
 @dataclass(frozen=True)
 class MapSpec:
     """Parameters (n, k) of one member of the shift family.
@@ -184,12 +189,13 @@ class HadamardPerturbation:
 class TauMap:
     """One member tau_{n,k}, optionally corrected by a Hadamard subtraction.
 
-    G = 1 + L is stored as float64 when L has no imaginary part, which
-    covers the plain maps and every real direction such as v1.  Its factor
-    is B = [1, sqrt(w_r) alpha_r]; when G is real, B is replaced by the
-    real factor [Re B, Im B]; zero columns are dropped, so that plain maps
-    have m = 1 and v1 has m = 2.  factor is this n x m matrix B with
-    B B^dag = G, real when G is.
+    G = 1 + L has the factor B = [1, sqrt(w_r) alpha_r] with B B^dag = G.
+    factor is this n x m matrix B with its zero columns (zero weights)
+    dropped, so plain maps have m = 1 and v1 has m = 2.  B decides the
+    arithmetic: B and G are float64 exactly when B has no imaginary part,
+    which covers the plain maps and every real direction such as v1, and
+    complex128 otherwise, even where a conjugate pair of directions with
+    equal weights gives a real L.
 
     on_projector and quadratic_form take a vector of length n or a stack
     of shape (..., n) and return one n x n matrix per row, shape (..., n, n);
@@ -203,18 +209,17 @@ class TauMap:
             raise DimensionMismatchError(
                 f"perturbation is {pert.dim}x{pert.dim} but the map acts on {spec.n}x{spec.n}"
             )
-        G = np.ones((spec.n, spec.n))
         B = np.ones((spec.n, 1), dtype=np.complex128)
+        L = 0.0
         if pert is not None:
-            L = pert.matrix
-            G = G + (L if L.imag.any() else L.real)
             roots = np.sqrt(np.array(pert.weights))
             B = np.concatenate((B, (pert.alphas * roots[:, None]).T), axis=1)
-        if not np.iscomplexobj(G):
-            B = np.concatenate((B.real, B.imag), axis=1)
+            L = pert.matrix
+        if not B.imag.any():
+            B, L = B.real, np.real(L)
         self.n = spec.n
         self._C = shift_coupling(spec)
-        self._G = G
+        self._G = np.ones((spec.n, spec.n)) + L
         self.factor = B[:, B.any(axis=0)]
 
     def apply(self, X) -> np.ndarray:
@@ -222,13 +227,12 @@ class TauMap:
         return np.diag(self._C @ np.diagonal(A)) - self._G * A
 
     def _vectors_and_profile(self, K: np.ndarray, x):
-        """(v, K |v|^2) for the rows v of x, float64 when x and G are real."""
-        complex_ = np.iscomplexobj(x) or np.iscomplexobj(self._G)
+        """(v, K |v|^2) for the rows v of x, float64 when x and the factor are real."""
+        complex_ = np.iscomplexobj(x) or np.iscomplexobj(self.factor)
         v = np.asarray(x, dtype=np.complex128 if complex_ else np.float64)
         if v.ndim == 0 or v.shape[-1] != self.n:
             raise DimensionMismatchError(f"expected vectors of length {self.n}, got shape {v.shape}")
-        p = v.real**2 + v.imag**2
-        return v, np.matmul(K, p[..., None])[..., 0]
+        return v, np.matmul(K, _abs2(v)[..., None])[..., 0]
 
     def _diag_minus_schur(self, K: np.ndarray, x) -> np.ndarray:
         """Diag(K |v|^2) - G o outer(conj(v), v) for each row v of x."""

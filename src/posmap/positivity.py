@@ -22,8 +22,8 @@ the eigenpair in O(n m) per step; eigh takes any row that has no pole at
 min d, does not converge, or whose residual is above the rounding level.
 F is invariant under (x, y) -> (D x, conj(D) y) for every diagonal
 unitary D, so each start x0 is replaced by its moduli |x0|, which gives
-the same sequence of values.  When the map's G is real the vectors then
-stay real throughout, every eigenproblem is real symmetric, and the
+the same sequence of values.  When the map's factor is real the vectors
+then stay real, every eigenproblem is real symmetric, and the
 witness pair is real.
 
 For diagonal input X = diag(X_1, ..., X_n) the map's positivity reduces to
@@ -45,6 +45,7 @@ from .maps import (
     MapSpec,
     NumericalAnomalyError,
     TauMap,
+    _abs2,
     _check_int,
     alternating_vector,
     shift_coupling,
@@ -55,7 +56,7 @@ NEGATIVITY_TOL = 1e-9
 MAX_SWEEPS = 500
 SWEEP_IMPROVEMENT_TOL = 1e-12
 _MONOTONE_SLACK = 1e-10
-# Matrix entries per stacked see-saw block (1 MiB per complex stack).
+# Matrix entries per stacked see-saw block (1 MiB per complex stack); from n = 257 a block is one start.
 _BLOCK_ENTRIES = 1 << 16
 # Matrix size from which a half-step solves the secular equation of the
 # low-rank form Diag(d) - U U^dag, not a full eigh.
@@ -120,11 +121,6 @@ def _eigh_smallest(A: np.ndarray):
     """Smallest eigenvalue and a unit eigenvector of each Hermitian matrix in the stack A."""
     evals, evecs = np.linalg.eigh(A)
     return evals[:, 0], evecs[:, :, 0]
-
-
-def _abs2(a: np.ndarray) -> np.ndarray:
-    """|a|^2 entrywise."""
-    return a.real**2 + a.imag**2 if np.iscomplexobj(a) else a * a
 
 
 def _newton_step(gaps: np.ndarray, U: np.ndarray, mu: np.ndarray):
@@ -231,8 +227,7 @@ def _seesaw_batch(map_, X0: np.ndarray, max_sweeps: int, improve_tol: float):
     per call, from n.  Every row keeps its own stop rule and monotonicity
     guards and is written out and dropped from the stack when it stops, so
     row i of the result is bit for bit what the alternation gives from
-    X0[i] alone.  X and Y have the dtype of the map's factor, float64 when
-    its G is real.
+    X0[i] alone.  X and Y have the dtype of the map's factor.
     """
     X = np.array([_unit(np.abs(x0), "x0") for x0 in np.asarray(X0, dtype=np.complex128)],
                  dtype=map_.factor.dtype)
@@ -282,11 +277,11 @@ def seesaw_minimize(map_, starts: int = DEFAULT_STARTS, seed: int = 0,
     Starts are independent, each with its own RNG stream derived from
     (seed, start index), so the result does not depend on evaluation
     order; ties between starts resolve to the lowest index.  The starts
-    run together in blocks of at most _BLOCK_ENTRIES matrix entries, one
+    run together in blocks of max(1, _BLOCK_ENTRIES // n^2) starts, one
     stacked smallest-eigenpair solve per half-step over a block's active
     starts, which bounds memory at any starts and n and gives each start
     bit for bit the result it has alone.  The witness pair is real when
-    the map's G is real.  A verdict of negative-certificate means the
+    the map's factor is real.  A verdict of negative-certificate means the
     reported witness pair reproduces min_value < -tol on re-evaluation;
     positive-evidence only records the smallest value found and proves
     nothing.  starts_capped counts the starts that ran all MAX_SWEEPS

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import DomainError, MapSpec, NumericalAnomalyError, _check_int, shift_coupling
+from .maps import DomainError, MapSpec, NumericalAnomalyError, _abs2, _check_int, shift_coupling
 
 ADMISSION_TOL = 1e-9
 RANK_REL_TOL = 1e-8
@@ -59,7 +59,7 @@ class SpanningSet:
 def gram_rank(vectors) -> int:
     """Rank of the stacked vectors by singular values above RANK_REL_TOL * sigma_max."""
     A = np.asarray(vectors, dtype=np.complex128)
-    if len(A) == 0:
+    if A.size == 0:
         return 0
     sv = np.linalg.svd(A.reshape(len(A), -1), compute_uv=False)
     if sv[0] == 0.0:
@@ -155,10 +155,9 @@ def build_spanning_set(spec: MapSpec, seed: int = 0, samples: int | None = None)
         _harvest_zero_pairs(spec, 2 * n, seed),
     ))
     X, Y = pairs[:, 0], pairs[:, 1]
-    px, py = X.real**2 + X.imag**2, Y.real**2 + Y.imag**2
+    px, py = _abs2(X), _abs2(Y)
     diag = X * Y
-    trace = diag.sum(axis=1)
-    values = ((py @ shift_coupling(spec)) * px).sum(axis=1) - (trace.real**2 + trace.imag**2)
+    values = ((py @ shift_coupling(spec)) * px).sum(axis=1) - _abs2(diag.sum(axis=1))
     bad = np.flatnonzero(np.abs(values) > ADMISSION_TOL)
     if bad.size:
         raise NumericalAnomalyError(

@@ -229,6 +229,14 @@ class TestConjectureProbe:
         assert ev.witness_value_at_t == -0.25
         assert np.array_equal(ev.counterexample_mu, [1.0, 0.0, 1.0, 0.0])
 
+    @pytest.mark.parametrize("n, k", [(4, 2), (8, 6)])
+    def test_any_negative_witness_is_a_counterexample(self, n, k):
+        """Just above t = n - k the closed-form witness is a tiny exact negative; it counts."""
+        ev = conjecture_probe(MapSpec(n, k), t=n - k + 2**-40, starts=8)
+        assert ev.witness_value_at_t == -(2**-41)
+        assert ev.verdict == "counterexample-found"
+        assert np.array_equal(ev.counterexample_mu, np.arange(n) % 2 == 0)
+
     @pytest.mark.parametrize("tol, verdict", [(None, "counterexample-found"),
                                               (1e-6, "evidence-positive")])
     def test_seesaw_minimum_is_judged_by_tol(self, monkeypatch, tol, verdict):

@@ -364,6 +364,11 @@ class TestStackedKernels:
                 kernel(np.ones(shape))
 
 
+def fourier_map(n, k, weights):
+    spec = MapSpec(n, k)
+    return TauMap(spec, HadamardPerturbation(build_circulant(spec).kernel, weights))
+
+
 class TestRealSchurFactor:
     """A real G keeps real input real, so the see-saw's eigh runs on real symmetric stacks."""
 
@@ -409,10 +414,10 @@ class TestSchurFactor:
         yield TauMap(spec, HadamardPerturbation(kernel, [0.7, 0.4])), 3, np.complex128
         # A zero weight drops its column.
         yield TauMap(spec, HadamardPerturbation(kernel, [0.0, 0.4])), 2, np.complex128
-        # Equal weights on a conjugate pair give a real G and a real factor [Re B, Im B].
+        # Equal weights on a conjugate pair cancel in Im L, but B is complex, so G is too.
         spec = MapSpec(16, 12)
         kernel = build_circulant(spec).kernel
-        yield TauMap(spec, HadamardPerturbation(kernel, [1.0, 2.0, 1.0])), 6, np.float64
+        yield TauMap(spec, HadamardPerturbation(kernel, [1.0, 2.0, 1.0])), 4, np.complex128
 
     def test_factor_reproduces_g(self):
         for map_, m, dtype in self.factor_maps():
@@ -436,6 +441,29 @@ class TestSchurFactor:
                 low_rank = -U @ np.conj(np.swapaxes(U, 1, 2))
                 low_rank[:, np.arange(map_.n), np.arange(map_.n)] += d
                 assert np.abs(low_rank - A).max() <= 1e-14 * np.abs(A).max()
+
+    @pytest.mark.parametrize("make, m, dtype", [
+        (lambda: fourier_map(8, 4, [1.0, 2.0, 1.0]), 4, np.complex128),
+        (lambda: fourier_map(16, 12, [1.0, 2.0, 1.0]), 4, np.complex128),
+        (lambda: fourier_map(24, 18, [1.0, 2.0, 3.0, 2.0, 1.0]), 6, np.complex128),
+        (lambda: fourier_map(16, 12, [0.0, 1.0, 0.0]), 2, np.float64),
+        (lambda: fourier_map(16, 12, [0.0, 0.0, 0.0]), 1, np.float64),
+        (lambda: TauMap(MapSpec(16, 12)), 1, np.float64),
+        (lambda: TauMap(MapSpec(24, 6), HadamardPerturbation([alternating_vector(24)], [18.0])),
+         2, np.float64),
+    ], ids=["pair-8-4", "pair-16-12", "pairs-24-18", "real-16-12", "zero-16-12", "plain-16-12",
+            "v1-24-6"])
+    def test_factor_decides_the_arithmetic(self, make, m, dtype):
+        """G and the factor are real exactly when B = [1, sqrt(w_r) alpha_r] is, whatever Im L rounds to.
+
+        Conjugate Fourier pairs with equal weights are complex at every
+        size; one real Fourier direction (the alternating vector) and
+        all-zero weights keep the real factor of the plain and v1 maps.
+        """
+        map_ = make()
+        assert map_.factor.shape == (map_.n, m) and map_.factor.dtype == dtype
+        assert map_._G.dtype == dtype
+        assert map_.on_projector(np.ones(map_.n)).dtype == dtype
 
 
 class TestChoi:

@@ -267,9 +267,25 @@ SIMILARITY_MAPS = {
     "v1-8-2": lambda: v1_map(8, 2, 5.0),
     "v1-24-6": lambda: v1_map(24, 6, 20.0),
     "fourier-6-3": lambda: fourier_map(6, 3, [0.7, 0.4]),
-    # Equal weights on a conjugate pair of Fourier directions: G is real.
+    # Equal weights on a conjugate pair of Fourier directions: L is real, but
+    # the factor, and so the run, is complex.
     "fourier-pair-16-12": lambda: fourier_map(16, 12, [1.0, 2.0, 1.0]),
+    # One real Fourier direction (the alternating vector): a real factor.
+    "fourier-real-16-12": lambda: fourier_map(16, 12, [0.0, 1.0, 0.0]),
 }
+
+
+def run_dtypes(map_, monkeypatch):
+    """The dtypes of the vectors one see-saw run passes to the map's four kernels."""
+    seen = []
+    for kernel in ("on_projector", "quadratic_form",
+                   "on_projector_factors", "quadratic_form_factors"):
+        def spy(v, exact=getattr(map_, kernel)):
+            seen.append(np.asarray(v).dtype)
+            return exact(v)
+        monkeypatch.setattr(map_, kernel, spy)
+    _seesaw_batch(map_, seeded_starts(map_.n, 8), MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+    return set(seen)
 
 
 class TestPhaseSimilarity:
@@ -309,21 +325,21 @@ class TestPhaseSimilarity:
             assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("name", ["plain-3-1", "plain-8-3", "v1-8-2", "v1-24-6",
-                                      "fourier-pair-16-12"])
+                                      "fourier-real-16-12"])
     def test_real_schur_factor_keeps_the_run_real(self, name, monkeypatch):
         map_ = SIMILARITY_MAPS[name]()
         report = seesaw_minimize(map_, starts=8, seed=0)
-        seen = []
-        for kernel in ("on_projector", "quadratic_form",
-                       "on_projector_factors", "quadratic_form_factors"):
-            def spy(v, exact=getattr(map_, kernel)):
-                seen.append(np.asarray(v).dtype)
-                return exact(v)
-            monkeypatch.setattr(map_, kernel, spy)
-        _seesaw_batch(map_, seeded_starts(map_.n, 8), MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
-        assert seen and set(seen) == {np.dtype(np.float64)}
+        assert run_dtypes(map_, monkeypatch) == {np.dtype(np.float64)}
         assert not np.imag(report.witness_x).any()
         assert not np.imag(report.witness_y).any()
+
+    @pytest.mark.parametrize("name", ["fourier-pair-16-12"])
+    def test_complex_factor_runs_complex(self, name, monkeypatch):
+        """A complex factor runs complex even where L is real (a conjugate pair, equal weights)."""
+        map_ = SIMILARITY_MAPS[name]()
+        assert map_.factor.dtype == np.complex128
+        assert run_dtypes(map_, monkeypatch) == {np.dtype(np.complex128)}
+        assert np.iscomplexobj(seesaw_minimize(map_, starts=8, seed=0).witness_x)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("make", [lambda: v1_map(6, 2), lambda: v1_map(6, 2, 3.0),

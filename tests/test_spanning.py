@@ -85,6 +85,8 @@ class TestGramRank:
         assert gram_rank([]) == 0
         assert gram_rank(np.zeros((0, 9), dtype=complex)) == 0
         assert gram_rank([np.zeros(3), np.zeros(3)]) == 0
+        assert gram_rank([[]]) == 0
+        assert gram_rank(np.zeros((3, 0))) == 0
 
     def test_matrices_are_flattened_to_rows(self):
         e = np.eye(2)
