@@ -5,7 +5,8 @@ and every float written as its shortest round-trip repr, so identical
 invocations produce byte-identical output and each float parses back to
 the same double.  Complex scalars appear as [re, im] pairs and
 matrices as arrays of rows of pairs, the same format accepted for input
-files.  Exit codes: 0 success, 2 configuration error (a MemoryError and a
+files.  Exit codes: 0 success, 1 stdout closed before the report was
+written (from run() only), 2 configuration error (a MemoryError and a
 spanning phase draw too large for NumPy included), 3 input-data error,
 4 internal numerical anomaly.
 """
@@ -13,9 +14,11 @@ spanning phase draw too large for NumPy included), 3 input-data error,
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -405,5 +408,20 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> None:
+    """The process entry point of both `posmap` and `python -m posmap`."""
+    # The objects made by the imports above live until exit anyway; frozen, they
+    # are skipped by every collection, the full one at interpreter shutdown included.
+    gc.freeze()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # With stdout on devnull, the flush at shutdown prints no "Exception ignored".
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

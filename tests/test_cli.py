@@ -1,11 +1,15 @@
 """Tests for the command-line interface: reports, determinism, exit codes."""
 
+import gc
+import importlib
 import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -578,3 +582,47 @@ class TestMainInProcess:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == line
+
+
+class TestEntryPoint:
+    """`posmap` and `python -m posmap` run cli.run, which wraps main for one process."""
+
+    def test_main_runs_with_the_import_heap_frozen(self):
+        child = ("import gc, posmap.cli as cli; "
+                 "cli.main = lambda: print(gc.get_freeze_count()) or 0; cli.run()")
+        p = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+        assert (p.returncode, p.stderr) == (0, "")
+        assert int(p.stdout) > 0
+
+    def test_main_in_process_freezes_nothing(self, capsys):
+        before = gc.get_freeze_count()
+        assert main(["certify", "--n", "3", "--k", "1"]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_console_script_is_what_dunder_main_runs(self, monkeypatch):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["posmap"]
+        module, _, attr = target.partition(":")
+
+        class Ran(Exception):
+            pass
+
+        def stub():
+            raise Ran
+
+        # Were __main__ to run something else, it would meet no subcommand, not pytest's argv.
+        monkeypatch.setattr(sys, "argv", ["posmap"])
+        monkeypatch.setattr(importlib.import_module(module), attr, stub)
+        with pytest.raises(Ran):
+            runpy.run_module("posmap", run_name="__main__")
+
+    def test_closed_stdout_exits_1_quietly(self):
+        """A ~1 MB report overfills the pipe, so the write meets the closed reader."""
+        argv = [sys.executable, "-m", "posmap", "certify", "--n", "240", "--k", "96"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.read(10) == b'{"command"'
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == 1
+        assert err == b""
