@@ -5,10 +5,10 @@ and every float written as its shortest round-trip repr, so identical
 invocations produce byte-identical output and each float parses back to
 the same double.  Complex scalars appear as [re, im] pairs and
 matrices as arrays of rows of pairs, the same format accepted for input
-files.  Exit codes: 0 success, 1 stdout closed before the report was
-written (from run() only), 2 configuration error (a MemoryError and a
-spanning phase draw too large for NumPy included), 3 input-data error,
-4 internal numerical anomaly.
+files.  Exit codes: 0 success, 1 stdout closed or unwritable, so the
+report was not written in full (from run() only), 2 configuration error (a
+MemoryError and a spanning phase draw too large for NumPy included),
+3 input-data error, 4 internal numerical anomaly.
 """
 
 from __future__ import annotations
@@ -269,6 +269,7 @@ def cmd_positivity(spec: MapSpec, config: dict) -> dict:
         "witness_y": pairs(report.witness_y),
         "iterations": report.iterations,
         "starts_capped": report.starts_capped,
+        "starts_snapped": report.starts_snapped,
         "perturbation": _pert_summary(pert),
     }
 
@@ -341,6 +342,7 @@ def cmd_conjecture(spec: MapSpec, config: dict) -> dict:
                     "min_value": rep.min_value,
                     "negative_certificate": rep.verdict == "negative-certificate",
                     "starts_capped": rep.starts_capped,
+                    "starts_snapped": rep.starts_snapped,
                 }
             )
         return {
@@ -365,6 +367,7 @@ def cmd_conjecture(spec: MapSpec, config: dict) -> dict:
         "seesaw_verdict": evidence.seesaw.verdict,
         "iterations": evidence.seesaw.iterations,
         "starts_capped": evidence.seesaw.starts_capped,
+        "starts_snapped": evidence.seesaw.starts_snapped,
         "verdict": evidence.verdict,
         "counterexample_mu": None if mu is None else [float(v) for v in mu],
     }
@@ -416,9 +419,11 @@ def run() -> None:
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
+    except OSError as exc:
         # With stdout on devnull, the flush at shutdown prints no "Exception ignored".
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"posmap: error: cannot write report: {exc.strerror or exc}", file=sys.stderr)
         code = 1
     sys.exit(code)
 

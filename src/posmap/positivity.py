@@ -24,7 +24,10 @@ F is invariant under (x, y) -> (D x, conj(D) y) for every diagonal
 unitary D, so each start x0 is replaced by its moduli |x0|, which gives
 the same sequence of values.  When the map's factor is real the vectors
 then stay real, every eigenproblem is real symmetric, and the
-witness pair is real.
+witness pair is real.  Starts that creep toward a window zero pair
+(y = e_j, x zero on the window {j, ..., j + k}, where x o y = 0 and F is
+exactly 0.0 for every map here) stop on that pair once they are close
+enough, if F is no higher there, instead of running to the sweep cap.
 
 For diagonal input X = diag(X_1, ..., X_n) the map's positivity reduces to
 scalar data: the profile D = S X with S the shift coupling, the ratio sum
@@ -64,6 +67,13 @@ _SECULAR_MIN_N = 16
 # Newton steps after which a row of the secular solve takes eigh (see-saw
 # rows over n = 16..64, plain, v1 and Fourier maps, took at most 11).
 _SECULAR_MAX_ITERATIONS = 30
+# Every _SNAP_EVERY sweeps from sweep _SNAP_AFTER on, a row within _SNAP_RHO
+# of a window zero pair tries that pair (_window_snap).  Every start of the
+# plain (3,1), (4,1), (4,2) and (5,2) maps that runs to MAX_SWEEPS without
+# it is that close by sweep 32, 48 or 64 (64 starts, seed 0).
+_SNAP_AFTER = 32
+_SNAP_EVERY = 16
+_SNAP_RHO = 1e-2
 _EPS = np.finfo(float).eps
 
 
@@ -77,6 +87,7 @@ class PositivityReport:
     witness_y: np.ndarray
     iterations: int
     starts_capped: int
+    starts_snapped: int
 
 
 def _unit(v: np.ndarray, name: str) -> np.ndarray:
@@ -214,8 +225,40 @@ def _secular_halfstep(dense, factors, v: np.ndarray, z0: np.ndarray):
     return lam, z
 
 
+def _window_snap(map_, x: np.ndarray, y: np.ndarray, value: np.ndarray):
+    """The rows that stop on a window zero pair, as (rows, x, y, values) of their snapped pairs.
+
+    x and y hold unit rows.  The window of j is the support of row j of
+    the map's coupling C, so {j, ..., j + k} for tau_{n,k}.  Row i
+    qualifies when value_i > 0, y_i is within _SNAP_RHO of e_j for
+    j = argmax |y_i| (1 - |y_ij|^2 <= rho), and x_i has at most rho of
+    its mass on the window of j.  Its snapped pair is x_i with the window
+    set to zero, renormalised, and y = e_j.  F(x, e_j) = d_j - |U_j|^2
+    from on_projector_factors(x), which is exactly 0.0 there:
+    d_j = (C |x|^2)_j sums over the window only, and U_j = conj(x_j) B_j
+    with x_j = 0, j being in its own window.  The row takes its snapped
+    pair only when F there is at most value_i, so its value never rises.
+    Each row depends only on its own x, y and value.
+    """
+    y2 = _abs2(y)
+    j = y2.argmax(axis=1)
+    window = map_._C[j] != 0
+    near = (1.0 - y2.max(axis=1) <= _SNAP_RHO) & (
+        np.where(window, _abs2(x), 0.0).sum(axis=1) <= _SNAP_RHO)
+    rows = np.flatnonzero((value > 0) & near)
+    j, at = j[rows], np.arange(rows.size)
+    xs = np.where(window[rows], 0.0, x[rows])
+    xs /= np.sqrt(_abs2(xs).sum(axis=1))[:, None]
+    ys = np.zeros_like(xs)
+    ys[at, j] = 1.0
+    d, U = map_.on_projector_factors(xs)
+    f = d[at, j] - _abs2(U[at, j]).sum(axis=1)
+    take = f <= value[rows]
+    return rows[take], xs[take], ys[take], f[take]
+
+
 def _seesaw_batch(map_, X0: np.ndarray, max_sweeps: int, improve_tol: float):
-    """Run the alternation from every row of X0 at once; returns (values, X, Y, sweeps).
+    """Run the alternation from every row of X0 at once; returns (values, X, Y, sweeps, snapped).
 
     Each row starts from the unit vector along its moduli |X0[i]|, a
     diagonal unitary image of X0[i] with the same values of F.  Each
@@ -224,7 +267,11 @@ def _seesaw_batch(map_, X0: np.ndarray, max_sweeps: int, improve_tol: float):
     by one stacked eigh, from there on by _secular_halfstep on the
     *_factors of those matrices, warm-started from the vector the
     half-step replaces (x for the first y-step).  The path is chosen once
-    per call, from n.  Every row keeps its own stop rule and monotonicity
+    per call, from n.  A row stops when a sweep improves it by less than
+    improve_tol, after max_sweeps sweeps, or on a window zero pair: every
+    _SNAP_EVERY sweeps from sweep _SNAP_AFTER on, a positive row close to
+    one takes it if F is no higher there (_window_snap), and snapped[i]
+    records that.  Every row keeps its own stop rule and monotonicity
     guards and is written out and dropped from the stack when it stops, so
     row i of the result is bit for bit what the alternation gives from
     X0[i] alone.  X and Y have the dtype of the map's factor.
@@ -234,6 +281,7 @@ def _seesaw_batch(map_, X0: np.ndarray, max_sweeps: int, improve_tol: float):
     Y = np.zeros_like(X)
     values = np.full(len(X), np.inf)
     sweeps = np.zeros(len(X), dtype=int)
+    snapped = np.zeros(len(X), dtype=bool)
     active = np.arange(len(X))
     x, value = X.copy(), values.copy()
     if map_.n < _SECULAR_MIN_N:
@@ -250,22 +298,26 @@ def _seesaw_batch(map_, X0: np.ndarray, max_sweeps: int, improve_tol: float):
         new, x = x_step(y, x)
         _check_monotone(half, new, "x")
         done = value - new < improve_tol
+        value = new
+        if sweep >= _SNAP_AFTER and sweep % _SNAP_EVERY == 0:
+            rows, xs, ys, fs = _window_snap(map_, x, y, value)
+            x[rows], y[rows], value[rows] = xs, ys, fs
+            done[rows] = snapped[active[rows]] = True
         if sweep == max_sweeps:
             done[:] = True
-        value = new
         if done.any():
             rows = active[done]
-            values[rows], X[rows], Y[rows], sweeps[rows] = new[done], x[done], y[done], sweep
+            values[rows], X[rows], Y[rows], sweeps[rows] = value[done], x[done], y[done], sweep
             keep = ~done
             active, x, y, value = active[keep], x[keep], y[keep], value[keep]
             if not active.size:
                 break
-    return values, X, Y, sweeps
+    return values, X, Y, sweeps, snapped
 
 
 def _seesaw_single(map_, x0: np.ndarray, max_sweeps: int, improve_tol: float):
     """Run the alternation from one start; returns (value, x, y, sweeps)."""
-    values, X, Y, sweeps = _seesaw_batch(
+    values, X, Y, sweeps, _ = _seesaw_batch(
         map_, np.reshape(x0, (1, -1)), max_sweeps, improve_tol)
     return float(values[0]), X[0], Y[0], int(sweeps[0])
 
@@ -284,8 +336,11 @@ def seesaw_minimize(map_, starts: int = DEFAULT_STARTS, seed: int = 0,
     the map's factor is real.  A verdict of negative-certificate means the
     reported witness pair reproduces min_value < -tol on re-evaluation;
     positive-evidence only records the smallest value found and proves
-    nothing.  starts_capped counts the starts that ran all MAX_SWEEPS
-    sweeps, which the cap may have cut short.
+    nothing.  starts_snapped counts the starts that stopped on a window
+    zero pair (see _window_snap), so on a positive map min_value may be
+    an exact 0.0 with such a witness.  starts_capped counts the other
+    starts that ran all MAX_SWEEPS sweeps, which the cap may have cut
+    short.
     """
     starts = _check_int(starts, "starts")
     seed = _check_int(seed, "seed")
@@ -298,14 +353,16 @@ def seesaw_minimize(map_, starts: int = DEFAULT_STARTS, seed: int = 0,
     n = map_.n
     block = max(1, _BLOCK_ENTRIES // (n * n))
     best = None
-    capped = 0
+    capped = snapped_count = 0
     for lo in range(0, starts, block):
         X0 = []
         for idx in range(lo, min(lo + block, starts)):
             rng = np.random.default_rng([seed, idx])
             X0.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        values, X, Y, sweeps = _seesaw_batch(map_, np.array(X0), MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
-        capped += int(np.count_nonzero(sweeps >= MAX_SWEEPS))
+        values, X, Y, sweeps, snapped = _seesaw_batch(
+            map_, np.array(X0), MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+        capped += int(np.count_nonzero((sweeps >= MAX_SWEEPS) & ~snapped))
+        snapped_count += int(np.count_nonzero(snapped))
         i = int(np.argmin(values))
         if best is None or values[i] < best[0]:
             best = (values[i], X[i], Y[i], int(sweeps[i]))
@@ -319,6 +376,7 @@ def seesaw_minimize(map_, starts: int = DEFAULT_STARTS, seed: int = 0,
         witness_y=wy,
         iterations=best_sweeps,
         starts_capped=capped,
+        starts_snapped=snapped_count,
     )
 
 

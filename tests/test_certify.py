@@ -244,7 +244,7 @@ class TestConjectureProbe:
         def seesaw_minimize(map_, starts, seed, tol):
             value = -5e-8
             found = "negative-certificate" if value < -tol else "positive-evidence"
-            return PositivityReport(found, value, np.ones(map_.n), np.ones(map_.n), 1, 0)
+            return PositivityReport(found, value, np.ones(map_.n), np.ones(map_.n), 1, 0, 0)
 
         monkeypatch.setattr(certify, "seesaw_minimize", seesaw_minimize)
         ev = conjecture_probe(MapSpec(4, 2), **({} if tol is None else {"tol": tol}))

@@ -227,8 +227,9 @@ class TestReports:
         doc = json.loads(p.stdout)
         res = doc["result"]
         assert res["verdict"] == "positive-evidence"
-        assert res["min_value"] == 4.760210664959707e-14
-        assert res["starts_capped"] == 1
+        assert res["min_value"] == 0.0
+        assert res["starts_capped"] == 0
+        assert res["starts_snapped"] == 1
         assert "starts_used" not in res
         assert "seed" not in res
         assert len(res["witness_x"]) == 3
@@ -393,11 +394,11 @@ class TestGoldenBytes:
             '{"command": "positivity", "config": {"experimental": false, "grid": null, '
             '"input": null, "k": 1, "n": 3, "output": "json", "perturb": null, '
             '"samples": 36, "seed": 0, "starts": 8, "t": null, "tol": 1e-09}, '
-            '"result": {"iterations": 13, "min_value": 4.760210664959707e-14, '
-            '"perturbation": null, "starts_capped": 1, "verdict": "positive-evidence", '
-            '"witness_x": [[-0.5773501626052768, 0.0], [-0.57735038089772, 0.0], '
-            '[-0.5773502640658594, 0.0]], "witness_y": '
-            '[[0.5773501523578249, 0.0], [0.5773501677290085, 0.0], [0.5773504874819818, 0.0]]}, '
+            '"result": {"iterations": 32, "min_value": 0.0, '
+            '"perturbation": null, "starts_capped": 0, "starts_snapped": 1, '
+            '"verdict": "positive-evidence", '
+            '"witness_x": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], '
+            '"witness_y": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}, '
             '"schema": "posmap-report/2", "version": "0.1.0"}\n'
         ),
     }
@@ -626,3 +627,11 @@ class TestEntryPoint:
             err = proc.stderr.read()
         assert proc.returncode == 1
         assert err == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_unwritable_stdout_exits_1_with_one_line(self):
+        argv = [sys.executable, "-m", "posmap", "certify", "--n", "4", "--k", "2"]
+        with open("/dev/full", "w") as full:
+            p = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True)
+        assert p.returncode == 1
+        assert p.stderr == "posmap: error: cannot write report: No space left on device\n"

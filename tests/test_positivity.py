@@ -18,6 +18,7 @@ from posmap import (
 )
 from posmap.positivity import (
     MAX_SWEEPS,
+    NEGATIVITY_TOL,
     SWEEP_IMPROVEMENT_TOL,
     _SECULAR_MIN_N,
     _leave_one_out,
@@ -25,6 +26,7 @@ from posmap.positivity import (
     _secular_halfstep,
     _seesaw_batch,
     _seesaw_single,
+    _window_snap,
     analytic_det,
     degenerate_det_bound,
     f_value,
@@ -91,9 +93,10 @@ class TestSeesaw:
     def test_frozen_unperturbed_run(self):
         report = seesaw_minimize(TauMap(MapSpec(3, 1)), starts=8, seed=0)
         assert report.verdict == "positive-evidence"
-        assert report.min_value == 4.760210664959707e-14
-        assert report.iterations == 13
-        assert report.starts_capped == 1
+        assert report.min_value == 0.0
+        assert report.iterations == 32
+        assert report.starts_capped == 0
+        assert report.starts_snapped == 1
 
     def test_frozen_negative_certificate(self):
         pert = HadamardPerturbation([alternating_vector(4)], [2.1])
@@ -129,7 +132,7 @@ class TestSeesaw:
             assert report.verdict == "positive-evidence"
             assert -1e-9 <= report.min_value <= 1e-6
 
-    @pytest.mark.parametrize("n, k, t, capped", [(4, 2, None, 8), (8, 2, 5.0, 0)])
+    @pytest.mark.parametrize("n, k, t, capped", [(4, 2, None, 0), (8, 2, 5.0, 0)])
     def test_capped_starts_are_counted(self, n, k, t, capped):
         pert = None if t is None else HadamardPerturbation([alternating_vector(n)], [t])
         report = seesaw_minimize(TauMap(MapSpec(n, k), pert), starts=64, seed=0)
@@ -176,9 +179,9 @@ class TestBatchedSeesaw:
     @pytest.mark.parametrize(
         "n, k, t, capped",
         [
-            (3, 1, None, 1),
-            (4, 2, 2.1, 2),
-            (5, 2, None, 2),
+            (3, 1, None, 0),
+            (4, 2, 2.1, 0),
+            (5, 2, None, 0),
             (8, 6, 2.0, 0),
             # The absolute SWEEP_IMPROVEMENT_TOL never stops a start at this weight.
             (4, 2, 1e7, 16),
@@ -199,14 +202,14 @@ class TestBatchedSeesaw:
     @staticmethod
     def check_rows_equal_single_starts(map_, capped):
         X0 = seeded_starts(map_.n, 16)
-        values, X, Y, sweeps = _seesaw_batch(map_, X0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
-        for i, x0 in enumerate(X0):
-            value, x, y, count = _seesaw_single(map_, x0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
-            assert values[i].tobytes() == np.float64(value).tobytes()
-            assert X[i].tobytes() == x.tobytes()
-            assert Y[i].tobytes() == y.tobytes()
-            assert sweeps[i] == count
-        assert np.count_nonzero(sweeps >= MAX_SWEEPS) == capped
+        batch = _seesaw_batch(map_, X0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+        for i in range(len(X0)):
+            single = _seesaw_batch(map_, X0[i:i + 1], MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+            # values, X, Y, sweeps and snapped, row by row.
+            for a, b in zip(batch, single):
+                assert a[i:i + 1].tobytes() == b.tobytes()
+        _, _, _, sweeps, snapped = batch
+        assert np.count_nonzero((sweeps >= MAX_SWEEPS) & ~snapped) == capped
 
     def test_permuting_rows_permutes_outputs(self):
         self.check_permuting_rows_permutes_outputs(v1_map(4, 2, 2.1))
@@ -231,9 +234,9 @@ class TestBatchedSeesaw:
         """From n = 16 on, every start takes the sweeps it takes with eigh, to the same values."""
         map_ = make()
         X0 = seeded_starts(map_.n, 8)
-        values, _, _, sweeps = _seesaw_batch(map_, X0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+        values, _, _, sweeps, _ = _seesaw_batch(map_, X0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
         monkeypatch.setattr(posmap.positivity, "_SECULAR_MIN_N", map_.n + 1)
-        ref, _, _, ref_sweeps = _seesaw_batch(map_, X0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+        ref, _, _, ref_sweeps, _ = _seesaw_batch(map_, X0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
         assert np.array_equal(sweeps, ref_sweeps)
         assert np.all(np.abs(values - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
@@ -258,6 +261,116 @@ class TestBatchedSeesaw:
             assert np.float64(got.min_value).tobytes() == np.float64(ref.min_value).tobytes()
             assert got.witness_x.tobytes() == ref.witness_x.tobytes()
             assert got.witness_y.tobytes() == ref.witness_y.tobytes()
+
+
+class ShiftedFactors(TauMap):
+    """A TauMap whose on_projector_factors puts every F higher by shift than on_projector does."""
+
+    def __init__(self, spec, shift):
+        super().__init__(spec)
+        self.shift = shift
+
+    def on_projector_factors(self, x):
+        d, U = super().on_projector_factors(x)
+        return d + self.shift, U
+
+
+def near_window_pair(n, eps=1e-3):
+    """A unit pair a distance of order eps from the window zero pair of j = 0 of tau_{n,1}.
+
+    x puts eps on the window {0, 1} and is uniform off it; y is e_0 plus eps on e_1.
+    """
+    x = np.ones(n)
+    x[:2] = eps
+    y = unit_basis(n, 0)
+    y[1] = eps
+    return x / np.linalg.norm(x), y / np.linalg.norm(y)
+
+
+# v1 just above its critical weight n - k, and the Fourier kernel directions
+# of (12, 8) at weight 6: maps whose negative-basin starts include some that
+# creep with F > 0 past the first snap sweeps before they turn negative.
+REPLAY_MAPS = {
+    "v1-4-2": lambda: v1_map(4, 2, 2.01),
+    "v1-6-4": lambda: v1_map(6, 4, 2.01),
+    "v1-8-6": lambda: v1_map(8, 6, 2.01),
+    "fourier-12-8-f1": lambda: fourier_map(12, 8, [6.0, 0.0, 0.0]),
+    "fourier-12-8-f2": lambda: fourier_map(12, 8, [0.0, 6.0, 0.0]),
+    "fourier-12-8-f3": lambda: fourier_map(12, 8, [0.0, 0.0, 6.0]),
+}
+
+
+class TestWindowSnap:
+    """Starts that creep toward a window zero pair stop on it, where F is exactly 0.0."""
+
+    @pytest.mark.parametrize(
+        "make, seed, snapped",
+        [(lambda: v1_map(3, 1), 0, 17), (lambda: v1_map(4, 1), 0, 18),
+         (lambda: v1_map(4, 2), 0, 8), (lambda: v1_map(5, 2), 0, 9),
+         (lambda: v1_map(4, 2, 2.0), 0, 6), (lambda: fourier_map(6, 3, [1.0, 1.0]), 1, 2)],
+        ids=["plain-3-1", "plain-4-1", "plain-4-2", "plain-5-2", "v1-4-2-critical", "fourier-6-3"],
+    )
+    def test_snapped_starts_are_the_capped_ones(self, monkeypatch, make, seed, snapped):
+        """Each snapped start is one the cap stopped without the snap; every other start keeps its bytes."""
+        map_ = make()
+        X0 = seeded_starts(map_.n, 64, seed)
+        values, X, Y, sweeps, snap = _seesaw_batch(map_, X0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+        assert np.count_nonzero(snap) == snapped
+        assert not np.any(sweeps[~snap] >= MAX_SWEEPS)
+        for value, x, y in zip(values[snap], X[snap], Y[snap]):
+            assert value == 0.0
+            assert form_value(map_, x, y) == 0.0
+            assert not np.any(x * y)
+        monkeypatch.setattr(posmap.positivity, "_SNAP_AFTER", MAX_SWEEPS + 1)
+        ref = _seesaw_batch(map_, X0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+        assert np.array_equal(ref[3] >= MAX_SWEEPS, snap)
+        for got, want in zip((values, X, Y, sweeps), ref):
+            assert got[~snap].tobytes() == want[~snap].tobytes()
+
+    def test_near_pair_snaps_to_an_exact_zero(self):
+        map_ = TauMap(MapSpec(4, 1))
+        x, y = near_window_pair(4)
+        rows, xs, ys, fs = _window_snap(map_, x[None], y[None], np.array([1e-3]))
+        assert rows.tolist() == [0]
+        assert np.array_equal(xs[0], [0.0, 0.0, np.sqrt(0.5), np.sqrt(0.5)])
+        assert np.array_equal(ys[0], unit_basis(4, 0))
+        assert fs.tolist() == [0.0]
+        assert xs.dtype == ys.dtype == np.float64
+
+    def test_snap_above_the_value_is_refused(self):
+        """A snapped pair whose F, by the map's kernels, is above the row's value leaves the row running."""
+        x, y = near_window_pair(4)
+        rows = _window_snap(ShiftedFactors(MapSpec(4, 1), 1.0), x[None], y[None], np.array([1e-3]))[0]
+        assert rows.size == 0
+
+    @pytest.mark.parametrize("shift, value", [(0.0, 0.0), (-1.0, -1e-3)])
+    def test_rows_that_are_not_positive_never_snap(self, shift, value):
+        x, y = near_window_pair(4)
+        rows = _window_snap(ShiftedFactors(MapSpec(4, 1), shift), x[None], y[None], np.array([value]))[0]
+        assert rows.size == 0
+
+    def test_rows_far_from_a_window_pair_never_snap(self):
+        """Row 0's y is spread over two entries, row 1's x has half its mass on the window."""
+        x, y = near_window_pair(4)
+        spread = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)
+        on_window = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2.0)
+        rows = _window_snap(TauMap(MapSpec(4, 1)), np.array([x, on_window]),
+                            np.array([spread, y]), np.array([1e-3, 1e-3]))[0]
+        assert rows.size == 0
+
+    @pytest.mark.parametrize("name", list(REPLAY_MAPS))
+    def test_snap_keeps_every_negative_start(self, monkeypatch, name):
+        """Every start that ends below -tol without the snap ends there, bit for bit, with it."""
+        map_ = REPLAY_MAPS[name]()
+        X0 = seeded_starts(map_.n, 16)
+        values, _, _, _, snapped = _seesaw_batch(map_, X0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+        monkeypatch.setattr(posmap.positivity, "_SNAP_AFTER", MAX_SWEEPS + 1)
+        ref = _seesaw_batch(map_, X0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)[0]
+        negative = ref < -NEGATIVITY_TOL
+        assert negative.any()
+        assert not snapped[negative].any()
+        assert values[negative].tobytes() == ref[negative].tobytes()
+        assert (values.min() < -NEGATIVITY_TOL) == (ref.min() < -NEGATIVITY_TOL)
 
 
 SIMILARITY_MAPS = {
