@@ -133,6 +133,19 @@ def shift_coupling(spec: MapSpec) -> np.ndarray:
     return S
 
 
+def _window_pairs(C: np.ndarray, x: np.ndarray, j: np.ndarray):
+    """(xs, ys): each row x_i zeroed on the window of j_i and renormalised, and e_{j_i}.
+
+    The window of j is the support of C[j] ({j, ..., j + k} for shift_coupling)
+    and holds j, so xs o ys = 0, (C |xs|^2)_j = 0 and F is exactly 0.0 under C.
+    """
+    xs = np.where(C[j] != 0, 0.0, x)
+    xs /= np.sqrt(_abs2(xs).sum(axis=1))[:, None]
+    ys = np.zeros_like(xs)
+    ys[np.arange(len(j)), j] = 1.0
+    return xs, ys
+
+
 def alternating_vector(n: int) -> np.ndarray:
     """Unit vector (1, -1, 1, -1, ...) / sqrt(n); requires even n."""
     n = _check_int(n, "n")

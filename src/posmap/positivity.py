@@ -25,9 +25,8 @@ unitary D, so each start x0 is replaced by its moduli |x0|, which gives
 the same sequence of values.  When the map's factor is real the vectors
 then stay real, every eigenproblem is real symmetric, and the
 witness pair is real.  Starts that creep toward a window zero pair
-(y = e_j, x zero on the window {j, ..., j + k}, where x o y = 0 and F is
-exactly 0.0 for every map here) stop on that pair once they are close
-enough, if F is no higher there, instead of running to the sweep cap.
+(maps._window_pairs, where F is exactly 0.0 for every map here) stop on
+it once close enough, if F is no higher there, not at the sweep cap.
 
 For diagonal input X = diag(X_1, ..., X_n) the map's positivity reduces to
 scalar data: the profile D = S X with S the shift coupling, the ratio sum
@@ -37,6 +36,7 @@ product-form determinant that never divides and so survives D_i = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +50,7 @@ from .maps import (
     TauMap,
     _abs2,
     _check_int,
+    _window_pairs,
     alternating_vector,
     shift_coupling,
 )
@@ -228,29 +229,21 @@ def _secular_halfstep(dense, factors, v: np.ndarray, z0: np.ndarray):
 def _window_snap(map_, x: np.ndarray, y: np.ndarray, value: np.ndarray):
     """The rows that stop on a window zero pair, as (rows, x, y, values) of their snapped pairs.
 
-    x and y hold unit rows.  The window of j is the support of row j of
-    the map's coupling C, so {j, ..., j + k} for tau_{n,k}.  Row i
-    qualifies when value_i > 0, y_i is within _SNAP_RHO of e_j for
-    j = argmax |y_i| (1 - |y_ij|^2 <= rho), and x_i has at most rho of
-    its mass on the window of j.  Its snapped pair is x_i with the window
-    set to zero, renormalised, and y = e_j.  F(x, e_j) = d_j - |U_j|^2
-    from on_projector_factors(x), which is exactly 0.0 there:
-    d_j = (C |x|^2)_j sums over the window only, and U_j = conj(x_j) B_j
-    with x_j = 0, j being in its own window.  The row takes its snapped
-    pair only when F there is at most value_i, so its value never rises.
-    Each row depends only on its own x, y and value.
+    x and y hold unit rows.  Row i qualifies when value_i > 0, y_i is
+    within _SNAP_RHO of e_j for j = argmax |y_i| (1 - |y_ij|^2 <= rho), and
+    x_i has at most rho of its mass on the window of j.  Its snapped pair
+    _window_pairs(map_._C, x_i, j) keeps x_i's moduli off the window, and
+    F = d_j - |U_j|^2 there, from on_projector_factors, is exactly 0.0.
+    The row takes it only when that F is at most value_i, so its value
+    never rises.  Each row depends only on its own x, y and value.
     """
     y2 = _abs2(y)
     j = y2.argmax(axis=1)
-    window = map_._C[j] != 0
     near = (1.0 - y2.max(axis=1) <= _SNAP_RHO) & (
-        np.where(window, _abs2(x), 0.0).sum(axis=1) <= _SNAP_RHO)
+        np.where(map_._C[j] != 0, _abs2(x), 0.0).sum(axis=1) <= _SNAP_RHO)
     rows = np.flatnonzero((value > 0) & near)
     j, at = j[rows], np.arange(rows.size)
-    xs = np.where(window[rows], 0.0, x[rows])
-    xs /= np.sqrt(_abs2(xs).sum(axis=1))[:, None]
-    ys = np.zeros_like(xs)
-    ys[at, j] = 1.0
+    xs, ys = _window_pairs(map_._C, x[rows], j)
     d, U = map_.on_projector_factors(xs)
     f = d[at, j] - _abs2(U[at, j]).sum(axis=1)
     take = f <= value[rows]
@@ -403,9 +396,12 @@ def _leave_one_out(D: np.ndarray):
 def f_value(spec: MapSpec, X_vec) -> float:
     """Ratio sum f(X) = sum_i X_i / D_i, defined only when every D_i > 0.
 
-    Evaluated as a single quotient of leave-one-out products after scaling
-    X by its largest entry (f is scale invariant), which keeps f(1) = 1
-    exact and avoids overflow for extreme profiles.
+    X is first scaled by its largest entry (f is scale invariant), so each
+    quotient lies in [0, 1/(n-k)] and none overflows at any n.  math.fsum
+    adds the quotients exactly and rounds once, so the relative error is
+    that of the worst quotient, about (k + 2) eps, whatever n.  At the
+    uniform profile f is n fl(1/n) rounded once: exactly 1.0 for n <= 48,
+    and 1.0 or the float just below it beyond.
     """
     X = _diagonal(spec, X_vec)
     peak = X.max()
@@ -415,19 +411,27 @@ def f_value(spec: MapSpec, X_vec) -> float:
     D = shift_coupling(spec) @ X
     if np.any(D <= 0):
         raise DomainError("f is undefined when some D_i vanishes")
-    total, loo = _leave_one_out(D)
-    return float(np.dot(X, loo) / total)
+    return math.fsum(X / D)
 
 
 def analytic_det(spec: MapSpec, X_vec) -> float:
     """det of Diag(D) - x x^T for x = sqrt(X), as products only.
 
     Returns prod_i D_i - sum_j X_j prod_{i != j} D_i, with no division, so
-    degenerate profiles (some D_i = 0) evaluate exactly.
+    degenerate profiles (some D_i = 0) evaluate exactly.  Each product
+    carries a relative rounding error of up to about (n + k) eps, and the
+    difference cancels them: the absolute error is up to about (n + k) eps
+    times prod_i D_i + sum_j X_j prod_{i != j} D_i, which near the uniform
+    profile exceeds the value itself once n is large.  A product that
+    overflows float64 raises DomainError.
     """
     X = _diagonal(spec, X_vec)
-    total, loo = _leave_one_out(shift_coupling(spec) @ X)
-    return float(total - np.dot(X, loo))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total, loo = _leave_one_out(shift_coupling(spec) @ X)
+        det = total - np.dot(X, loo)
+    if not np.isfinite(det):
+        raise DomainError(f"a product of the profile entries D_i overflows float64 at n = {spec.n}")
+    return float(det)
 
 
 def hessian_shat(spec: MapSpec):

@@ -1,8 +1,8 @@
 """Spanning sets of product vectors drawn from the zero set of the form.
 
 Zeros of F(x, y) for tau_{n,k} come in two families: unimodular-phase x
-paired with y = conj(x), and x supported off a cyclic window of k+1
-positions paired with the basis vector at the window start.  Both families
+paired with y = conj(x), and the window pairs, y = e_j with x zero on the
+support {j, ..., j + k} of row j of the coupling.  Both families
 live in the span of x (x) conj(x) over phase vectors, a subspace of
 dimension n^2 - n + 1 whose orthogonal complement is the traceless
 diagonal.  For k = n-1 the window family is empty but the zero set is far
@@ -32,13 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import DomainError, MapSpec, NumericalAnomalyError, _abs2, _check_int, shift_coupling
+from .maps import (DomainError, MapSpec, NumericalAnomalyError, _abs2, _check_int, _window_pairs,
+                   shift_coupling)
 
 ADMISSION_TOL = 1e-9
 RANK_REL_TOL = 1e-8
 SIGMA_FIX_TOL = 1e-9
 _STREAM_UNIMODULAR = 1000001
-_STREAM_DEGENERATE = 1000002
 _STREAM_HARVEST = 1000003
 
 
@@ -81,23 +81,16 @@ def unimodular_pairs(spec: MapSpec, samples: int, seed: int = 0) -> np.ndarray:
     return np.stack((X, X.conj()), axis=1)
 
 
-def degenerate_pairs(spec: MapSpec, seed: int = 0) -> np.ndarray:
-    """(n, 2, n) zero pairs, one per cyclic window: x off the window, y at its start.
+def degenerate_pairs(spec: MapSpec) -> np.ndarray:
+    """(n, 2, n) window zero pairs: the all-ones x zeroed on the window of j, and y = e_j.
 
-    For offset j the window is positions j..j+k mod n; x carries random
-    phases on the complement and y = e_j.  Empty, shape (0, 2, n), for
-    k = n-1, where no window leaves room for a support.
+    F and the rank see moduli only, so the family draws no phases.  Empty,
+    shape (0, 2, n), for k = n-1, where no window leaves room for a support.
     """
-    n, k = spec.n, spec.k
     if spec.is_reduction:
-        return np.empty((0, 2, n), dtype=np.complex128)
-    rng = np.random.default_rng([seed, _STREAM_DEGENERATE])
-    width = n - k - 1
-    phases = rng.uniform(0.0, 2.0 * np.pi, (n, width))
-    rows = np.arange(n)[:, None]
-    X = np.zeros((n, n), dtype=np.complex128)
-    X[rows, (rows + k + 1 + np.arange(width)) % n] = np.exp(1j * phases) / math.sqrt(width)
-    return np.stack((X, np.eye(n, dtype=np.complex128)), axis=1)
+        return np.empty((0, 2, spec.n), dtype=np.complex128)
+    C = shift_coupling(spec)
+    return np.stack(_window_pairs(C, np.ones_like(C, dtype=np.complex128), np.arange(spec.n)), axis=1)
 
 
 def _harvest_zero_pairs(spec: MapSpec, count: int, seed: int) -> np.ndarray:
@@ -120,9 +113,10 @@ def _harvest_zero_pairs(spec: MapSpec, count: int, seed: int) -> np.ndarray:
 def build_spanning_set(spec: MapSpec, seed: int = 0, samples: int | None = None) -> SpanningSet:
     """Pool the three zero-pair families, check admission, and take the rank.
 
-    samples defaults to 4 n^2 phase pairs; the reduction family takes 2n
-    pairs, enough to reveal the spanning property (gram_rank == n^2) of the
-    reduction map.  Every family is an exact zero set of unit pairs, so F
+    seed draws the phase pairs, samples of them (default 4 n^2), and the
+    reduction family's 2n pairs, enough to reveal the spanning property
+    (gram_rank == n^2) of the reduction map; the window family draws
+    nothing.  Every family is an exact zero set of unit pairs, so F
     is evaluated for all of them at once in closed form,
     F = |y|^2 . S |x|^2 - |sum_i x_i y_i|^2 with S = shift_coupling(spec),
     and a pair whose value exceeds ADMISSION_TOL is a numerical fault that
@@ -151,7 +145,7 @@ def build_spanning_set(spec: MapSpec, seed: int = 0, samples: int | None = None)
         samples = 4 * n * n
     pairs = np.concatenate((
         unimodular_pairs(spec, samples, seed),
-        degenerate_pairs(spec, seed),
+        degenerate_pairs(spec),
         _harvest_zero_pairs(spec, 2 * n, seed),
     ))
     X, Y = pairs[:, 0], pairs[:, 1]

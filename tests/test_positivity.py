@@ -762,6 +762,12 @@ class TestFValue:
         with pytest.raises(DomainError):
             f_value(MapSpec(3, 1), (0.0, 0.0, 0.0))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [144, 1000, 4099])
+    def test_uniform_profile_at_large_n(self, n):
+        """One rounding of the exact quotient sum: no product of n profile entries to overflow."""
+        assert abs(f_value(MapSpec(n, 2), np.ones(n)) - 1.0) <= 2 * np.spacing(1.0)
+
     @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (5, 2), (6, 4)])
     def test_bounded_by_one_on_random_profiles(self, n, k):
         rng = np.random.default_rng([41, n, k])
@@ -805,6 +811,13 @@ class TestAnalyticDet:
 
     def test_degenerate_window_evaluates_exactly(self):
         assert analytic_det(MapSpec(4, 1), (0.0, 0.0, 1.0, 1.0)) == 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [144, 4099])
+    def test_overflowing_product_is_a_domain_error(self, n):
+        """prod_i D_i = n^n overflows float64 from n = 144 on the uniform profile."""
+        with pytest.raises(DomainError, match=f"overflows float64 at n = {n}"):
+            analytic_det(MapSpec(n, 2), np.ones(n))
 
     @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (5, 3), (6, 2)])
     def test_matches_numeric_determinant(self, n, k):

@@ -10,10 +10,11 @@ import pytest
 import posmap.cli
 import posmap.positivity
 import posmap.spanning
-from posmap import DomainError, MapSpec, NumericalAnomalyError, TauMap
+from posmap import DomainError, HadamardPerturbation, MapSpec, NumericalAnomalyError, TauMap
+from posmap.certify import build_circulant
+from posmap.maps import alternating_vector
 from posmap.positivity import form_value
 from posmap.spanning import (
-    _STREAM_DEGENERATE,
     _STREAM_UNIMODULAR,
     _harvest_zero_pairs,
     build_spanning_set,
@@ -130,7 +131,7 @@ class TestDegeneratePairs:
             assert abs(form_value(map_, x, y)) == 0.0
 
     def test_y_is_window_anchor(self):
-        pairs = degenerate_pairs(MapSpec(5, 2), seed=1)
+        pairs = degenerate_pairs(MapSpec(5, 2))
         anchors = {int(np.argmax(np.abs(y))) for _, y in pairs}
         assert anchors == {0, 1, 2, 3, 4}
         for x, y in pairs:
@@ -142,6 +143,28 @@ class TestDegeneratePairs:
         pairs = degenerate_pairs(MapSpec(4, 3))
         assert pairs.shape == (0, 2, 4)
         assert pairs.dtype == np.complex128
+
+    def test_exact_zeros_on_every_map(self):
+        """Each window pair has x o y = 0 and F exactly 0.0, on the plain map and on every correction.
+
+        The corrections are v1 at t = n - k and n - k + 1 (even n), where the
+        map is still positive and where it is not, and the whole kernel of
+        the window-sum circulant at weight 1 (gcd d >= 2).
+        """
+        for n in range(3, 11):
+            for k in range(1, n - 1):
+                spec = MapSpec(n, k)
+                maps = [TauMap(spec)]
+                if n % 2 == 0:
+                    maps += [TauMap(spec, HadamardPerturbation([alternating_vector(n)], [t]))
+                             for t in (n - k, n - k + 1)]
+                if spec.gcd >= 2:
+                    kernel = build_circulant(spec).kernel
+                    maps.append(TauMap(spec, HadamardPerturbation(kernel, [1.0] * (spec.gcd - 1))))
+                for x, y in degenerate_pairs(spec):
+                    assert not np.any(x * y), (n, k)
+                    for map_ in maps:
+                        assert form_value(map_, x, y) == 0.0, (n, k)
 
 
 class TestReductionFamily:
@@ -176,7 +199,7 @@ class TestReductionFamily:
 
 
 class TestBatchedPairs:
-    """The pair families draw every phase at once; the per-sample loops stay here as the reference."""
+    """The pair families build every pair at once; per-pair loops stay here as the reference."""
 
     SPECS = [MapSpec(n, k) for n in range(2, 10) for k in range(0, n)]
 
@@ -187,15 +210,15 @@ class TestBatchedPairs:
                 for _ in range(samples)]
 
     @staticmethod
-    def degenerate_loop(spec, seed):
+    def degenerate_loop(spec):
+        """x uniform on the n - k - 1 positions after the window {j, ..., j + k}, by index arithmetic."""
         n, k = spec.n, spec.k
-        rng = np.random.default_rng([seed, _STREAM_DEGENERATE])
         width = n - k - 1
         xs = []
         for j in range(n):
             support = (j + k + 1 + np.arange(width)) % n
             x = np.zeros(n, dtype=np.complex128)
-            x[support] = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, width)) / math.sqrt(width)
+            x[support] = 1.0 / math.sqrt(width)
             xs.append(x)
         return xs
 
@@ -211,14 +234,19 @@ class TestBatchedPairs:
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_degenerate_bit_identical_to_loop(self, seed):
+        """The window family is the loop's, and the pool at any seed carries it unchanged."""
         for spec in self.SPECS:
             if spec.is_reduction:
                 continue
-            pairs = degenerate_pairs(spec, seed)
-            ref = np.array(self.degenerate_loop(spec, seed))
+            pairs = degenerate_pairs(spec)
+            ref = np.array(self.degenerate_loop(spec))
             assert pairs.shape == (spec.n, 2, spec.n)
-            assert np.array_equal(pairs[:, 0], ref), (spec, seed)
-            assert np.array_equal(pairs[:, 1], np.eye(spec.n)), (spec, seed)
+            assert np.array_equal(pairs[:, 0], ref), spec
+            assert np.array_equal(pairs[:, 1], np.eye(spec.n)), spec
+            if spec.k >= 1:
+                samples = 4 * spec.n * spec.n
+                pooled = build_spanning_set(spec, seed=seed).pairs[samples:samples + spec.n]
+                assert np.array_equal(pooled, pairs), (spec, seed)
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_closed_form_values_match_form_value(self, seed):
@@ -231,7 +259,7 @@ class TestBatchedPairs:
             tau = TauMap(spec)
             families = np.concatenate((
                 unimodular_pairs(spec, 4 * spec.n * spec.n, seed),
-                degenerate_pairs(spec, seed),
+                degenerate_pairs(spec),
                 _harvest_zero_pairs(spec, 2 * spec.n, seed),
             ))
             reference = np.array([form_value(tau, x, y) for x, y in families])
@@ -304,7 +332,7 @@ class TestSpanningSet:
         assert ss.pairs.shape == (m, 2, n) and ss.pairs.dtype == np.complex128
         assert ss.values.shape == (m,) and ss.values.dtype == np.float64
         assert ss.sigma_membership.shape == (m,) and ss.sigma_membership.dtype == bool
-        pool = np.concatenate((unimodular_pairs(spec, 4 * n * n, 2), degenerate_pairs(spec, 2),
+        pool = np.concatenate((unimodular_pairs(spec, 4 * n * n, 2), degenerate_pairs(spec),
                                _harvest_zero_pairs(spec, 2 * n, 2)))
         assert np.array_equal(ss.pairs, pool)
 
@@ -368,8 +396,8 @@ class TestAdmission:
     def spoil_degenerate_family(monkeypatch):
         exact = posmap.spanning.degenerate_pairs
 
-        def spoiled(spec, seed=0):
-            pairs = exact(spec, seed).copy()
+        def spoiled(spec):
+            pairs = exact(spec).copy()
             e0 = np.eye(spec.n)[0]
             pairs[0] = (e0, 2.0**-10 * e0)
             pairs[2] = (e0, e0)
@@ -392,7 +420,11 @@ class TestAdmission:
 
 
 class TestWorkloadMembers:
-    """The five spanning benchmark members at seed 0, frozen as report counts."""
+    """The five spanning benchmark members, frozen as report counts at seeds 0 and 3.
+
+    The window family draws nothing and the rank is that of the torus
+    closure, so the counts are the same at every seed.
+    """
 
     @pytest.mark.parametrize("n,k,admitted,outside,rank", [
         (8, 3, 264, 0, 57),
@@ -402,8 +434,9 @@ class TestWorkloadMembers:
         (16, 15, 1056, 32, 256),
     ])
     def test_report_counts(self, capsys, n, k, admitted, outside, rank):
-        assert posmap.cli.main(["spanning", "--n", str(n), "--k", str(k), "--seed", "0"]) == 0
-        result = json.loads(capsys.readouterr().out)["result"]
-        assert (result["pairs_admitted"], result["pairs_outside_sigma"], result["rank"]) == (
-            admitted, outside, rank)
-        assert result["spanning_property"] is (rank == n * n)
+        for seed in ("0", "3"):
+            assert posmap.cli.main(["spanning", "--n", str(n), "--k", str(k), "--seed", seed]) == 0
+            result = json.loads(capsys.readouterr().out)["result"]
+            assert (result["pairs_admitted"], result["pairs_outside_sigma"], result["rank"]) == (
+                admitted, outside, rank), seed
+            assert result["spanning_property"] is (rank == n * n)
