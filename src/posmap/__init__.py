@@ -9,8 +9,8 @@ from .maps import (
     TauMap,
     alternating_vector,
     as_square_matrix,
+    coupling_matrix,
     require_hermitian,
-    shift_coupling,
 )
 from .positivity import (
     PositivityReport,
@@ -49,7 +49,7 @@ __all__ = [
     "HadamardPerturbation",
     "TauMap",
     "alternating_vector",
-    "shift_coupling",
+    "coupling_matrix",
     "as_square_matrix",
     "require_hermitian",
     "PositivityReport",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import (
-    ENTRY_SUM_ATOL,
+    ENTRY_SUM_TOL,
     DomainError,
     HadamardPerturbation,
     MapSpec,
@@ -109,7 +109,7 @@ def build_circulant(spec: MapSpec) -> CirculantConstraint:
         raise NumericalAnomalyError(f"zero set mismatch at eigenvalue index {bad[0]}")
     kernel = roots[(np.array(zeros, dtype=int)[:, None] * idx) % n] / math.sqrt(n)
     sums = kernel.sum(axis=1)
-    bad = np.flatnonzero(np.abs(sums) > ENTRY_SUM_ATOL)
+    bad = np.flatnonzero(np.abs(sums) > ENTRY_SUM_TOL)
     if bad.size:
         raise NumericalAnomalyError(f"kernel vector {zeros[bad[0]]} has entry sum "
                                     f"{sums[bad[0]]:.3e}, not zero")
@@ -159,7 +159,7 @@ def conjecture_probe(spec: MapSpec, seed: int = 0, t: float | None = None,
     t_probe = t_max if t is None else float(t)
     v1 = alternating_vector(n)
     pert = HadamardPerturbation([v1], [t_probe])
-    report = seesaw_minimize(TauMap(spec, pert), starts=starts, seed=seed, tol=tol)
+    report = seesaw_minimize(TauMap(spec.coupling, pert), starts=starts, seed=seed, tol=tol)
     witness_at_t, _ = parity_witness_value(n, k, t_probe)
     witness_above, _ = parity_witness_value(n, k, t_max + 0.1)
     failed = witness_at_t < 0 or report.verdict == "negative-certificate"

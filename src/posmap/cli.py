@@ -253,14 +253,14 @@ def cmd_apply(spec: MapSpec, config: dict) -> dict:
         raise InputDataError(f"{config['input']}: {exc}")
     # An image beyond float range is reported once, as dumps_report's anomaly.
     with np.errstate(over="ignore", invalid="ignore"):
-        out = TauMap(spec, pert).apply(X)
+        out = TauMap(spec.coupling, pert).apply(X)
     return {"matrix": pairs(out), "perturbation": _pert_summary(pert)}
 
 
 def cmd_positivity(spec: MapSpec, config: dict) -> dict:
     pert = _build_perturbation(config)
     report = seesaw_minimize(
-        TauMap(spec, pert), starts=config["starts"], seed=config["seed"], tol=config["tol"]
+        TauMap(spec.coupling, pert), starts=config["starts"], seed=config["seed"], tol=config["tol"]
     )
     return {
         "verdict": report.verdict,
@@ -333,7 +333,7 @@ def cmd_conjecture(spec: MapSpec, config: dict) -> dict:
         points = []
         for weights in itertools.product(grid, repeat=axes):
             rep = seesaw_minimize(
-                TauMap(spec, HadamardPerturbation(basis, weights)), starts=config["starts"],
+                TauMap(spec.coupling, HadamardPerturbation(basis, weights)), starts=config["starts"],
                 seed=config["seed"], tol=config["tol"],
             )
             points.append(

@@ -17,8 +17,9 @@ Every map here fits a single template
 
     X  ->  Diag(C . diag X) - G o X
 
-for a real coupling matrix C and a Hermitian entrywise factor G.  TauMap
-implements it, with C = shift_coupling(spec) and G = 1 + L; it exposes
+for the circulant C = sum_m c_m P^m, (P v)_i = v_{i+1}, of a nonnegative row
+c (coupling_matrix; c = MapSpec(n, k).coupling for tau_{n,k}) and a Hermitian
+entrywise factor G.  TauMap implements it, with G = 1 + L; it exposes
 the small protocol (apply, on_projector, quadratic_form, choi) consumed
 by the positivity engine.  G = B B^dag for the n x (1 + r)
 factor B = [1, sqrt(w_r) alpha_r], so each matrix on_projector and
@@ -33,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-HERMITIAN_ATOL = 1e-12
-ENTRY_SUM_ATOL = 1e-10
+HERMITIAN_RTOL = 1e-12
+ENTRY_SUM_TOL = 1e-10
 
 
 class DimensionMismatchError(ValueError):
@@ -86,6 +87,11 @@ class MapSpec:
         object.__setattr__(self, "k", k)
 
     @property
+    def coupling(self) -> np.ndarray:
+        """tau_{n,k}'s coupling row (n-k, 1 x k, 0 x (n-k-1)), the input of coupling_matrix."""
+        return np.concatenate(([self.n - self.k], np.ones(self.k), np.zeros(self.n - self.k - 1)))
+
+    @property
     def gcd(self) -> int:
         return math.gcd(self.n, self.k)
 
@@ -105,39 +111,45 @@ def as_square_matrix(X, n: int | None = None) -> np.ndarray:
 
 
 def require_hermitian(X) -> np.ndarray:
-    """Return X as an ndarray after verifying Hermiticity within HERMITIAN_ATOL.
+    """Return X as an ndarray after verifying Hermiticity within HERMITIAN_RTOL of its scale.
 
-    Inputs that fail, including any with NaN or infinite entries, are
-    rejected, never symmetrized.
+    The scale is the largest real or imaginary part of an entry, so the
+    test does not change when X is multiplied by a power of two.  Inputs
+    that fail, including any with NaN or infinite entries, are rejected,
+    never symmetrized.
     """
     A = as_square_matrix(X)
     if not np.isfinite(A).all():
         raise DomainError("matrix has non-finite entries")
-    dev = np.abs(A - A.conj().T).max()
-    if dev > HERMITIAN_ATOL:
-        raise DomainError(f"matrix is not Hermitian within {HERMITIAN_ATOL:g} (deviation {dev:.3e})")
+    scale = max(np.abs(A.real).max(), np.abs(A.imag).max())
+    with np.errstate(over="ignore"):  # A - A^* overflows only far from Hermitian: dev = inf rejects
+        dev = np.abs(A - A.conj().T).max()
+    if dev > HERMITIAN_RTOL * scale:
+        raise DomainError(f"matrix is not Hermitian within {HERMITIAN_RTOL:g} of its largest entry "
+                          f"(deviation {dev:.3e})")
     return A
 
 
-def shift_coupling(spec: MapSpec) -> np.ndarray:
-    """Coupling matrix S with (S v)_i = (n-k) v_i + v_{i+1} + ... + v_{i+k} mod n.
+def coupling_matrix(row) -> np.ndarray:
+    """The circulant C[i, j] = c_{(j-i) mod n} of a coupling row c, that is sum_m c_m P^m.
 
-    S maps the diagonal of the input to the diagonal profile of the output
-    (before the -X term), and its row and column sums both equal n.
+    c must be a finite nonnegative vector of length n >= 2.  C maps diag X to
+    the output's diagonal profile (before -G o X); its row and column sums are sum_m c_m.
     """
-    n, k = spec.n, spec.k
-    S = float(n - k) * np.eye(n)
-    idx = np.arange(n)
-    for m in range(1, k + 1):
-        S[idx, (idx + m) % n] += 1.0
-    return S
+    c = np.asarray(row)
+    if c.ndim != 1 or c.shape[0] < 2:
+        raise DimensionMismatchError(f"coupling row must have length n >= 2, got shape {c.shape}")
+    if np.iscomplexobj(c) or not (np.isfinite(c) & (c >= 0)).all():
+        raise DomainError("coupling row entries must be finite, real and nonnegative")
+    idx = np.arange(c.shape[0])
+    return c.astype(np.float64)[(idx - idx[:, None]) % c.shape[0]]
 
 
 def _window_pairs(C: np.ndarray, x: np.ndarray, j: np.ndarray):
     """(xs, ys): each row x_i zeroed on the window of j_i and renormalised, and e_{j_i}.
 
-    The window of j is the support of C[j] ({j, ..., j + k} for shift_coupling)
-    and holds j, so xs o ys = 0, (C |xs|^2)_j = 0 and F is exactly 0.0 under C.
+    The window of j is the support of C[j] ({j, ..., j + k} for tau_{n,k}).  If it
+    holds j (c_0 > 0), xs o ys = 0, (C |xs|^2)_j = 0 and F is exactly 0.0 under C.
     """
     xs = np.where(C[j] != 0, 0.0, x)
     xs /= np.sqrt(_abs2(xs).sum(axis=1))[:, None]
@@ -160,9 +172,9 @@ class HadamardPerturbation:
     """A Hadamard-product subtraction X -> L o X with L = sum_r w_r alpha_r alpha_r^dag.
 
     alphas holds r directions of length n, each with entries summing to
-    zero, and weights the r nonnegative weights.  L is then positive
-    semidefinite with L 1 = 0 by construction, so only the inputs are
-    checked.
+    zero within ENTRY_SUM_TOL times its largest modulus (so at any scale),
+    and weights the r nonnegative weights.  L is then positive semidefinite
+    with L 1 = 0 by construction, so only the inputs are checked.
     """
 
     alphas: np.ndarray
@@ -183,7 +195,7 @@ class HadamardPerturbation:
             if not 0 <= w < math.inf:
                 raise DomainError(f"weight must be finite and nonnegative, got {w}")
         for a in A:
-            if abs(a.sum()) > ENTRY_SUM_ATOL:
+            if abs(a.sum()) > ENTRY_SUM_TOL * np.abs(a).max():
                 raise DomainError(f"alpha entries must sum to zero, got {a.sum():.3e}")
         weights = tuple(float(w) for w in self.weights)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -200,7 +212,7 @@ class HadamardPerturbation:
 
 
 class TauMap:
-    """One member tau_{n,k}, optionally corrected by a Hadamard subtraction.
+    """The map of a coupling row (tau_{n,k} for MapSpec(n, k).coupling), optionally corrected.
 
     G = 1 + L has the factor B = [1, sqrt(w_r) alpha_r] with B B^dag = G.
     factor is this n x m matrix B with its zero columns (zero weights)
@@ -217,12 +229,14 @@ class TauMap:
     a real G gives a real symmetric float64 matrix.
     """
 
-    def __init__(self, spec: MapSpec, pert: HadamardPerturbation | None = None):
-        if pert is not None and pert.dim != spec.n:
+    def __init__(self, coupling, pert: HadamardPerturbation | None = None):
+        self._C = coupling_matrix(coupling)
+        self.n = n = self._C.shape[0]
+        if pert is not None and pert.dim != n:
             raise DimensionMismatchError(
-                f"perturbation is {pert.dim}x{pert.dim} but the map acts on {spec.n}x{spec.n}"
+                f"perturbation is {pert.dim}x{pert.dim} but the map acts on {n}x{n}"
             )
-        B = np.ones((spec.n, 1), dtype=np.complex128)
+        B = np.ones((n, 1), dtype=np.complex128)
         L = 0.0
         if pert is not None:
             roots = np.sqrt(np.array(pert.weights))
@@ -230,9 +244,7 @@ class TauMap:
             L = pert.matrix
         if not B.imag.any():
             B, L = B.real, np.real(L)
-        self.n = spec.n
-        self._C = shift_coupling(spec)
-        self._G = np.ones((spec.n, spec.n)) + L
+        self._G = np.ones((n, n)) + L
         self.factor = B[:, B.any(axis=0)]
 
     def apply(self, X) -> np.ndarray:

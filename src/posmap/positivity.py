@@ -28,10 +28,10 @@ witness pair is real.  Starts that creep toward a window zero pair
 (maps._window_pairs, where F is exactly 0.0 for every map here) stop on
 it once close enough, if F is no higher there, not at the sweep cap.
 
-For diagonal input X = diag(X_1, ..., X_n) the map's positivity reduces to
-scalar data: the profile D = S X with S the shift coupling, the ratio sum
-f(X) = sum_i X_i / D_i whose maximum over positive profiles is 1, and a
-product-form determinant that never divides and so survives D_i = 0.
+For diagonal input X = diag(X_1, ..., X_n) the positivity of the map of a
+coupling row reduces to scalar data: the profile D = C X, the ratio sum
+f(X) = sum_i X_i / D_i (its maximum over positive profiles is 1 for tau),
+and a product-form determinant that never divides and so survives D_i = 0.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .maps import (
     _check_int,
     _window_pairs,
     alternating_vector,
-    shift_coupling,
+    coupling_matrix,
 )
 
 DEFAULT_STARTS = 64
@@ -373,16 +373,16 @@ def seesaw_minimize(map_, starts: int = DEFAULT_STARTS, seed: int = 0,
     )
 
 
-def _diagonal(spec: MapSpec, X_vec) -> np.ndarray:
-    """X_vec as a float vector, checked to be a finite nonnegative diagonal of length n."""
-    X = np.asarray(X_vec, dtype=float).reshape(-1)
-    if X.shape[0] != spec.n:
-        raise DimensionMismatchError(f"profile length {X.shape[0]} against n={spec.n}")
+def _diagonal(coupling, X_vec):
+    """(C, X): coupling_matrix(coupling), and X_vec checked as a finite nonnegative diagonal."""
+    C, X = coupling_matrix(coupling), np.asarray(X_vec, dtype=float).reshape(-1)
+    if X.shape[0] != C.shape[0]:
+        raise DimensionMismatchError(f"profile length {X.shape[0]} against n={C.shape[0]}")
     if not np.isfinite(X).all():
         raise DomainError("diagonal entries must be finite")
     if np.any(X < 0):
         raise DomainError("diagonal entries must be nonnegative")
-    return X
+    return C, X
 
 
 def _leave_one_out(D: np.ndarray):
@@ -393,58 +393,60 @@ def _leave_one_out(D: np.ndarray):
     return pre[-1], pre[:-1] * suf[1:]
 
 
-def f_value(spec: MapSpec, X_vec) -> float:
-    """Ratio sum f(X) = sum_i X_i / D_i, defined only when every D_i > 0.
+def f_value(coupling, X_vec) -> float:
+    """Ratio sum f(X) = sum_i X_i / D_i, D = coupling_matrix(coupling) X, defined when D > 0.
 
     X is first scaled by its largest entry (f is scale invariant), so each
-    quotient lies in [0, 1/(n-k)] and none overflows at any n.  math.fsum
-    adds the quotients exactly and rounds once, so the relative error is
-    that of the worst quotient, about (k + 2) eps, whatever n.  At the
-    uniform profile f is n fl(1/n) rounded once: exactly 1.0 for n <= 48,
-    and 1.0 or the float just below it beyond.
+    quotient lies in [0, 1/c_0], and none overflows at any n if c_0 > 0;
+    for c_0 = 0 one can, and f is then inf.
+    math.fsum adds the quotients exactly and rounds once, so the relative
+    error is that of the worst quotient, about (k + 2) eps for tau_{n,k},
+    whatever n.  At its uniform profile f is n fl(1/n) rounded once:
+    exactly 1.0 for n <= 48, and 1.0 or the float just below it beyond.
     """
-    X = _diagonal(spec, X_vec)
+    C, X = _diagonal(coupling, X_vec)
     peak = X.max()
     if peak <= 0:
         raise DomainError("profile is identically zero")
     X = X / peak
-    D = shift_coupling(spec) @ X
+    D = C @ X
     if np.any(D <= 0):
         raise DomainError("f is undefined when some D_i vanishes")
-    return math.fsum(X / D)
+    with np.errstate(over="ignore"):
+        return math.fsum(X / D)
 
 
-def analytic_det(spec: MapSpec, X_vec) -> float:
+def analytic_det(coupling, X_vec) -> float:
     """det of Diag(D) - x x^T for x = sqrt(X), as products only.
 
     Returns prod_i D_i - sum_j X_j prod_{i != j} D_i, with no division, so
     degenerate profiles (some D_i = 0) evaluate exactly.  Each product
-    carries a relative rounding error of up to about (n + k) eps, and the
-    difference cancels them: the absolute error is up to about (n + k) eps
-    times prod_i D_i + sum_j X_j prod_{i != j} D_i, which near the uniform
-    profile exceeds the value itself once n is large.  A product that
-    overflows float64 raises DomainError.
+    carries a relative rounding error of up to about (n + k) eps, k + 1 the
+    row's nonzero entries, and the difference cancels them: the absolute error
+    is up to about that times prod_i D_i + sum_j X_j prod_{i != j} D_i, which
+    near the uniform profile exceeds the value itself once n is large.  A
+    product that overflows float64 raises DomainError.
     """
-    X = _diagonal(spec, X_vec)
+    C, X = _diagonal(coupling, X_vec)
     with np.errstate(over="ignore", invalid="ignore"):
-        total, loo = _leave_one_out(shift_coupling(spec) @ X)
+        total, loo = _leave_one_out(C @ X)
         det = total - np.dot(X, loo)
     if not np.isfinite(det):
-        raise DomainError(f"a product of the profile entries D_i overflows float64 at n = {spec.n}")
+        raise DomainError(f"a product of the profile entries D_i overflows float64 at n = {len(X)}")
     return float(det)
 
 
-def hessian_shat(spec: MapSpec):
+def hessian_shat(coupling):
     """Coupling data (S, s_prime, S_hat) for the curvature of f at the uniform profile.
 
-    s_prime = n is the eigenvalue of S on the all-ones vector, and
-    S_hat = s_prime (S + S^T) - 2 S^T S is positive semidefinite with
-    kernel spanned by the all-ones vector for 1 <= k <= n-2; the Hessian
-    of f at the uniform profile is -S_hat / n^3.  S_hat vanishes
+    s_prime, the row sum, is the eigenvalue of S on the all-ones vector,
+    and the Hessian of f there is -S_hat / s_prime^3.  For tau_{n,k} (s_prime
+    = n) S_hat = s_prime (S + S^T) - 2 S^T S is positive semidefinite with
+    kernel spanned by the all-ones vector for 1 <= k <= n-2, and vanishes
     identically at the two ends k = 0 and k = n-1.
     """
-    S = shift_coupling(spec)
-    s_prime = float(spec.n)
+    S = coupling_matrix(coupling)
+    s_prime = float(S[0].sum())
     S_hat = s_prime * (S + S.T) - 2.0 * (S.T @ S)
     return S, s_prime, S_hat
 
@@ -473,7 +475,7 @@ def parity_witness_value(n: int, k: int, t: float):
     pert = HadamardPerturbation([alternating_vector(n)], [t])
     mu = np.zeros(n)
     mu[0::2] = 1.0
-    out = TauMap(spec, pert).apply(np.outer(mu, mu))
+    out = TauMap(spec.coupling, pert).apply(np.outer(mu, mu))
     if np.abs(out.imag).max() > 1e-12:
         raise NumericalAnomalyError("witness submatrix acquired an imaginary part")
     N = out.real[0::2, 0::2]

@@ -2,8 +2,8 @@
 
 Zeros of F(x, y) for tau_{n,k} come in two families: unimodular-phase x
 paired with y = conj(x), and the window pairs, y = e_j with x zero on the
-support {j, ..., j + k} of row j of the coupling.  Both families
-live in the span of x (x) conj(x) over phase vectors, a subspace of
+support {j, ..., j + k} of row j of coupling_matrix(spec.coupling).  Both
+families live in the span of x (x) conj(x) over phase vectors, a subspace of
 dimension n^2 - n + 1 whose orthogonal complement is the traceless
 diagonal.  For k = n-1 the window family is empty but the zero set is far
 larger: any x pairs with conj(x).  With this third, reduction family the
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import (DomainError, MapSpec, NumericalAnomalyError, _abs2, _check_int, _window_pairs,
-                   shift_coupling)
+                   coupling_matrix)
 
 ADMISSION_TOL = 1e-9
 RANK_REL_TOL = 1e-8
@@ -89,7 +89,7 @@ def degenerate_pairs(spec: MapSpec) -> np.ndarray:
     """
     if spec.is_reduction:
         return np.empty((0, 2, spec.n), dtype=np.complex128)
-    C = shift_coupling(spec)
+    C = coupling_matrix(spec.coupling)
     return np.stack(_window_pairs(C, np.ones_like(C, dtype=np.complex128), np.arange(spec.n)), axis=1)
 
 
@@ -118,7 +118,7 @@ def build_spanning_set(spec: MapSpec, seed: int = 0, samples: int | None = None)
     (gram_rank == n^2) of the reduction map; the window family draws
     nothing.  Every family is an exact zero set of unit pairs, so F
     is evaluated for all of them at once in closed form,
-    F = |y|^2 . S |x|^2 - |sum_i x_i y_i|^2 with S = shift_coupling(spec),
+    F = |y|^2 . S |x|^2 - |sum_i x_i y_i|^2 with S = coupling_matrix(spec.coupling),
     and a pair whose value exceeds ADMISSION_TOL is a numerical fault that
     raises NumericalAnomalyError rather than being dropped.
 
@@ -151,7 +151,7 @@ def build_spanning_set(spec: MapSpec, seed: int = 0, samples: int | None = None)
     X, Y = pairs[:, 0], pairs[:, 1]
     px, py = _abs2(X), _abs2(Y)
     diag = X * Y
-    values = ((py @ shift_coupling(spec)) * px).sum(axis=1) - _abs2(diag.sum(axis=1))
+    values = ((py @ coupling_matrix(spec.coupling)) * px).sum(axis=1) - _abs2(diag.sum(axis=1))
     bad = np.flatnonzero(np.abs(values) > ADMISSION_TOL)
     if bad.size:
         raise NumericalAnomalyError(

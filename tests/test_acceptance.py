@@ -80,12 +80,12 @@ def test_c01_basis_images_exact():
                 if not np.array_equal(got, expected):
                     failures.append(f"{tag}: image of unit ({i},{j}) differs")
 
-    check(TauMap(MapSpec(3, 1)), 3, COUPLING_3_1, np.ones((3, 3)), "tau(3,1)")
-    check(TauMap(MapSpec(4, 2)), 4, COUPLING_4_2, np.ones((4, 4)), "tau(4,2)")
+    check(TauMap(MapSpec(3, 1).coupling), 3, COUPLING_3_1, np.ones((3, 3)), "tau(3,1)")
+    check(TauMap(MapSpec(4, 2).coupling), 4, COUPLING_4_2, np.ones((4, 4)), "tau(4,2)")
 
     parity = np.array([[0.5 if (i - j) % 2 else 1.5 for j in range(4)] for i in range(4)])
     pert = HadamardPerturbation([alternating_vector(4)], [2.0])
-    check(TauMap(MapSpec(4, 2), pert), 4, COUPLING_4_2, parity, "corrected tau(4,2) at t=2")
+    check(TauMap(MapSpec(4, 2).coupling, pert), 4, COUPLING_4_2, parity, "corrected tau(4,2) at t=2")
 
     assert not failures, "\n".join(failures)
 
@@ -101,8 +101,8 @@ def test_c02_diagonal_unitary_covariance():
             for _ in range(1000):
                 X = _random_hermitian(rng, n)
                 U = np.diag(np.exp(2j * np.pi * rng.random(n)))
-                lhs = TauMap(spec).apply(U @ X @ U.conj().T)
-                rhs = U @ TauMap(spec).apply(X) @ U.conj().T
+                lhs = TauMap(spec.coupling).apply(U @ X @ U.conj().T)
+                rhs = U @ TauMap(spec.coupling).apply(X) @ U.conj().T
                 worst = max(worst, float(np.linalg.norm(lhs - rhs)))
             if worst > 1e-12:
                 failures.append(f"(n={n}, k={k}): residual {worst:.3e} exceeds 1e-12")
@@ -112,14 +112,14 @@ def test_c02_diagonal_unitary_covariance():
 def test_c03_determinant_oracle():
     """Closed-form determinant against the numeric one on random profiles."""
     failures = []
-    if analytic_det(MapSpec(3, 1), (1.0, 1.0, 0.0)) != 1.0:
+    if analytic_det(MapSpec(3, 1).coupling, (1.0, 1.0, 0.0)) != 1.0:
         failures.append("fixture analytic_det((3,1),(1,1,0)) != 1")
-    from posmap import shift_coupling
+    from posmap import coupling_matrix
 
     for n in range(2, 7):
         for k in range(n):
             spec = MapSpec(n, k)
-            S = shift_coupling(spec)
+            S = coupling_matrix(spec.coupling)
             rng = np.random.default_rng([3, n, k])
             worst = 0.0
             for _ in range(1000):
@@ -127,7 +127,7 @@ def test_c03_determinant_oracle():
                 D = S @ X
                 root = np.sqrt(X)
                 numeric = float(np.linalg.det(np.diag(D) - np.outer(root, root)))
-                analytic = analytic_det(spec, X)
+                analytic = analytic_det(spec.coupling, X)
                 # scale by the term magnitude: at the two edge members the
                 # determinant vanishes identically, so the result itself is
                 # pure cancellation and cannot serve as the denominator
@@ -145,11 +145,11 @@ def test_c04_ratio_sum_bounded_by_one():
     for n in range(2, 7):
         for k in range(1, n):
             spec = MapSpec(n, k)
-            if f_value(spec, np.ones(n)) != 1.0:
+            if f_value(spec.coupling, np.ones(n)) != 1.0:
                 failures.append(f"(n={n}, k={k}): f at the uniform profile is not exactly 1")
             rng = np.random.default_rng([4, n, k])
             samples = np.exp(rng.normal(scale=2.0, size=(10_000, n)))
-            worst = max(f_value(spec, X) for X in samples)
+            worst = max(f_value(spec.coupling, X) for X in samples)
             if worst > 1.0 + 1e-12:
                 failures.append(f"(n={n}, k={k}): max f {worst!r} exceeds 1 + 1e-12")
     assert not failures, "\n".join(failures)
@@ -171,8 +171,8 @@ def test_c05_curvature_at_uniform_profile():
                 mp = base.copy(); mp[i] -= h; mp[j] += h
                 mm = base.copy(); mm[i] -= h; mm[j] -= h
                 val = (
-                    f_value(spec, pp) - f_value(spec, pm)
-                    - f_value(spec, mp) + f_value(spec, mm)
+                    f_value(spec.coupling, pp) - f_value(spec.coupling, pm)
+                    - f_value(spec.coupling, mp) + f_value(spec.coupling, mm)
                 ) / (4.0 * h * h)
                 H[i, j] = val
                 H[j, i] = val
@@ -180,12 +180,12 @@ def test_c05_curvature_at_uniform_profile():
 
     for n in range(2, 9):
         for k in (0, n - 1):
-            _, _, S_hat = hessian_shat(MapSpec(n, k))
+            _, _, S_hat = hessian_shat(MapSpec(n, k).coupling)
             if np.abs(S_hat).max() != 0.0:
                 failures.append(f"(n={n}, k={k}): edge member curvature matrix not identically 0")
         for k in range(1, n - 1):
             spec = MapSpec(n, k)
-            _, _, S_hat = hessian_shat(spec)
+            _, _, S_hat = hessian_shat(spec.coupling)
             eigs = np.linalg.eigvalsh(S_hat)
             if eigs.min() < -1e-10:
                 failures.append(f"(n={n}, k={k}): curvature matrix min eigenvalue {eigs.min():.3e}")
@@ -303,14 +303,14 @@ def test_c09_seesaw_engine():
     failures = []
     for n in range(2, 7):
         for k in range(n):
-            report = seesaw_minimize(TauMap(MapSpec(n, k)), starts=64, seed=0)
+            report = seesaw_minimize(TauMap(MapSpec(n, k).coupling), starts=64, seed=0)
             if not (-1e-9 <= report.min_value <= 1e-6):
                 failures.append(
                     f"(n={n}, k={k}): min_value {report.min_value!r} outside [-1e-9, 1e-6]"
                 )
 
     n, k, t = 4, 2, 2.1
-    map_ = TauMap(MapSpec(n, k), HadamardPerturbation([alternating_vector(n)], [t]))
+    map_ = TauMap(MapSpec(n, k).coupling, HadamardPerturbation([alternating_vector(n)], [t]))
     report = seesaw_minimize(map_, starts=64, seed=0)
     if report.verdict != "negative-certificate":
         failures.append(f"corrected map at t=2.1: verdict {report.verdict}")
@@ -375,7 +375,7 @@ def test_c11_schur_subtractions_vanish_on_phase_pairs():
             form_checks += 1
             x = np.exp(2j * np.pi * rng.random(n))
             for k in range(n):
-                value = form_value(TauMap(MapSpec(n, k), pert), x, x.conj())
+                value = form_value(TauMap(MapSpec(n, k).coupling, pert), x, x.conj())
                 if abs(value) > 1e-10:
                     failures.append(f"trial {trial}, k={k}: form value {value!r} exceeds 1e-10")
     if form_checks != 100:

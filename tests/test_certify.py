@@ -185,7 +185,7 @@ class TestCertifyOptimality:
 
     def test_kernel_entry_sum_is_cross_checked(self, monkeypatch):
         """A kernel vector whose entries do not sum to zero is an anomaly, not a candidate."""
-        monkeypatch.setattr(certify, "ENTRY_SUM_ATOL", -1.0)
+        monkeypatch.setattr(certify, "ENTRY_SUM_TOL", -1.0)
         with pytest.raises(NumericalAnomalyError, match="entry sum"):
             certify_optimality(MapSpec(4, 2))
         certify_optimality(MapSpec(3, 1))
@@ -207,9 +207,9 @@ class TestAdmissibleSubtractionCheck:
     def test_dimension_argument(self):
         a = np.array([1.0, -1.0]) / np.sqrt(2.0)
         pert = HadamardPerturbation([a], [1.0])
-        TauMap(MapSpec(2, 1), pert)
+        TauMap(MapSpec(2, 1).coupling, pert)
         with pytest.raises(DimensionMismatchError):
-            TauMap(MapSpec(3, 1), pert)
+            TauMap(MapSpec(3, 1).coupling, pert)
 
 
 class TestConjectureProbe:

@@ -322,7 +322,7 @@ class TestLargeWeights:
         assert p.returncode == 0, p.stderr
         got = np.array(json.loads(p.stdout)["result"]["matrix"]).view(complex)[..., 0]
         v = alternating_vector(n)
-        expected = TauMap(MapSpec(n, 2)).apply(X) - t * np.outer(v, v.conj()) * X
+        expected = TauMap(MapSpec(n, 2).coupling).apply(X) - t * np.outer(v, v.conj()) * X
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_positivity_at_large_weight(self):
@@ -518,6 +518,22 @@ class TestMainInProcess:
         err = capsys.readouterr().err
         assert err.startswith("posmap: error:")
         assert err.count("\n") == 1
+
+    def test_hermitian_check_is_relative(self, capsys, tmp_path):
+        """A 1e-13 matrix that is all asymmetry exits 3; a 1e20 one with one ulp of asymmetry exits 0."""
+        tiny = write_matrix(tmp_path / "tiny.json", np.array([[0.0, 1e-13], [0.0, 0.0]]))
+        assert main(["apply", "--n", "2", "--k", "1", "--input", tiny]) == 3
+        assert "not Hermitian" in capsys.readouterr().err
+        H = np.array([[1e20, 5e19], [5e19, 1e20]])
+        H[0, 1] = np.nextafter(H[0, 1], np.inf)
+        large = write_matrix(tmp_path / "large.json", H)
+        assert main(["apply", "--n", "2", "--k", "1", "--input", large]) == 0
+        assert capsys.readouterr().err == ""
+        # Anti-Hermitian at 1e308: A - A^* overflows, which is a rejection, not a RuntimeWarning.
+        anti = write_matrix(tmp_path / "anti.json", np.array([[0.0, 1e308], [-1e308, 0.0]]))
+        assert main(["apply", "--n", "2", "--k", "1", "--input", anti]) == 3
+        err = capsys.readouterr().err
+        assert "not Hermitian" in err and err.count("\n") == 1
 
     def test_error_paths_return_codes(self, capsys, tmp_path):
         assert main(["certify", "--n", "4", "--k", "0"]) == 2

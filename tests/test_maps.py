@@ -15,8 +15,8 @@ from posmap import (
     alternating_vector,
     as_square_matrix,
     build_circulant,
+    coupling_matrix,
     require_hermitian,
-    shift_coupling,
 )
 
 
@@ -72,7 +72,7 @@ class TestMapSpec:
 class TestShiftCoupling:
     def test_3_1_frozen(self):
         expected = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [1.0, 0.0, 2.0]])
-        assert np.array_equal(shift_coupling(MapSpec(3, 1)), expected)
+        assert np.array_equal(coupling_matrix(MapSpec(3, 1).coupling), expected)
 
     def test_4_2_frozen(self):
         expected = np.array(
@@ -83,16 +83,55 @@ class TestShiftCoupling:
                 [1.0, 1.0, 0.0, 2.0],
             ]
         )
-        assert np.array_equal(shift_coupling(MapSpec(4, 2)), expected)
+        assert np.array_equal(coupling_matrix(MapSpec(4, 2).coupling), expected)
 
     def test_k_zero_is_scaled_identity(self):
-        assert np.array_equal(shift_coupling(MapSpec(5, 0)), 5.0 * np.eye(5))
+        assert np.array_equal(coupling_matrix(MapSpec(5, 0).coupling), 5.0 * np.eye(5))
 
     @pytest.mark.parametrize("n,k", [(2, 1), (4, 1), (5, 3), (6, 5), (7, 2)])
     def test_row_and_column_sums_equal_n(self, n, k):
-        S = shift_coupling(MapSpec(n, k))
+        S = coupling_matrix(MapSpec(n, k).coupling)
         assert np.array_equal(S.sum(axis=0), np.full(n, float(n)))
         assert np.array_equal(S.sum(axis=1), np.full(n, float(n)))
+
+    def test_rows_frozen(self):
+        assert np.array_equal(MapSpec(4, 2).coupling, [2.0, 1.0, 1.0, 0.0])
+        assert np.array_equal(MapSpec(5, 0).coupling, [5.0, 0.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(MapSpec(4, 3).coupling, [1.0, 1.0, 1.0, 1.0])
+
+    def test_same_array_as_the_shift_loop(self):
+        """Every tau row gives the bytes, dtype and layout of the loop over the k shifts."""
+        for n in range(2, 13):
+            for k in range(n):
+                S = float(n - k) * np.eye(n)
+                for m in range(1, k + 1):
+                    S[np.arange(n), (np.arange(n) + m) % n] += 1.0
+                C = coupling_matrix(MapSpec(n, k).coupling)
+                assert C.dtype == np.float64 and C.flags.c_contiguous
+                assert C.tobytes() == S.tobytes(), (n, k)
+
+    def test_any_row_is_a_polynomial_in_the_shift(self):
+        """C = sum_m c_m P^m with (P v)_i = v_{i+1}."""
+        row = [0.5, 0.0, 3.0, 1.25, 7.0]
+        P = np.roll(np.eye(5), 1, axis=1)
+        expected = sum(c * np.linalg.matrix_power(P, m) for m, c in enumerate(row))
+        assert np.array_equal(coupling_matrix(row), expected)
+        assert np.array_equal(P @ np.arange(5.0), [1.0, 2.0, 3.0, 4.0, 0.0])
+
+    @pytest.mark.parametrize("row, error", [
+        (3.0, DimensionMismatchError), ([2.0], DimensionMismatchError),
+        ([[2.0, 1.0], [1.0, 2.0]], DimensionMismatchError), ([2.0, -1.0], DomainError),
+        ([2.0, np.nan], DomainError), ([2.0, np.inf], DomainError), ([2.0, 1j], DomainError),
+    ])
+    def test_bad_rows_rejected(self, row, error):
+        with pytest.raises(error):
+            coupling_matrix(row)
+        with pytest.raises(error):
+            TauMap(row)
+
+    def test_a_spec_is_not_a_row(self):
+        with pytest.raises(DimensionMismatchError, match="coupling row"):
+            TauMap(MapSpec(3, 1))
 
 
 class TestBasisAction:
@@ -109,7 +148,7 @@ class TestBasisAction:
             for m in range(1, k + 1):
                 i = (j - m) % n
                 expected[i, i] += 1.0
-            got = TauMap(spec).apply(basis_matrix(n, j, j))
+            got = TauMap(spec.coupling).apply(basis_matrix(n, j, j))
             assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (6, 3)])
@@ -119,7 +158,7 @@ class TestBasisAction:
             for j in range(n):
                 if i == j:
                     continue
-                got = TauMap(spec).apply(basis_matrix(n, i, j))
+                got = TauMap(spec.coupling).apply(basis_matrix(n, i, j))
                 assert np.array_equal(got, -basis_matrix(n, i, j))
 
     def test_3_1_dense_fixture(self):
@@ -131,13 +170,13 @@ class TestBasisAction:
             [[5.0, 1.0j, -0.5], [-1.0j, 4.0, 0.0], [-0.5, 0.0, 3.0]],
             dtype=np.complex128,
         )
-        assert np.array_equal(TauMap(MapSpec(3, 1)).apply(X), expected)
+        assert np.array_equal(TauMap(MapSpec(3, 1).coupling).apply(X), expected)
 
     def test_k_zero_action(self):
         rng = np.random.default_rng(7)
         A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         X = A + A.conj().T
-        got = TauMap(MapSpec(4, 0)).apply(X)
+        got = TauMap(MapSpec(4, 0).coupling).apply(X)
         expected = 4.0 * np.diag(np.diagonal(X)) - X
         assert np.allclose(got, expected, atol=1e-13)
 
@@ -148,18 +187,18 @@ class TestReduction:
         rng = np.random.default_rng(n)
         A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         X = A + A.conj().T
-        got = TauMap(MapSpec(n, n - 1)).apply(X)
+        got = TauMap(MapSpec(n, n - 1).coupling).apply(X)
         expected = np.trace(X) * np.eye(n) - X
         assert np.allclose(got, expected, atol=1e-12)
 
     def test_explicit_value(self):
         X = np.diag([1.0, 2.0, 3.0]).astype(np.complex128)
         expected = np.diag([5.0, 4.0, 3.0]).astype(np.complex128)
-        assert np.array_equal(TauMap(MapSpec(3, 2)).apply(X), expected)
+        assert np.array_equal(TauMap(MapSpec(3, 2).coupling).apply(X), expected)
 
     def test_dimension_guard(self):
         with pytest.raises(DimensionMismatchError):
-            TauMap(MapSpec(3, 2)).apply(np.eye(4))
+            TauMap(MapSpec(3, 2).coupling).apply(np.eye(4))
 
 
 class TestHermiticity:
@@ -175,6 +214,17 @@ class TestHermiticity:
         M[1, 1] = bad
         with pytest.raises(DomainError, match="non-finite"):
             require_hermitian(M)
+
+    def test_tolerance_is_relative_to_the_largest_entry(self):
+        """A 1e-13 asymmetry is all of a 1e-13 matrix; one ulp at scale 1e20 is 8192 but no asymmetry."""
+        with pytest.raises(DomainError, match="not Hermitian"):
+            require_hermitian(np.array([[0.0, 1e-13], [0.0, 0.0]]))
+        H = np.array([[1e20, 5e19], [5e19, 1e20]])
+        H[0, 1] = np.nextafter(H[0, 1], np.inf)
+        assert H[0, 1] - H[1, 0] == 8192.0
+        assert np.array_equal(require_hermitian(H), H)
+        with pytest.raises(DomainError, match="deviation inf"):
+            require_hermitian(np.array([[0.0, 1e308], [-1e308, 0.0]]))
 
     def test_require_hermitian_rejects_without_symmetrizing(self):
         M = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -236,6 +286,14 @@ class TestHadamardPerturbation:
         assert np.array_equal(pert.matrix, 0.5 * np.outer(a, a) + 2.0 * np.outer(b, b))
         assert pert.weights == (0.5, 2.0)
 
+    def test_zero_sum_is_relative_to_the_direction(self):
+        """A tiny direction that does not sum to zero is refused; v1 at any scale is accepted."""
+        with pytest.raises(DomainError, match="sum to zero"):
+            HadamardPerturbation([[1e-11, 0.0, 0.0, 0.0]], [1e22])
+        v = alternating_vector(4)
+        for scale in (1e-150, 1.0, 1e150):
+            assert np.array_equal(HadamardPerturbation([scale * v], [1.0]).alphas, [scale * v])
+
     def test_rejects_any_nonzero_sum_direction(self):
         with pytest.raises(DomainError, match="sum to zero"):
             HadamardPerturbation([[1.0, -1.0, 0.0], [1.0, 0.0, 0.0]], [1.0, 1.0])
@@ -276,16 +334,16 @@ class TestTauMapProtocol:
     def test_perturbation_dimension_guard(self):
         pert = HadamardPerturbation([alternating_vector(4)], [1.0])
         with pytest.raises(DimensionMismatchError):
-            TauMap(MapSpec(5, 1), pert)
+            TauMap(MapSpec(5, 1).coupling, pert)
 
     def test_apply_dimension_guard(self):
         with pytest.raises(DimensionMismatchError):
-            TauMap(MapSpec(3, 1)).apply(np.eye(4))
+            TauMap(MapSpec(3, 1).coupling).apply(np.eye(4))
 
     @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (5, 4)])
     def test_on_projector_matches_apply(self, n, k):
         rng = np.random.default_rng([n, k])
-        map_ = TauMap(MapSpec(n, k))
+        map_ = TauMap(MapSpec(n, k).coupling)
         for _ in range(20):
             x = rng.normal(size=n) + 1j * rng.normal(size=n)
             xb = x.conj()
@@ -299,7 +357,7 @@ class TestTauMapProtocol:
         pert = None
         if n % 2 == 0:
             pert = HadamardPerturbation([alternating_vector(n)], [0.7])
-        map_ = TauMap(MapSpec(n, k), pert)
+        map_ = TauMap(MapSpec(n, k).coupling, pert)
         for _ in range(25):
             x = rng.normal(size=n) + 1j * rng.normal(size=n)
             y = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -313,17 +371,17 @@ class TestTauMapProtocol:
         rng = np.random.default_rng(23)
         A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         X = A + A.conj().T
-        got = TauMap(spec, pert).apply(X)
-        expected = TauMap(spec).apply(X) - pert.matrix * X
+        got = TauMap(spec.coupling, pert).apply(X)
+        expected = TauMap(spec.coupling).apply(X) - pert.matrix * X
         assert np.allclose(got, expected, atol=1e-12)
 
 
 def stacked_kernel_maps():
     for n in range(2, 13):
         for k in range(n):
-            yield TauMap(MapSpec(n, k))
+            yield TauMap(MapSpec(n, k).coupling)
             if n % 2 == 0:
-                yield TauMap(MapSpec(n, k), HadamardPerturbation([alternating_vector(n)], [1.3]))
+                yield TauMap(MapSpec(n, k).coupling, HadamardPerturbation([alternating_vector(n)], [1.3]))
 
 
 class TestStackedKernels:
@@ -358,7 +416,7 @@ class TestStackedKernels:
 
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 5), (4, 1), ()])
     def test_wrong_last_axis_rejected(self, shape):
-        map_ = TauMap(MapSpec(4, 2))
+        map_ = TauMap(MapSpec(4, 2).coupling)
         for kernel in (map_.on_projector, map_.quadratic_form):
             with pytest.raises(DimensionMismatchError):
                 kernel(np.ones(shape))
@@ -366,7 +424,7 @@ class TestStackedKernels:
 
 def fourier_map(n, k, weights):
     spec = MapSpec(n, k)
-    return TauMap(spec, HadamardPerturbation(build_circulant(spec).kernel, weights))
+    return TauMap(spec.coupling, HadamardPerturbation(build_circulant(spec).kernel, weights))
 
 
 class TestRealSchurFactor:
@@ -374,8 +432,8 @@ class TestRealSchurFactor:
 
     @staticmethod
     def real_g_maps():
-        yield TauMap(MapSpec(6, 2))
-        yield TauMap(MapSpec(6, 2), HadamardPerturbation([alternating_vector(6)], [1.3]))
+        yield TauMap(MapSpec(6, 2).coupling)
+        yield TauMap(MapSpec(6, 2).coupling, HadamardPerturbation([alternating_vector(6)], [1.3]))
 
     def test_real_input_gives_float64(self):
         a = np.abs(np.random.default_rng(31).normal(size=(3, 6)))
@@ -397,7 +455,7 @@ class TestRealSchurFactor:
 
     def test_complex_direction_keeps_complex_g(self):
         spec = MapSpec(6, 3)
-        map_ = TauMap(spec, HadamardPerturbation(build_circulant(spec).kernel, [0.7, 0.4]))
+        map_ = TauMap(spec.coupling, HadamardPerturbation(build_circulant(spec).kernel, [0.7, 0.4]))
         assert map_._G.dtype == np.complex128
         assert map_.on_projector(np.ones(6)).dtype == np.complex128
 
@@ -407,17 +465,17 @@ class TestSchurFactor:
 
     @staticmethod
     def factor_maps():
-        yield TauMap(MapSpec(6, 2)), 1, np.float64
-        yield TauMap(MapSpec(6, 2), HadamardPerturbation([alternating_vector(6)], [1.3])), 2, np.float64
+        yield TauMap(MapSpec(6, 2).coupling), 1, np.float64
+        yield TauMap(MapSpec(6, 2).coupling, HadamardPerturbation([alternating_vector(6)], [1.3])), 2, np.float64
         spec = MapSpec(6, 3)
         kernel = build_circulant(spec).kernel
-        yield TauMap(spec, HadamardPerturbation(kernel, [0.7, 0.4])), 3, np.complex128
+        yield TauMap(spec.coupling, HadamardPerturbation(kernel, [0.7, 0.4])), 3, np.complex128
         # A zero weight drops its column.
-        yield TauMap(spec, HadamardPerturbation(kernel, [0.0, 0.4])), 2, np.complex128
+        yield TauMap(spec.coupling, HadamardPerturbation(kernel, [0.0, 0.4])), 2, np.complex128
         # Equal weights on a conjugate pair cancel in Im L, but B is complex, so G is too.
         spec = MapSpec(16, 12)
         kernel = build_circulant(spec).kernel
-        yield TauMap(spec, HadamardPerturbation(kernel, [1.0, 2.0, 1.0])), 4, np.complex128
+        yield TauMap(spec.coupling, HadamardPerturbation(kernel, [1.0, 2.0, 1.0])), 4, np.complex128
 
     def test_factor_reproduces_g(self):
         for map_, m, dtype in self.factor_maps():
@@ -448,8 +506,8 @@ class TestSchurFactor:
         (lambda: fourier_map(24, 18, [1.0, 2.0, 3.0, 2.0, 1.0]), 6, np.complex128),
         (lambda: fourier_map(16, 12, [0.0, 1.0, 0.0]), 2, np.float64),
         (lambda: fourier_map(16, 12, [0.0, 0.0, 0.0]), 1, np.float64),
-        (lambda: TauMap(MapSpec(16, 12)), 1, np.float64),
-        (lambda: TauMap(MapSpec(24, 6), HadamardPerturbation([alternating_vector(24)], [18.0])),
+        (lambda: TauMap(MapSpec(16, 12).coupling), 1, np.float64),
+        (lambda: TauMap(MapSpec(24, 6).coupling, HadamardPerturbation([alternating_vector(24)], [18.0])),
          2, np.float64),
     ], ids=["pair-8-4", "pair-16-12", "pairs-24-18", "real-16-12", "zero-16-12", "plain-16-12",
             "v1-24-6"])
@@ -468,22 +526,22 @@ class TestSchurFactor:
 
 class TestChoi:
     def test_3_1_eigenvalues_frozen(self):
-        eigs = np.linalg.eigvalsh(TauMap(MapSpec(3, 1)).choi())
+        eigs = np.linalg.eigvalsh(TauMap(MapSpec(3, 1).coupling).choi())
         expected = [-1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 2.0]
         assert np.allclose(eigs, expected, atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_k_zero_choi_is_psd(self, n):
-        eigs = np.linalg.eigvalsh(TauMap(MapSpec(n, 0)).choi())
+        eigs = np.linalg.eigvalsh(TauMap(MapSpec(n, 0).coupling).choi())
         assert eigs.min() >= -1e-12
 
     def test_blocks_are_basis_images(self):
         spec = MapSpec(4, 2)
-        C = TauMap(spec).choi()
+        C = TauMap(spec.coupling).choi()
         for i in range(4):
             for j in range(4):
                 blk = C[4 * i : 4 * (i + 1), 4 * j : 4 * (j + 1)]
-                assert np.array_equal(blk, TauMap(spec).apply(basis_matrix(4, i, j)))
+                assert np.array_equal(blk, TauMap(spec.coupling).apply(basis_matrix(4, i, j)))
 
     def test_hadamard_map_choi_embeds_schur_matrix(self):
         """The Choi matrix of X -> L o X, read as the drop a subtraction makes, embeds L."""
@@ -497,7 +555,7 @@ class TestChoi:
                 embedded[i * n + i, j * n + j] = L[i, j]
         for k in range(n):
             spec = MapSpec(n, k)
-            C = TauMap(spec).choi() - TauMap(spec, pert).choi()
+            C = TauMap(spec.coupling).choi() - TauMap(spec.coupling, pert).choi()
             assert np.allclose(C, embedded, atol=1e-15), k
 
 
@@ -511,8 +569,8 @@ class TestDiagonalUnitaryCovariance:
             U = np.diag(phases)
             A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             X = A + A.conj().T
-            lhs = TauMap(spec).apply(U @ X @ U.conj().T)
-            rhs = U @ TauMap(spec).apply(X) @ U.conj().T
+            lhs = TauMap(spec.coupling).apply(U @ X @ U.conj().T)
+            rhs = U @ TauMap(spec.coupling).apply(X) @ U.conj().T
             assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(rhs))
 
 
@@ -526,7 +584,7 @@ class TestPublicApi:
             "__version__",
             "DimensionMismatchError", "DomainError", "NumericalAnomalyError",
             "MapSpec", "HadamardPerturbation", "TauMap",
-            "alternating_vector", "shift_coupling", "as_square_matrix", "require_hermitian",
+            "alternating_vector", "coupling_matrix", "as_square_matrix", "require_hermitian",
             "PositivityReport", "form_value", "seesaw_minimize",
             "f_value", "analytic_det", "hessian_shat", "degenerate_det_bound",
             "parity_witness_value",

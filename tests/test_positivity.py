@@ -14,7 +14,7 @@ from posmap import (
     TauMap,
     alternating_vector,
     build_circulant,
-    shift_coupling,
+    coupling_matrix,
 )
 from posmap.positivity import (
     MAX_SWEEPS,
@@ -45,12 +45,12 @@ def unit_basis(n, i):
 
 class TestFormValue:
     def test_unit_fixture(self):
-        map_ = TauMap(MapSpec(3, 1))
+        map_ = TauMap(MapSpec(3, 1).coupling)
         assert form_value(map_, unit_basis(3, 0), unit_basis(3, 1)) == 0.0
 
     def test_scale_invariance(self):
         """Scales whose norm overflows or underflows give the same value."""
-        map_ = TauMap(MapSpec(4, 2))
+        map_ = TauMap(MapSpec(4, 2).coupling)
         x = np.array([1.0, 2.0, 0.5, -1.0])
         y = np.array([0.5, -1.0, 1.0, 1.0j])
         ref = form_value(map_, x, y)
@@ -60,20 +60,20 @@ class TestFormValue:
 
     def test_known_negative_direction(self):
         pert = HadamardPerturbation([alternating_vector(4)], [2.5])
-        map_ = TauMap(MapSpec(4, 2), pert)
+        map_ = TauMap(MapSpec(4, 2).coupling, pert)
         mu = np.array([1.0, 0.0, 1.0, 0.0])
         value = form_value(map_, mu, mu)
         assert abs(value - (-0.125)) <= 1e-15
 
     def test_zero_vector_rejected(self):
-        map_ = TauMap(MapSpec(3, 1))
+        map_ = TauMap(MapSpec(3, 1).coupling)
         with pytest.raises(DomainError):
             form_value(map_, np.zeros(3), unit_basis(3, 0))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
     def test_non_finite_vector_rejected(self, bad):
-        map_ = TauMap(MapSpec(3, 1))
+        map_ = TauMap(MapSpec(3, 1).coupling)
         v = np.array([1.0, bad, 0.5])
         with pytest.raises(DomainError, match="finite"):
             form_value(map_, v, unit_basis(3, 0))
@@ -83,7 +83,7 @@ class TestFormValue:
     @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (5, 3)])
     def test_unimodular_phase_pairs_annihilate(self, n, k):
         rng = np.random.default_rng([5, n, k])
-        map_ = TauMap(MapSpec(n, k))
+        map_ = TauMap(MapSpec(n, k).coupling)
         for _ in range(40):
             x = np.exp(2j * np.pi * rng.random(n))
             assert abs(form_value(map_, x, x.conj())) <= 1e-12
@@ -91,7 +91,7 @@ class TestFormValue:
 
 class TestSeesaw:
     def test_frozen_unperturbed_run(self):
-        report = seesaw_minimize(TauMap(MapSpec(3, 1)), starts=8, seed=0)
+        report = seesaw_minimize(TauMap(MapSpec(3, 1).coupling), starts=8, seed=0)
         assert report.verdict == "positive-evidence"
         assert report.min_value == 0.0
         assert report.iterations == 32
@@ -100,25 +100,25 @@ class TestSeesaw:
 
     def test_frozen_negative_certificate(self):
         pert = HadamardPerturbation([alternating_vector(4)], [2.1])
-        report = seesaw_minimize(TauMap(MapSpec(4, 2), pert), starts=16, seed=0)
+        report = seesaw_minimize(TauMap(MapSpec(4, 2).coupling, pert), starts=16, seed=0)
         assert report.verdict == "negative-certificate"
         assert report.min_value == -0.024999999998625382
         assert report.iterations == 62
 
     def test_deeper_negative_certificate(self):
         pert = HadamardPerturbation([alternating_vector(4)], [2.5])
-        report = seesaw_minimize(TauMap(MapSpec(4, 2), pert), starts=16, seed=0)
+        report = seesaw_minimize(TauMap(MapSpec(4, 2).coupling, pert), starts=16, seed=0)
         assert report.verdict == "negative-certificate"
         assert report.min_value == -0.12499999999997462
 
     def test_witness_reproduces_min_value(self):
         pert = HadamardPerturbation([alternating_vector(4)], [2.1])
-        map_ = TauMap(MapSpec(4, 2), pert)
+        map_ = TauMap(MapSpec(4, 2).coupling, pert)
         report = seesaw_minimize(map_, starts=16, seed=0)
         assert form_value(map_, report.witness_x, report.witness_y) == report.min_value
 
     def test_same_seed_reproduces_witnesses(self):
-        map_ = TauMap(MapSpec(4, 1))
+        map_ = TauMap(MapSpec(4, 1).coupling)
         a = seesaw_minimize(map_, starts=6, seed=3)
         b = seesaw_minimize(map_, starts=6, seed=3)
         assert a.min_value == b.min_value
@@ -128,18 +128,18 @@ class TestSeesaw:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_positive_members_stay_nonnegative(self, seed):
         for n, k in [(3, 1), (3, 2), (4, 2), (5, 3)]:
-            report = seesaw_minimize(TauMap(MapSpec(n, k)), starts=12, seed=seed)
+            report = seesaw_minimize(TauMap(MapSpec(n, k).coupling), starts=12, seed=seed)
             assert report.verdict == "positive-evidence"
             assert -1e-9 <= report.min_value <= 1e-6
 
     @pytest.mark.parametrize("n, k, t, capped", [(4, 2, None, 0), (8, 2, 5.0, 0)])
     def test_capped_starts_are_counted(self, n, k, t, capped):
         pert = None if t is None else HadamardPerturbation([alternating_vector(n)], [t])
-        report = seesaw_minimize(TauMap(MapSpec(n, k), pert), starts=64, seed=0)
+        report = seesaw_minimize(TauMap(MapSpec(n, k).coupling, pert), starts=64, seed=0)
         assert report.starts_capped == capped
 
     def test_bad_arguments(self):
-        map_ = TauMap(MapSpec(3, 1))
+        map_ = TauMap(MapSpec(3, 1).coupling)
         with pytest.raises(DomainError):
             seesaw_minimize(map_, starts=0)
         with pytest.raises(DomainError):
@@ -151,13 +151,13 @@ class TestSeesaw:
 
 def v1_map(n, k, t=None):
     pert = None if t is None else HadamardPerturbation([alternating_vector(n)], [t])
-    return TauMap(MapSpec(n, k), pert)
+    return TauMap(MapSpec(n, k).coupling, pert)
 
 
 def fourier_map(n, k, weights):
     """A map corrected along the complex Fourier kernel directions, as conjecture --experimental builds it."""
     spec = MapSpec(n, k)
-    return TauMap(spec, HadamardPerturbation(build_circulant(spec).kernel, weights))
+    return TauMap(spec.coupling, HadamardPerturbation(build_circulant(spec).kernel, weights))
 
 
 # Unequal weights on the five Fourier kernel directions of (18, 12), so G is complex.
@@ -266,8 +266,8 @@ class TestBatchedSeesaw:
 class ShiftedFactors(TauMap):
     """A TauMap whose on_projector_factors puts every F higher by shift than on_projector does."""
 
-    def __init__(self, spec, shift):
-        super().__init__(spec)
+    def __init__(self, coupling, shift):
+        super().__init__(coupling)
         self.shift = shift
 
     def on_projector_factors(self, x):
@@ -328,7 +328,7 @@ class TestWindowSnap:
             assert got[~snap].tobytes() == want[~snap].tobytes()
 
     def test_near_pair_snaps_to_an_exact_zero(self):
-        map_ = TauMap(MapSpec(4, 1))
+        map_ = TauMap(MapSpec(4, 1).coupling)
         x, y = near_window_pair(4)
         rows, xs, ys, fs = _window_snap(map_, x[None], y[None], np.array([1e-3]))
         assert rows.tolist() == [0]
@@ -340,13 +340,13 @@ class TestWindowSnap:
     def test_snap_above_the_value_is_refused(self):
         """A snapped pair whose F, by the map's kernels, is above the row's value leaves the row running."""
         x, y = near_window_pair(4)
-        rows = _window_snap(ShiftedFactors(MapSpec(4, 1), 1.0), x[None], y[None], np.array([1e-3]))[0]
+        rows = _window_snap(ShiftedFactors(MapSpec(4, 1).coupling, 1.0), x[None], y[None], np.array([1e-3]))[0]
         assert rows.size == 0
 
     @pytest.mark.parametrize("shift, value", [(0.0, 0.0), (-1.0, -1e-3)])
     def test_rows_that_are_not_positive_never_snap(self, shift, value):
         x, y = near_window_pair(4)
-        rows = _window_snap(ShiftedFactors(MapSpec(4, 1), shift), x[None], y[None], np.array([value]))[0]
+        rows = _window_snap(ShiftedFactors(MapSpec(4, 1).coupling, shift), x[None], y[None], np.array([value]))[0]
         assert rows.size == 0
 
     def test_rows_far_from_a_window_pair_never_snap(self):
@@ -354,7 +354,7 @@ class TestWindowSnap:
         x, y = near_window_pair(4)
         spread = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)
         on_window = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2.0)
-        rows = _window_snap(TauMap(MapSpec(4, 1)), np.array([x, on_window]),
+        rows = _window_snap(TauMap(MapSpec(4, 1).coupling), np.array([x, on_window]),
                             np.array([spread, y]), np.array([1e-3, 1e-3]))[0]
         assert rows.size == 0
 
@@ -640,7 +640,7 @@ class TestMonotonicityGuards:
         self.spoil_eigh(monkeypatch, call, row=1)
         with pytest.raises(NumericalAnomalyError,
                            match=f"see-saw objective increased on the {step} step"):
-            seesaw_minimize(TauMap(MapSpec(4, 2)), starts=4, seed=0)
+            seesaw_minimize(TauMap(MapSpec(4, 2).coupling), starts=4, seed=0)
 
     def test_cli_exits_4(self, monkeypatch, capsys):
         self.spoil_eigh(monkeypatch, 2, row=1)
@@ -691,12 +691,12 @@ class TestMonotonicityGuards:
         fallback_rows = self.spoil_secular_root(monkeypatch, call, row=1)
         with pytest.raises(NumericalAnomalyError,
                            match=f"see-saw objective increased on the {step} step"):
-            seesaw_minimize(TauMap(MapSpec(16, 4)), starts=4, seed=0)
+            seesaw_minimize(TauMap(MapSpec(16, 4).coupling), starts=4, seed=0)
         assert fallback_rows == [1]
 
     def test_raised_secular_root_alone_takes_eigh(self, monkeypatch):
         """A raised secular root is no eigenvalue: the residual check sends its row to eigh."""
-        map_ = TauMap(MapSpec(16, 4))
+        map_ = TauMap(MapSpec(16, 4).coupling)
         ref = seesaw_minimize(map_, starts=4, seed=0)
         fallback_rows = self.spoil_secular_root(monkeypatch, 2, row=1, fallback_raise=0.0)
         got = seesaw_minimize(map_, starts=4, seed=0)
@@ -711,17 +711,17 @@ class TestMonotonicityGuards:
 
 class TestDiagonalProfile:
     def test_shift_coupling_gives_profile(self):
-        assert np.array_equal(shift_coupling(MapSpec(3, 1)) @ [1.0, 2.0, 3.0], [4.0, 7.0, 7.0])
+        assert np.array_equal(coupling_matrix(MapSpec(3, 1).coupling) @ [1.0, 2.0, 3.0], [4.0, 7.0, 7.0])
 
     def test_rejects_negative_entries(self):
         for fn in (f_value, analytic_det):
             with pytest.raises(DomainError):
-                fn(MapSpec(3, 1), [1.0, -0.5, 2.0])
+                fn(MapSpec(3, 1).coupling, [1.0, -0.5, 2.0])
 
     def test_rejects_wrong_length(self):
         for fn in (f_value, analytic_det):
             with pytest.raises(DimensionMismatchError):
-                fn(MapSpec(3, 1), [1.0, 2.0])
+                fn(MapSpec(3, 1).coupling, [1.0, 2.0])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -729,44 +729,49 @@ class TestDiagonalProfile:
         for fn in (f_value, analytic_det):
             for profile in ([bad, 1.0, 1.0], [1.0, 1.0, bad]):
                 with pytest.raises(DomainError, match="finite"):
-                    fn(MapSpec(3, 1), profile)
+                    fn(MapSpec(3, 1).coupling, profile)
 
 
 class TestFValue:
     def test_uniform_profile_is_exactly_one(self):
         for n, k in [(2, 1), (3, 1), (3, 2), (4, 2), (5, 3), (6, 4)]:
-            assert f_value(MapSpec(n, k), np.ones(n)) == 1.0
+            assert f_value(MapSpec(n, k).coupling, np.ones(n)) == 1.0
 
     def test_frozen_rational_fixtures(self):
-        assert f_value(MapSpec(3, 1), (1.0, 2.0, 4.0)) == 17.0 / 18.0
-        assert f_value(MapSpec(4, 2), (1.0, 1.0, 2.0, 4.0)) == 341.0 / 360.0
-        assert f_value(MapSpec(3, 2), (2.0, 1.0, 1.0)) == 1.0
+        assert f_value(MapSpec(3, 1).coupling, (1.0, 2.0, 4.0)) == 17.0 / 18.0
+        assert f_value(MapSpec(4, 2).coupling, (1.0, 1.0, 2.0, 4.0)) == 341.0 / 360.0
+        assert f_value(MapSpec(3, 2).coupling, (2.0, 1.0, 1.0)) == 1.0
 
     def test_scale_invariance(self):
         spec = MapSpec(4, 2)
         X = np.array([0.3, 1.1, 0.25, 2.0])
-        assert f_value(spec, 8.0 * X) == f_value(spec, X)
+        assert f_value(spec.coupling, 8.0 * X) == f_value(spec.coupling, X)
 
     def test_extreme_profile_no_overflow(self):
         spec = MapSpec(5, 2)
         X = np.array([1e300, 1e-300, 1.0, 1e150, 1e-150])
-        value = f_value(spec, X)
+        value = f_value(spec.coupling, X)
         assert np.isfinite(value)
         assert 0.0 < value <= 1.0 + 1e-12
 
     def test_vanishing_window_rejected(self):
         with pytest.raises(DomainError):
-            f_value(MapSpec(4, 1), (0.0, 0.0, 1.0, 1.0))
+            f_value(MapSpec(4, 1).coupling, (0.0, 0.0, 1.0, 1.0))
 
     def test_zero_profile_rejected(self):
         with pytest.raises(DomainError):
-            f_value(MapSpec(3, 1), (0.0, 0.0, 0.0))
+            f_value(MapSpec(3, 1).coupling, (0.0, 0.0, 0.0))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_quotient_overflow_is_inf(self):
+        """With c_0 = 0, D_0 = X_1 can be subnormal while X_0 = 1: f is unbounded, not a warning."""
+        assert f_value([0.0, 1.0, 0.0], [1.0, 1e-320, 1.0]) == np.inf
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n", [144, 1000, 4099])
     def test_uniform_profile_at_large_n(self, n):
         """One rounding of the exact quotient sum: no product of n profile entries to overflow."""
-        assert abs(f_value(MapSpec(n, 2), np.ones(n)) - 1.0) <= 2 * np.spacing(1.0)
+        assert abs(f_value(MapSpec(n, 2).coupling, np.ones(n)) - 1.0) <= 2 * np.spacing(1.0)
 
     @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (5, 2), (6, 4)])
     def test_bounded_by_one_on_random_profiles(self, n, k):
@@ -774,7 +779,7 @@ class TestFValue:
         spec = MapSpec(n, k)
         for _ in range(300):
             X = np.exp(rng.normal(scale=3.0, size=n))
-            assert f_value(spec, X) <= 1.0 + 1e-12
+            assert f_value(spec.coupling, X) <= 1.0 + 1e-12
 
 
 class TestLeaveOneOut:
@@ -805,19 +810,19 @@ class TestLeaveOneOut:
 
 class TestAnalyticDet:
     def test_frozen_integer_fixtures(self):
-        assert analytic_det(MapSpec(3, 1), (1.0, 1.0, 0.0)) == 1.0
-        assert analytic_det(MapSpec(3, 1), (1.0, 2.0, 3.0)) == 7.0
-        assert analytic_det(MapSpec(3, 1), (1.0, 1.0, 1.0)) == 0.0
+        assert analytic_det(MapSpec(3, 1).coupling, (1.0, 1.0, 0.0)) == 1.0
+        assert analytic_det(MapSpec(3, 1).coupling, (1.0, 2.0, 3.0)) == 7.0
+        assert analytic_det(MapSpec(3, 1).coupling, (1.0, 1.0, 1.0)) == 0.0
 
     def test_degenerate_window_evaluates_exactly(self):
-        assert analytic_det(MapSpec(4, 1), (0.0, 0.0, 1.0, 1.0)) == 0.0
+        assert analytic_det(MapSpec(4, 1).coupling, (0.0, 0.0, 1.0, 1.0)) == 0.0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n", [144, 4099])
     def test_overflowing_product_is_a_domain_error(self, n):
         """prod_i D_i = n^n overflows float64 from n = 144 on the uniform profile."""
         with pytest.raises(DomainError, match=f"overflows float64 at n = {n}"):
-            analytic_det(MapSpec(n, 2), np.ones(n))
+            analytic_det(MapSpec(n, 2).coupling, np.ones(n))
 
     @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (5, 3), (6, 2)])
     def test_matches_numeric_determinant(self, n, k):
@@ -826,14 +831,14 @@ class TestAnalyticDet:
         for _ in range(100):
             X = np.exp(rng.normal(size=n))
             root = np.sqrt(X)
-            numeric = np.linalg.det(np.diag(shift_coupling(spec) @ X) - np.outer(root, root))
-            analytic = analytic_det(spec, X)
+            numeric = np.linalg.det(np.diag(coupling_matrix(spec.coupling) @ X) - np.outer(root, root))
+            analytic = analytic_det(spec.coupling, X)
             assert abs(analytic - numeric) <= 1e-10 * max(1.0, abs(numeric))
 
 
 class TestHessianCoupling:
     def test_3_1_frozen(self):
-        S, s_prime, S_hat = hessian_shat(MapSpec(3, 1))
+        S, s_prime, S_hat = hessian_shat(MapSpec(3, 1).coupling)
         assert s_prime == 3.0
         expected = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
         assert np.array_equal(S_hat, expected)
@@ -841,12 +846,12 @@ class TestHessianCoupling:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_edges_vanish_identically(self, n):
         for k in (0, n - 1):
-            _, _, S_hat = hessian_shat(MapSpec(n, k))
+            _, _, S_hat = hessian_shat(MapSpec(n, k).coupling)
             assert np.abs(S_hat).max() == 0.0
 
     @pytest.mark.parametrize("n,k", [(4, 1), (5, 2), (6, 3), (7, 4)])
     def test_psd_with_one_dimensional_kernel(self, n, k):
-        _, _, S_hat = hessian_shat(MapSpec(n, k))
+        _, _, S_hat = hessian_shat(MapSpec(n, k).coupling)
         eigs = np.linalg.eigvalsh(S_hat)
         assert eigs.min() >= -1e-10
         assert int((eigs < 1e-8).sum()) == 1

@@ -35,6 +35,6 @@ def test_positive_combination_stays_admissible(n, r1, r2, exponents, seed):
     assert np.abs(L @ np.ones(n)).max() <= 1e-12 * scale
     spec = MapSpec(n, int(rng.integers(0, n)))
     x = np.exp(2j * np.pi * rng.random(n))
-    plain = form_value(TauMap(spec), x, x.conj())
-    corrected = form_value(TauMap(spec, combined), x, x.conj())
+    plain = form_value(TauMap(spec.coupling), x, x.conj())
+    corrected = form_value(TauMap(spec.coupling, combined), x, x.conj())
     assert abs(corrected - plain) <= 1e-12 * max(1.0, scale)

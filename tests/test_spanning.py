@@ -98,7 +98,7 @@ class TestUnimodularPairs:
     def test_structure_and_values(self):
         spec = MapSpec(4, 2)
         pairs = unimodular_pairs(spec, samples=20, seed=0)
-        map_ = TauMap(spec)
+        map_ = TauMap(spec.coupling)
         assert pairs.shape == (20, 2, 4)
         assert pairs.dtype == np.complex128
         assert np.allclose(np.abs(pairs[:, 0]), 0.5, atol=1e-14)
@@ -126,7 +126,7 @@ class TestDegeneratePairs:
     def test_4_1_window_structure(self):
         pairs = degenerate_pairs(MapSpec(4, 1))
         assert pairs.shape == (4, 2, 4)
-        map_ = TauMap(MapSpec(4, 1))
+        map_ = TauMap(MapSpec(4, 1).coupling)
         for x, y in pairs:
             assert abs(form_value(map_, x, y)) == 0.0
 
@@ -154,13 +154,13 @@ class TestDegeneratePairs:
         for n in range(3, 11):
             for k in range(1, n - 1):
                 spec = MapSpec(n, k)
-                maps = [TauMap(spec)]
+                maps = [TauMap(spec.coupling)]
                 if n % 2 == 0:
-                    maps += [TauMap(spec, HadamardPerturbation([alternating_vector(n)], [t]))
+                    maps += [TauMap(spec.coupling, HadamardPerturbation([alternating_vector(n)], [t]))
                              for t in (n - k, n - k + 1)]
                 if spec.gcd >= 2:
                     kernel = build_circulant(spec).kernel
-                    maps.append(TauMap(spec, HadamardPerturbation(kernel, [1.0] * (spec.gcd - 1))))
+                    maps.append(TauMap(spec.coupling, HadamardPerturbation(kernel, [1.0] * (spec.gcd - 1))))
                 for x, y in degenerate_pairs(spec):
                     assert not np.any(x * y), (n, k)
                     for map_ in maps:
@@ -179,7 +179,7 @@ class TestReductionFamily:
     def test_unit_pairs_with_conjugate_partner(self, seed):
         for n in range(2, 11):
             spec = MapSpec(n, n - 1)
-            tau = TauMap(spec)
+            tau = TauMap(spec.coupling)
             pairs = _harvest_zero_pairs(spec, 2 * n, seed)
             assert pairs.shape == (2 * n, 2, n)
             assert len(pairs) == 2 * n
@@ -256,7 +256,7 @@ class TestBatchedPairs:
         pairs are checked against form_value alone.
         """
         for spec in self.SPECS:
-            tau = TauMap(spec)
+            tau = TauMap(spec.coupling)
             families = np.concatenate((
                 unimodular_pairs(spec, 4 * spec.n * spec.n, seed),
                 degenerate_pairs(spec),
@@ -339,7 +339,7 @@ class TestSpanningSet:
     def test_admitted_pairs_annihilate_form(self):
         spec = MapSpec(4, 2)
         ss = build_spanning_set(spec)
-        map_ = TauMap(spec)
+        map_ = TauMap(spec.coupling)
         assert len(ss.pairs) >= 4 * 4 - 4 + 1
         for x, y in ss.pairs:
             assert abs(form_value(map_, x, y)) <= 1e-9
