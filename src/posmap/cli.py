@@ -7,8 +7,8 @@ the same double.  Complex scalars appear as [re, im] pairs and
 matrices as arrays of rows of pairs, the same format accepted for input
 files.  Exit codes: 0 success, 1 stdout closed or unwritable, so the
 report was not written in full (from run() only), 2 configuration error (a
-MemoryError and a spanning phase draw too large for NumPy included),
-3 input-data error, 4 internal numerical anomaly.
+MemoryError and a spanning phase family too large for NumPy to describe
+included), 3 input-data error, 4 internal numerical anomaly.
 """
 
 from __future__ import annotations
@@ -275,7 +275,7 @@ def cmd_positivity(spec: MapSpec, config: dict) -> dict:
 
 
 def cmd_spanning(spec: MapSpec, config: dict) -> dict:
-    ss = build_spanning_set(spec, seed=config["seed"], samples=config["samples"])
+    ss = build_spanning_set(spec, samples=config["samples"])
     outside = int(np.count_nonzero(~ss.sigma_membership))
     if not spec.is_reduction and outside:
         raise NumericalAnomalyError(

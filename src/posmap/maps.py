@@ -101,10 +101,12 @@ class MapSpec:
 
 
 def as_square_matrix(X, n: int | None = None) -> np.ndarray:
-    """Coerce X to a complex square ndarray, optionally checking its size."""
+    """Coerce X to a complex nonempty square ndarray, optionally checking its size."""
     A = np.asarray(X, dtype=np.complex128)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {A.shape}")
+    if A.size == 0:
+        raise DimensionMismatchError("expected a nonempty matrix, got shape (0, 0)")
     if n is not None and A.shape[0] != n:
         raise DimensionMismatchError(f"expected a {n}x{n} matrix, got {A.shape[0]}x{A.shape[0]}")
     return A

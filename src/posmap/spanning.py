@@ -10,7 +10,9 @@ larger: any x pairs with conj(x).  With this third, reduction family the
 product vectors span all of C^n (x) C^n, which is the spanning property
 the rank computation detects.  Each family is one (m, 2, n) array with x
 at [:, 0] and y at [:, 1], and the pooled pairs stay one array through the
-closed-form admission check, the rank and the membership flags.
+closed-form admission check, the rank and the membership flags.  Every
+family is built in closed form: F, the rank and the flags see moduli only,
+so no phase or other random draw is made.
 
 The rank is read from the weight spaces of the torus action.  F is
 invariant under (x, y) -> (D x, conj(D) y) for every diagonal unitary D,
@@ -38,8 +40,6 @@ from .maps import (DomainError, MapSpec, NumericalAnomalyError, _abs2, _check_in
 ADMISSION_TOL = 1e-9
 RANK_REL_TOL = 1e-8
 SIGMA_FIX_TOL = 1e-9
-_STREAM_UNIMODULAR = 1000001
-_STREAM_HARVEST = 1000003
 
 
 @dataclass(frozen=True)
@@ -67,18 +67,22 @@ def gram_rank(vectors) -> int:
     return int(np.sum(sv > RANK_REL_TOL * sv[0]))
 
 
-def unimodular_pairs(spec: MapSpec, samples: int, seed: int = 0) -> np.ndarray:
-    """(samples, 2, n) random phase vectors x with y = conj(x), all exact zeros of the form."""
+def unimodular_pairs(spec: MapSpec, samples: int) -> np.ndarray:
+    """(samples, 2, n) phase pairs: the all-ones unit x with y = conj(x), exact zeros of the form.
+
+    The torus closure of any unimodular x is the whole phase family, and F,
+    the rank and the membership flags see moduli only, so no phases are
+    drawn: samples sets the row count alone.  The rows are the ones that
+    degenerate_pairs zeroes on each window.
+    """
     samples = _check_int(samples, "samples")
     if samples < 1:
         raise DomainError(f"samples must be positive, got {samples}")
-    rng = np.random.default_rng([seed, _STREAM_UNIMODULAR])
     try:
-        phases = rng.uniform(0.0, 2.0 * np.pi, (samples, spec.n))
+        X = np.full((samples, spec.n), 1.0 / math.sqrt(spec.n))
     except ValueError as exc:  # a size NumPy cannot even describe
         raise DomainError(f"cannot draw {samples} phase vectors of length {spec.n}: {exc}") from exc
-    X = np.exp(1j * phases) / math.sqrt(spec.n)
-    return np.stack((X, X.conj()), axis=1)
+    return np.stack((X, X), axis=1, dtype=np.complex128)
 
 
 def degenerate_pairs(spec: MapSpec) -> np.ndarray:
@@ -93,30 +97,33 @@ def degenerate_pairs(spec: MapSpec) -> np.ndarray:
     return np.stack(_window_pairs(C, np.ones_like(C, dtype=np.complex128), np.arange(spec.n)), axis=1)
 
 
-def _harvest_zero_pairs(spec: MapSpec, count: int, seed: int) -> np.ndarray:
-    """The reduction family: (count, 2, n) random unit x, each with y = conj(x).
+def _harvest_zero_pairs(spec: MapSpec, count: int) -> np.ndarray:
+    """The reduction family: (count, 2, n) unit x = sqrt(1 + e_{m mod n}) / sqrt(n + 1), y = conj(x).
 
     For k = n-1 every x pairs with conj(x) on the zero set, and the unequal
     moduli |x_i|^2 reach the traceless diagonal that the phase family
-    misses.  Empty, shape (0, 2, n), for k <= n-2, as degenerate_pairs is
-    empty for k = n-1.  The name and the positional (spec, count, seed)
-    signature are the hook perfbench/spans.py times as spanning.harvest.
+    misses: n consecutive rows have |x|^2 matrix (J + I) / (n + 1), of rank
+    n with smallest-to-largest singular value ratio 1 / (n + 1).  Empty,
+    shape (0, 2, n), for k <= n-2, as degenerate_pairs is empty for k = n-1.
+    The name and the positional (spec, count) signature are the hook
+    perfbench/spans.py times as spanning.harvest.
     """
+    n = spec.n
     if not spec.is_reduction:
-        return np.empty((0, 2, spec.n), dtype=np.complex128)
-    rng = np.random.default_rng([seed, _STREAM_HARVEST])
-    X = rng.standard_normal((count, spec.n)) + 1j * rng.standard_normal((count, spec.n))
-    X /= np.linalg.norm(X, axis=1, keepdims=True)
-    return np.stack((X, X.conj()), axis=1)
+        return np.empty((0, 2, n), dtype=np.complex128)
+    X = np.ones((count, n))
+    X[np.arange(count), np.arange(count) % n] = math.sqrt(2.0)
+    X /= math.sqrt(n + 1)
+    return np.stack((X, X), axis=1, dtype=np.complex128)
 
 
-def build_spanning_set(spec: MapSpec, seed: int = 0, samples: int | None = None) -> SpanningSet:
+def build_spanning_set(spec: MapSpec, samples: int | None = None) -> SpanningSet:
     """Pool the three zero-pair families, check admission, and take the rank.
 
-    seed draws the phase pairs, samples of them (default 4 n^2), and the
-    reduction family's 2n pairs, enough to reveal the spanning property
-    (gram_rank == n^2) of the reduction map; the window family draws
-    nothing.  Every family is an exact zero set of unit pairs, so F
+    The pool holds samples phase pairs (default 4 n^2), the n window pairs
+    and the reduction family's 2n pairs, enough to reveal the spanning
+    property (gram_rank == n^2) of the reduction map; nothing is drawn at
+    random.  Every family is an exact zero set of unit pairs, so F
     is evaluated for all of them at once in closed form,
     F = |y|^2 . S |x|^2 - |sum_i x_i y_i|^2 with S = coupling_matrix(spec.coupling),
     and a pair whose value exceeds ADMISSION_TOL is a numerical fault that
@@ -137,16 +144,13 @@ def build_spanning_set(spec: MapSpec, seed: int = 0, samples: int | None = None)
     """
     if spec.k < 1:
         raise DomainError("spanning analysis applies for k >= 1")
-    seed = _check_int(seed, "seed")
-    if seed < 0:
-        raise DomainError(f"seed must be nonnegative, got {seed}")
     n = spec.n
     if samples is None:
         samples = 4 * n * n
     pairs = np.concatenate((
-        unimodular_pairs(spec, samples, seed),
+        unimodular_pairs(spec, samples),
         degenerate_pairs(spec),
-        _harvest_zero_pairs(spec, 2 * n, seed),
+        _harvest_zero_pairs(spec, 2 * n),
     ))
     X, Y = pairs[:, 0], pairs[:, 1]
     px, py = _abs2(X), _abs2(Y)

@@ -601,6 +601,51 @@ class TestMainInProcess:
         assert captured.err == line
 
 
+class TestFreshInterpreter:
+    """What a command costs and reports when it starts in a new process, as a user runs it."""
+
+    def test_only_seesaw_commands_load_numpy_random(self, tmp_path):
+        """spanning, certify and apply draw nothing, so NumPy never imports numpy.random for them.
+
+        positivity draws its seeded starts, which is the control that the check sees the import.
+        """
+        path = tmp_path / "x.json"
+        write_matrix(path, np.eye(4))
+        argvs = [
+            ["spanning", "--n", "8", "--k", "3"],
+            ["spanning", "--n", "12", "--k", "11", "--samples", "1"],
+            ["certify", "--n", "12", "--k", "8"],
+            ["apply", "--n", "4", "--k", "2", "--input", str(path)],
+            ["positivity", "--n", "4", "--k", "2", "--starts", "2"],
+        ]
+        child = (
+            "import contextlib, io, sys, posmap.cli\n"
+            "def loads_random(argv):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert posmap.cli.main(argv) == 0, argv\n"
+            "    return 'numpy.random' in sys.modules\n"
+            f"print([loads_random(argv) for argv in {argvs!r}])\n"
+        )
+        p = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+        assert (p.returncode, p.stderr) == (0, "")
+        assert p.stdout == "[False, False, False, False, True]\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("--n", "8", "--k", "3"),
+        ("--n", "12", "--k", "11"),
+        ("--n", "8", "--k", "3", "--samples", "1"),
+    ])
+    def test_spanning_report_does_not_depend_on_the_seed(self, argv):
+        """--seed is accepted and echoed as config.seed; every other byte is the same."""
+        reports = {}
+        for seed in ("0", "1", "7"):
+            p = run_cli("spanning", *argv, "--seed", seed)
+            assert (p.returncode, p.stderr) == (0, "")
+            assert json.loads(p.stdout)["config"]["seed"] == int(seed)
+            reports[seed] = p.stdout.replace(f'"seed": {seed},', '"seed": 0,', 1)
+        assert reports["1"] == reports["0"] and reports["7"] == reports["0"]
+
+
 class TestEntryPoint:
     """`posmap` and `python -m posmap` run cli.run, which wraps main for one process."""
 

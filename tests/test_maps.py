@@ -238,6 +238,14 @@ class TestHermiticity:
             as_square_matrix(np.ones((2, 3)))
         with pytest.raises(DimensionMismatchError):
             as_square_matrix(np.ones(4))
+
+    def test_empty_matrix_is_a_dimension_mismatch(self):
+        """A 0 x 0 matrix is refused by shape, before any reduction over its entries."""
+        for check in (as_square_matrix, require_hermitian):
+            with pytest.raises(DimensionMismatchError, match=r"got shape \(0, 0\)"):
+                check(np.zeros((0, 0)))
+        with pytest.raises(DimensionMismatchError):
+            as_square_matrix(np.zeros((0, 0)), n=0)
         with pytest.raises(DimensionMismatchError):
             as_square_matrix(np.eye(3), n=4)
 
