@@ -224,6 +224,28 @@ class TestBatchedPairs:
     SPECS = [MapSpec(n, k) for n in range(2, 10) for k in range(0, n)]
 
     @staticmethod
+    def unimodular_loop(spec, samples):
+        """Every row is the all-ones unit x: no phase is drawn."""
+        return [np.full(spec.n, 1.0 / math.sqrt(spec.n), dtype=np.complex128) for _ in range(samples)]
+
+    @staticmethod
+    def cli_pools(monkeypatch, capsys, specs, seed):
+        """The pools `spanning --seed seed` builds for specs, captured from the command."""
+        pools = []
+
+        def recording(*args, **kwargs):
+            pools.append(build_spanning_set(*args, **kwargs))
+            return pools[-1]
+
+        monkeypatch.setattr(posmap.cli, "build_spanning_set", recording)
+        for spec in specs:
+            argv = ["spanning", "--n", str(spec.n), "--k", str(spec.k), "--seed", str(seed)]
+            assert posmap.cli.main(argv) == 0, (spec, seed)
+        capsys.readouterr()
+        assert len(pools) == len(specs)
+        return pools
+
+    @staticmethod
     def harvest_loop(spec, count):
         """Row m is sqrt(1 + e_{m mod n}), normalised."""
         n = spec.n
@@ -258,8 +280,24 @@ class TestBatchedPairs:
                 assert np.array_equal(pairs[:, 0], ref), (spec, count)
                 assert np.array_equal(pairs[:, 1], ref), (spec, count)
 
-    def test_degenerate_bit_identical_to_loop(self):
-        """The window family is the loop's, and the pool carries it unchanged."""
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_unimodular_bit_identical_to_loop(self, monkeypatch, capsys, seed):
+        """The phase family is the loop's, and the pool `spanning --seed seed` builds carries it unchanged."""
+        for spec in self.SPECS:
+            samples = 4 * spec.n * spec.n
+            pairs = unimodular_pairs(spec, samples)
+            ref = np.array(self.unimodular_loop(spec, samples))
+            assert pairs.shape == (samples, 2, spec.n)
+            assert np.array_equal(pairs[:, 0], ref), spec
+            assert np.array_equal(pairs[:, 1], ref.conj()), spec
+        members = [spec for spec in self.SPECS if spec.k >= 1]
+        for spec, ss in zip(members, self.cli_pools(monkeypatch, capsys, members, seed)):
+            samples = 4 * spec.n * spec.n
+            assert np.array_equal(ss.pairs[:samples], unimodular_pairs(spec, samples)), (spec, seed)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_degenerate_bit_identical_to_loop(self, monkeypatch, capsys, seed):
+        """The window family is the loop's, and the pool `spanning --seed seed` builds carries it unchanged."""
         for spec in self.SPECS:
             if spec.is_reduction:
                 continue
@@ -268,10 +306,11 @@ class TestBatchedPairs:
             assert pairs.shape == (spec.n, 2, spec.n)
             assert np.array_equal(pairs[:, 0], ref), spec
             assert np.array_equal(pairs[:, 1], np.eye(spec.n)), spec
-            if spec.k >= 1:
-                samples = 4 * spec.n * spec.n
-                pooled = build_spanning_set(spec).pairs[samples:samples + spec.n]
-                assert np.array_equal(pooled, pairs), spec
+        members = [spec for spec in self.SPECS if spec.k >= 1 and not spec.is_reduction]
+        for spec, ss in zip(members, self.cli_pools(monkeypatch, capsys, members, seed)):
+            samples = 4 * spec.n * spec.n
+            pooled = ss.pairs[samples:samples + spec.n]
+            assert np.array_equal(pooled, degenerate_pairs(spec)), (spec, seed)
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_closed_form_values_match_form_value(self, seed):
