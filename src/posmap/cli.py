@@ -36,7 +36,7 @@ from .maps import (
     require_hermitian,
 )
 from .positivity import DEFAULT_STARTS, NEGATIVITY_TOL, seesaw_minimize
-from .spanning import build_spanning_set
+from .spanning import build_spanning_set, phase_pair_count
 
 SCHEMA_ID = "posmap-report/2"
 
@@ -172,13 +172,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-# Every posmap-report/2 config key besides n, k and output.  A subcommand
-# without a flag for a key still echoes the key's default.
+# The posmap-report/2 config keys a flag can set, besides n, k and output.  A
+# subcommand without a flag for a key still echoes the key's default.
 _OPTIONS = {
     "seed": {"type": int, "default": 0},
     "starts": {"type": int, "default": DEFAULT_STARTS},
     "tol": {"type": float, "default": NEGATIVITY_TOL},
-    "samples": {"type": int, "default": None},
     "input": {"default": None},
     "perturb": {"choices": ("v1",), "default": None},
     "t": {"type": float, "default": None},
@@ -190,7 +189,7 @@ _OPTIONS = {
 _COMMAND_FLAGS = {
     "apply": ("seed", "input", "perturb", "t"),
     "positivity": ("seed", "starts", "tol", "perturb", "t"),
-    "spanning": ("seed", "samples"),
+    "spanning": ("seed",),
     "certify": ("seed",),
     "conjecture": ("seed", "starts", "tol", "t", "experimental", "grid"),
 }
@@ -216,8 +215,7 @@ def _resolve_config(args) -> tuple:
     if args.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {args.seed}")
     config = {key: value for key, value in vars(args).items() if key != "command"}
-    if config["samples"] is None:
-        config["samples"] = 4 * spec.n * spec.n
+    config["samples"] = phase_pair_count(spec.n)
     return spec, config
 
 
@@ -275,7 +273,7 @@ def cmd_positivity(spec: MapSpec, config: dict) -> dict:
 
 
 def cmd_spanning(spec: MapSpec, config: dict) -> dict:
-    ss = build_spanning_set(spec, samples=config["samples"])
+    ss = build_spanning_set(spec)
     outside = int(np.count_nonzero(~ss.sigma_membership))
     if not spec.is_reduction and outside:
         raise NumericalAnomalyError(

@@ -56,6 +56,17 @@ def _check_int(value, name: str) -> int:
     return int(value)
 
 
+def _nonnegative_reals(values, name: str) -> np.ndarray:
+    """values as a float64 array of finite nonnegative reals; DomainError names the first other entry."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "biuf":  # a str, None, complex or int beyond float range among them
+        raise DomainError(f"each {name} must be a real number, got {a.dtype} entries")
+    bad = a[~((0 <= a) & (a < math.inf))]
+    if bad.size:
+        raise DomainError(f"{name} must be finite and nonnegative, got {float(bad[0])}")
+    return a.astype(np.float64)
+
+
 def _abs2(a: np.ndarray) -> np.ndarray:
     """|a|^2 entrywise."""
     return a.real**2 + a.imag**2 if np.iscomplexobj(a) else a * a
@@ -141,10 +152,9 @@ def coupling_matrix(row) -> np.ndarray:
     c = np.asarray(row)
     if c.ndim != 1 or c.shape[0] < 2:
         raise DimensionMismatchError(f"coupling row must have length n >= 2, got shape {c.shape}")
-    if np.iscomplexobj(c) or not (np.isfinite(c) & (c >= 0)).all():
-        raise DomainError("coupling row entries must be finite, real and nonnegative")
+    c = _nonnegative_reals(c, "coupling row entry")
     idx = np.arange(c.shape[0])
-    return c.astype(np.float64)[(idx - idx[:, None]) % c.shape[0]]
+    return c[(idx - idx[:, None]) % c.shape[0]]
 
 
 def _window_pairs(C: np.ndarray, x: np.ndarray, j: np.ndarray):
@@ -193,13 +203,10 @@ class HadamardPerturbation:
             raise DimensionMismatchError(f"{len(self.weights)} weights for {A.shape[0]} directions")
         if not np.isfinite(A).all():
             raise DomainError("directions have non-finite entries")
-        for w in self.weights:
-            if not 0 <= w < math.inf:
-                raise DomainError(f"weight must be finite and nonnegative, got {w}")
+        weights = tuple(_nonnegative_reals(self.weights, "weight").tolist())
         for a in A:
             if abs(a.sum()) > ENTRY_SUM_TOL * np.abs(a).max():
                 raise DomainError(f"alpha entries must sum to zero, got {a.sum():.3e}")
-        weights = tuple(float(w) for w in self.weights)
         with np.errstate(over="ignore", invalid="ignore"):
             L = sum(w * np.outer(a, a.conj()) for a, w in zip(A, weights))
         if not np.isfinite(L).all():

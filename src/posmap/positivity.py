@@ -50,6 +50,7 @@ from .maps import (
     TauMap,
     _abs2,
     _check_int,
+    _nonnegative_reals,
     _window_pairs,
     alternating_vector,
     coupling_matrix,
@@ -375,13 +376,9 @@ def seesaw_minimize(map_, starts: int = DEFAULT_STARTS, seed: int = 0,
 
 def _diagonal(coupling, X_vec):
     """(C, X): coupling_matrix(coupling), and X_vec checked as a finite nonnegative diagonal."""
-    C, X = coupling_matrix(coupling), np.asarray(X_vec, dtype=float).reshape(-1)
+    C, X = coupling_matrix(coupling), _nonnegative_reals(X_vec, "diagonal entry").reshape(-1)
     if X.shape[0] != C.shape[0]:
         raise DimensionMismatchError(f"profile length {X.shape[0]} against n={C.shape[0]}")
-    if not np.isfinite(X).all():
-        raise DomainError("diagonal entries must be finite")
-    if np.any(X < 0):
-        raise DomainError("diagonal entries must be nonnegative")
     return C, X
 
 

@@ -34,8 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import (DomainError, MapSpec, NumericalAnomalyError, _abs2, _check_int, _window_pairs,
-                   coupling_matrix)
+from .maps import DomainError, MapSpec, NumericalAnomalyError, _abs2, _window_pairs, coupling_matrix
 
 ADMISSION_TOL = 1e-9
 RANK_REL_TOL = 1e-8
@@ -62,34 +61,32 @@ def gram_rank(vectors) -> int:
     if A.size == 0:
         return 0
     sv = np.linalg.svd(A.reshape(len(A), -1), compute_uv=False)
-    if sv[0] == 0.0:
-        return 0
     return int(np.sum(sv > RANK_REL_TOL * sv[0]))
 
 
-def unimodular_pairs(spec: MapSpec, samples: int) -> np.ndarray:
-    """(samples, 2, n) phase pairs: the all-ones unit x with y = conj(x), exact zeros of the form.
+def phase_pair_count(n: int) -> int:
+    """Rows of the phase family, 4 n^2, the count a spanning report echoes as config.samples."""
+    return 4 * n * n
 
-    The torus closure of any unimodular x is the whole phase family, and F,
-    the rank and the membership flags see moduli only, so no phases are
-    drawn: samples sets the row count alone.  The rows are the ones that
-    degenerate_pairs zeroes on each window.
+
+def unimodular_pairs(spec: MapSpec) -> np.ndarray:
+    """(4 n^2, 2, n) phase pairs: the all-ones unit x with y = conj(x), exact zeros of the form.
+
+    The torus closure of any unimodular x is the whole phase family, so every
+    row is this one, the row degenerate_pairs zeroes on each window.
     """
-    samples = _check_int(samples, "samples")
-    if samples < 1:
-        raise DomainError(f"samples must be positive, got {samples}")
+    rows = phase_pair_count(spec.n)
     try:
-        X = np.full((samples, spec.n), 1.0 / math.sqrt(spec.n))
+        X = np.full((rows, spec.n), 1.0 / math.sqrt(spec.n))
     except ValueError as exc:  # a size NumPy cannot even describe
-        raise DomainError(f"cannot draw {samples} phase vectors of length {spec.n}: {exc}") from exc
+        raise DomainError(f"cannot draw {rows} phase vectors of length {spec.n}: {exc}") from exc
     return np.stack((X, X), axis=1, dtype=np.complex128)
 
 
 def degenerate_pairs(spec: MapSpec) -> np.ndarray:
     """(n, 2, n) window zero pairs: the all-ones x zeroed on the window of j, and y = e_j.
 
-    F and the rank see moduli only, so the family draws no phases.  Empty,
-    shape (0, 2, n), for k = n-1, where no window leaves room for a support.
+    Empty, shape (0, 2, n), for k = n-1, where no window leaves room for a support.
     """
     if spec.is_reduction:
         return np.empty((0, 2, spec.n), dtype=np.complex128)
@@ -117,16 +114,16 @@ def _harvest_zero_pairs(spec: MapSpec, count: int) -> np.ndarray:
     return np.stack((X, X), axis=1, dtype=np.complex128)
 
 
-def build_spanning_set(spec: MapSpec, samples: int | None = None) -> SpanningSet:
+def build_spanning_set(spec: MapSpec) -> SpanningSet:
     """Pool the three zero-pair families, check admission, and take the rank.
 
-    The pool holds samples phase pairs (default 4 n^2), the n window pairs
-    and the reduction family's 2n pairs, enough to reveal the spanning
-    property (gram_rank == n^2) of the reduction map; nothing is drawn at
-    random.  Every family is an exact zero set of unit pairs, so F
-    is evaluated for all of them at once in closed form,
-    F = |y|^2 . S |x|^2 - |sum_i x_i y_i|^2 with S = coupling_matrix(spec.coupling),
-    and a pair whose value exceeds ADMISSION_TOL is a numerical fault that
+    The pool holds the 4 n^2 phase pairs, the n window pairs and the
+    reduction family's 2n pairs, enough to reveal the spanning property
+    (gram_rank == n^2) of the reduction map; nothing is drawn at random.
+    Every family is an exact zero set of unit pairs, so F is evaluated for
+    all of them at once in closed form, F = |y|^2 . S |x|^2 - |sum_i x_i y_i|^2
+    with S = coupling_matrix(spec.coupling).  A pair with a non-finite entry,
+    or whose F is not within ADMISSION_TOL of zero, is a numerical fault that
     raises NumericalAnomalyError rather than being dropped.
 
     The rank is that of the torus closure of the admitted pairs, a set of
@@ -145,18 +142,18 @@ def build_spanning_set(spec: MapSpec, samples: int | None = None) -> SpanningSet
     if spec.k < 1:
         raise DomainError("spanning analysis applies for k >= 1")
     n = spec.n
-    if samples is None:
-        samples = 4 * n * n
     pairs = np.concatenate((
-        unimodular_pairs(spec, samples),
+        unimodular_pairs(spec),
         degenerate_pairs(spec),
         _harvest_zero_pairs(spec, 2 * n),
     ))
+    if not np.isfinite(pairs).all():
+        raise NumericalAnomalyError("a zero pair has a non-finite entry")
     X, Y = pairs[:, 0], pairs[:, 1]
     px, py = _abs2(X), _abs2(Y)
     diag = X * Y
     values = ((py @ coupling_matrix(spec.coupling)) * px).sum(axis=1) - _abs2(diag.sum(axis=1))
-    bad = np.flatnonzero(np.abs(values) > ADMISSION_TOL)
+    bad = np.flatnonzero(~(np.abs(values) <= ADMISSION_TOL))
     if bad.size:
         raise NumericalAnomalyError(
             f"zero pair has form value {float(values[bad[0]])!r}, above ADMISSION_TOL {ADMISSION_TOL!r}"

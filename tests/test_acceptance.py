@@ -12,9 +12,10 @@ import math
 import subprocess
 import sys
 
+import jsonschema
 import numpy as np
-import pytest
 
+import posmap.spanning
 from posmap import (
     HadamardPerturbation,
     MapSpec,
@@ -22,6 +23,7 @@ from posmap import (
     alternating_vector,
 )
 from posmap.certify import build_circulant, certify_optimality, conjecture_probe
+from posmap.cli import REPORT_SCHEMA
 from posmap.positivity import (
     analytic_det,
     f_value,
@@ -31,10 +33,6 @@ from posmap.positivity import (
     seesaw_minimize,
 )
 from posmap.spanning import build_spanning_set
-
-jsonschema = pytest.importorskip("jsonschema")
-
-from posmap.cli import REPORT_SCHEMA  # noqa: E402
 
 
 def _dense_circulant(c):
@@ -202,17 +200,20 @@ def test_c05_curvature_at_uniform_profile():
     assert not failures, "\n".join(failures)
 
 
-def test_c06_spanning_ranks():
-    """Frozen spanning ranks, by default and from a single phase pair."""
+def test_c06_spanning_ranks(monkeypatch):
+    """Frozen spanning ranks, from the 4 n^2 phase pairs and from a single one."""
     failures = []
     low_rank = [(3, 1), (4, 1), (4, 2), (5, 1), (5, 2), (5, 3), (6, 1), (6, 4)]
     full_rank = [(3, 2), (4, 3), (5, 4)]
-    for n, k in low_rank + full_rank:
-        want = n * n if k == n - 1 else n * n - n + 1
-        for samples in (None, 1):
-            got = build_spanning_set(MapSpec(n, k), samples=samples).gram_rank
+    all_phase_pairs = posmap.spanning.unimodular_pairs
+    for phase_rows in ("all", "one"):
+        if phase_rows == "one":
+            monkeypatch.setattr(posmap.spanning, "unimodular_pairs", lambda spec: all_phase_pairs(spec)[:1])
+        for n, k in low_rank + full_rank:
+            want = n * n if k == n - 1 else n * n - n + 1
+            got = build_spanning_set(MapSpec(n, k)).gram_rank
             if got != want:
-                failures.append(f"(n={n}, k={k}, samples={samples}): rank {got}, expected {want}")
+                failures.append(f"(n={n}, k={k}, {phase_rows} phase pairs): rank {got}, expected {want}")
     assert not failures, "\n".join(failures)
 
 

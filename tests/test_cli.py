@@ -1,5 +1,6 @@
 """Tests for the command-line interface: reports, determinism, exit codes."""
 
+import argparse
 import gc
 import importlib
 import json
@@ -11,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -18,13 +20,12 @@ import posmap.spanning
 from posmap import MapSpec, TauMap, alternating_vector
 from posmap.cli import (
     REPORT_SCHEMA,
+    build_parser,
     dumps_report,
     load_matrix,
     main,
     render_text,
 )
-
-jsonschema = pytest.importorskip("jsonschema")
 
 
 def run_cli(*argv, env_extra=None):
@@ -464,7 +465,7 @@ class TestMainInProcess:
     FLAGS = {
         "apply": ["--n", "--k", "--seed", "--input", "--perturb", "--t", "--output"],
         "positivity": ["--n", "--k", "--seed", "--starts", "--tol", "--perturb", "--t", "--output"],
-        "spanning": ["--n", "--k", "--seed", "--samples", "--output"],
+        "spanning": ["--n", "--k", "--seed", "--output"],
         "certify": ["--n", "--k", "--seed", "--output"],
         "conjecture": ["--n", "--k", "--seed", "--starts", "--tol", "--t", "--experimental",
                        "--grid", "--output"],
@@ -476,12 +477,27 @@ class TestMainInProcess:
         options = capsys.readouterr().out.split("options:")[1]
         assert re.findall(r"(?<![\w-])--[a-z]+", options) == ["--help"] + self.FLAGS[command]
 
+    def test_readme_command_table_matches_the_parser(self):
+        """README's flag table lists exactly the flags each subcommand accepts: no removed flag stays documented."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        documented = {command: flags.split()
+                      for command, flags in re.findall(r"^\| `(\w+)` \| `(--[^`]*)` \|$", readme, re.M)}
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        accepted = {
+            command: [flag for action in sub._actions for flag in action.option_strings
+                      if flag.startswith("--") and flag != "--help"]
+            for command, sub in subparsers.choices.items()
+        }
+        assert accepted == self.FLAGS
+        assert documented == accepted
+
     DEAD_FLAGS = [
         ("certify", "--starts", "8"),
         ("certify", "--tol", "1e-6"),
         ("certify", "--samples", "9"),
         ("spanning", "--tol", "1e-6"),
         ("spanning", "--starts", "8"),
+        ("spanning", "--samples", "9"),
         ("apply", "--samples", "9"),
         ("positivity", "--input", "x.json"),
         ("positivity", "--samples", "9"),
@@ -555,13 +571,11 @@ class TestMainInProcess:
         assert main(["apply", "--n", "4", "--k", "2", "--input", path]) == 4
         assert main(["positivity", "--n", "4", "--k", "2", "--starts", "0"]) == 2
         assert main(["positivity", "--n", "4", "--k", "2", "--tol", "0"]) == 2
-        assert main(["spanning", "--n", "4", "--k", "2", "--samples", "0"]) == 2
         assert main(["positivity", "--n", "4", "--k", "2", "--perturb", "v1", "--t", "-1"]) == 2
         assert main(["certify", "--n", "4", "--k", "2", "--seed", "-1"]) == 2
         err = capsys.readouterr().err
         assert "starts must be positive, got 0" in err
         assert "tol must be finite and positive, got 0.0" in err
-        assert "samples must be positive, got 0" in err
         assert "weight must be finite and nonnegative, got -1.0" in err
         assert "seed must be nonnegative, got -1" in err
         assert "non-finite entries" in err
@@ -613,7 +627,7 @@ class TestFreshInterpreter:
         write_matrix(path, np.eye(4))
         argvs = [
             ["spanning", "--n", "8", "--k", "3"],
-            ["spanning", "--n", "12", "--k", "11", "--samples", "1"],
+            ["spanning", "--n", "12", "--k", "11"],
             ["certify", "--n", "12", "--k", "8"],
             ["apply", "--n", "4", "--k", "2", "--input", str(path)],
             ["positivity", "--n", "4", "--k", "2", "--starts", "2"],
@@ -633,7 +647,6 @@ class TestFreshInterpreter:
     @pytest.mark.parametrize("argv", [
         ("--n", "8", "--k", "3"),
         ("--n", "12", "--k", "11"),
-        ("--n", "8", "--k", "3", "--samples", "1"),
     ])
     def test_spanning_report_does_not_depend_on_the_seed(self, argv):
         """--seed is accepted and echoed as config.seed; every other byte is the same."""

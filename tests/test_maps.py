@@ -129,6 +129,15 @@ class TestShiftCoupling:
         with pytest.raises(error):
             TauMap(row)
 
+    @pytest.mark.parametrize("row", [[10**400, 1], ["a", "b"], ["2", "1"], [None, 1]],
+                             ids=["int-beyond-float", "str", "numeric-str", "None"])
+    def test_rows_of_non_real_numbers_rejected(self, row):
+        """An entry NumPy cannot hold as a real number is a DomainError, not NumPy's TypeError."""
+        with pytest.raises(DomainError, match="each coupling row entry must be a real number"):
+            coupling_matrix(row)
+        with pytest.raises(DomainError, match="each coupling row entry must be a real number"):
+            TauMap(row)
+
     def test_a_spec_is_not_a_row(self):
         with pytest.raises(DimensionMismatchError, match="coupling row"):
             TauMap(MapSpec(3, 1))
@@ -326,6 +335,11 @@ class TestHadamardPerturbation:
     def test_rejects_non_finite_inputs_and_matrix(self, alphas, weights, match):
         with pytest.raises(DomainError, match=match):
             HadamardPerturbation(alphas, weights)
+
+    @pytest.mark.parametrize("weight", [1j, "1", None, 10**400], ids=["complex", "str", "None", "int-beyond-float"])
+    def test_rejects_weights_that_are_not_real_numbers(self, weight):
+        with pytest.raises(DomainError, match="each weight must be a real number"):
+            HadamardPerturbation([[1.0, -1.0]], [weight])
 
     def test_zero_sum_psd_annihilates_ones(self):
         rng = np.random.default_rng(11)

@@ -731,6 +731,13 @@ class TestDiagonalProfile:
                 with pytest.raises(DomainError, match="finite"):
                     fn(MapSpec(3, 1).coupling, profile)
 
+    @pytest.mark.parametrize("profile", [[1 + 1j, 1, 1], ["a", 1, 1], ["1", 1, 1], [None, 1, 1], [10**400, 1, 1]],
+                             ids=["complex", "str", "numeric-str", "None", "int-beyond-float"])
+    def test_rejects_entries_that_are_not_real_numbers(self, profile):
+        for fn in (f_value, analytic_det):
+            with pytest.raises(DomainError, match="each diagonal entry must be a real number"):
+                fn([1, 1, 0], profile)
+
 
 class TestFValue:
     def test_uniform_profile_is_exactly_one(self):

@@ -1,12 +1,10 @@
 """Property tests: invariants checked over drawn inputs rather than fixed samples."""
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
-import pytest
 
 from posmap import HadamardPerturbation, MapSpec, TauMap, form_value
-
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
 
 
 def zero_sum_directions(rng, r, n):

@@ -19,6 +19,7 @@ from posmap.spanning import (
     build_spanning_set,
     degenerate_pairs,
     gram_rank,
+    phase_pair_count,
     unimodular_pairs,
 )
 
@@ -104,33 +105,35 @@ def torus_rotations(pairs, rng, draws=1):
     return rotated.reshape(-1, 2, pairs.shape[-1])
 
 
+def keep_one_phase_pair(monkeypatch):
+    """Make build_spanning_set pool only the first of the 4 n^2 phase pairs."""
+    full = posmap.spanning.unimodular_pairs
+    monkeypatch.setattr(posmap.spanning, "unimodular_pairs", lambda spec: full(spec)[:1])
+
+
 class TestUnimodularPairs:
     def test_structure_and_values(self):
         spec = MapSpec(4, 2)
-        pairs = unimodular_pairs(spec, samples=20)
+        pairs = unimodular_pairs(spec)
         map_ = TauMap(spec.coupling)
-        assert pairs.shape == (20, 2, 4)
+        assert pairs.shape == (64, 2, 4)
         assert pairs.dtype == np.complex128
         assert np.allclose(np.abs(pairs[:, 0]), 0.5, atol=1e-14)
         assert np.array_equal(pairs[:, 1], pairs[:, 0].conj())
         for x, y in pairs:
             assert abs(form_value(map_, x, y)) <= 1e-12
 
-    def test_requires_enough_samples(self):
-        with pytest.raises(DomainError, match="samples must be positive, got 0"):
-            unimodular_pairs(MapSpec(3, 1), samples=0)
-        assert unimodular_pairs(MapSpec(3, 1), samples=1).shape == (1, 2, 3)
-
     def test_rows_are_the_all_ones_unit_vector(self):
-        """No phase is drawn: every row is the all-ones unit x, the row the window family starts from."""
+        """No phase is drawn: all 4 n^2 rows are the all-ones unit x, the row the window family starts from."""
         for n in range(2, 10):
-            pairs = unimodular_pairs(MapSpec(n, 1), samples=3)
-            assert np.array_equal(pairs, np.full((3, 2, n), 1 / math.sqrt(n), dtype=np.complex128))
+            assert phase_pair_count(n) == 4 * n * n
+            pairs = unimodular_pairs(MapSpec(n, 1))
+            assert np.array_equal(pairs, np.full((4 * n * n, 2, n), 1 / math.sqrt(n), dtype=np.complex128))
 
     def test_size_numpy_cannot_describe_is_a_domain_error(self):
         """n = 10^6 asks for 4 * 10^12 x 10^6 phases, which fails before allocating."""
         with pytest.raises(DomainError, match="cannot draw 4000000000000 phase vectors"):
-            unimodular_pairs(MapSpec(10**6, 3), samples=4 * 10**12)
+            unimodular_pairs(MapSpec(10**6, 3))
 
 
 class TestDegeneratePairs:
@@ -224,9 +227,9 @@ class TestBatchedPairs:
     SPECS = [MapSpec(n, k) for n in range(2, 10) for k in range(0, n)]
 
     @staticmethod
-    def unimodular_loop(spec, samples):
-        """Every row is the all-ones unit x: no phase is drawn."""
-        return [np.full(spec.n, 1.0 / math.sqrt(spec.n), dtype=np.complex128) for _ in range(samples)]
+    def unimodular_loop(spec):
+        """Every one of the 4 n^2 rows is the all-ones unit x: no phase is drawn."""
+        return [np.full(spec.n, 1.0 / math.sqrt(spec.n), dtype=np.complex128) for _ in range(4 * spec.n**2)]
 
     @staticmethod
     def cli_pools(monkeypatch, capsys, specs, seed):
@@ -284,16 +287,14 @@ class TestBatchedPairs:
     def test_unimodular_bit_identical_to_loop(self, monkeypatch, capsys, seed):
         """The phase family is the loop's, and the pool `spanning --seed seed` builds carries it unchanged."""
         for spec in self.SPECS:
-            samples = 4 * spec.n * spec.n
-            pairs = unimodular_pairs(spec, samples)
-            ref = np.array(self.unimodular_loop(spec, samples))
-            assert pairs.shape == (samples, 2, spec.n)
+            pairs = unimodular_pairs(spec)
+            ref = np.array(self.unimodular_loop(spec))
+            assert pairs.shape == (4 * spec.n**2, 2, spec.n)
             assert np.array_equal(pairs[:, 0], ref), spec
             assert np.array_equal(pairs[:, 1], ref.conj()), spec
         members = [spec for spec in self.SPECS if spec.k >= 1]
         for spec, ss in zip(members, self.cli_pools(monkeypatch, capsys, members, seed)):
-            samples = 4 * spec.n * spec.n
-            assert np.array_equal(ss.pairs[:samples], unimodular_pairs(spec, samples)), (spec, seed)
+            assert np.array_equal(ss.pairs[:4 * spec.n**2], unimodular_pairs(spec)), (spec, seed)
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_degenerate_bit_identical_to_loop(self, monkeypatch, capsys, seed):
@@ -308,8 +309,8 @@ class TestBatchedPairs:
             assert np.array_equal(pairs[:, 1], np.eye(spec.n)), spec
         members = [spec for spec in self.SPECS if spec.k >= 1 and not spec.is_reduction]
         for spec, ss in zip(members, self.cli_pools(monkeypatch, capsys, members, seed)):
-            samples = 4 * spec.n * spec.n
-            pooled = ss.pairs[samples:samples + spec.n]
+            rows = 4 * spec.n**2
+            pooled = ss.pairs[rows:rows + spec.n]
             assert np.array_equal(pooled, degenerate_pairs(spec)), (spec, seed)
 
     @pytest.mark.parametrize("seed", [0, 7])
@@ -324,7 +325,7 @@ class TestBatchedPairs:
         for spec in self.SPECS:
             tau = TauMap(spec.coupling)
             families = np.concatenate((
-                unimodular_pairs(spec, 4 * spec.n * spec.n),
+                unimodular_pairs(spec),
                 degenerate_pairs(spec),
                 _harvest_zero_pairs(spec, 2 * spec.n),
             ))
@@ -352,10 +353,13 @@ class TestSpanningRank:
         assert build_spanning_set(MapSpec(n, k)).gram_rank == n * n
 
     @pytest.mark.parametrize("n,k", LOW_RANK + FULL_RANK)
-    def test_one_phase_pair_gives_the_rank(self, n, k):
+    def test_one_phase_pair_gives_the_rank(self, monkeypatch, n, k):
         """The torus closure of one phase pair reaches every off-diagonal coordinate."""
+        keep_one_phase_pair(monkeypatch)
+        ss = build_spanning_set(MapSpec(n, k))
+        assert len(ss.pairs) == 1 + (2 * n if k == n - 1 else n)
         want = n * n if k == n - 1 else n * n - n + 1
-        assert build_spanning_set(MapSpec(n, k), samples=1).gram_rank == want
+        assert ss.gram_rank == want
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rank_is_seed_stable(self, capsys, seed):
@@ -408,7 +412,7 @@ class TestSpanningSet:
         assert ss.pairs.shape == (m, 2, n) and ss.pairs.dtype == np.complex128
         assert ss.values.shape == (m,) and ss.values.dtype == np.float64
         assert ss.sigma_membership.shape == (m,) and ss.sigma_membership.dtype == bool
-        pool = np.concatenate((unimodular_pairs(spec, 4 * n * n), degenerate_pairs(spec),
+        pool = np.concatenate((unimodular_pairs(spec), degenerate_pairs(spec),
                                _harvest_zero_pairs(spec, 2 * n)))
         assert np.array_equal(ss.pairs, pool)
 
@@ -493,6 +497,34 @@ class TestAdmission:
         assert captured.out == ""
         assert captured.err == (f"posmap: anomaly: zero pair has form value {self.FIRST}, "
                                 "above ADMISSION_TOL 1e-09\n")
+
+    @staticmethod
+    def poison_degenerate_family(monkeypatch, value):
+        """Put value on the support of the first window pair at (5, 2)."""
+        exact = posmap.spanning.degenerate_pairs
+
+        def poisoned(spec):
+            pairs = exact(spec).copy()
+            pairs[0, 0, 3] = value
+            return pairs
+
+        monkeypatch.setattr(posmap.spanning, "degenerate_pairs", poisoned)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_pair_raises(self, monkeypatch, value):
+        self.poison_degenerate_family(monkeypatch, value)
+        with pytest.raises(NumericalAnomalyError, match="a zero pair has a non-finite entry"):
+            build_spanning_set(MapSpec(5, 2))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_pair_exits_4_before_any_arithmetic(self, monkeypatch, capsys, value):
+        """No RuntimeWarning from the form or the rank: the pool is refused before either."""
+        self.poison_degenerate_family(monkeypatch, value)
+        assert posmap.cli.main(["spanning", "--n", "5", "--k", "2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "posmap: anomaly: a zero pair has a non-finite entry\n"
 
 
 class TestWorkloadMembers:
