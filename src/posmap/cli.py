@@ -7,8 +7,7 @@ the same double.  Complex scalars appear as [re, im] pairs and
 matrices as arrays of rows of pairs, the same format accepted for input
 files.  Exit codes: 0 success, 1 stdout closed or unwritable, so the
 report was not written in full (from run() only), 2 configuration error (a
-MemoryError and a spanning phase family too large for NumPy to describe
-included), 3 input-data error, 4 internal numerical anomaly.
+MemoryError included), 3 input-data error, 4 internal numerical anomaly.
 """
 
 from __future__ import annotations
@@ -283,7 +282,8 @@ def cmd_spanning(spec: MapSpec, config: dict) -> dict:
     return {
         "rank": rank,
         "spanning_property": rank == spec.n * spec.n,
-        "pairs_admitted": len(ss.pairs),
+        # The pool holds one phase row; 4 n^2 are counted until posmap-report/3 drops the count.
+        "pairs_admitted": len(ss.pairs) - 1 + phase_pair_count(spec.n),
         "pairs_outside_sigma": outside,
     }
 

@@ -56,11 +56,17 @@ def _check_int(value, name: str) -> int:
     return int(value)
 
 
+def _numbers(values, name: str, real: bool = False) -> np.ndarray:
+    """values as an array of numbers (real ones if real); DomainError names the dtype of any other."""
+    a = np.asarray(values)
+    if a.dtype.kind not in ("biuf" if real else "biufc"):  # a str, None or int beyond float range
+        raise DomainError(f"each {name} must be a {'real ' if real else ''}number, got {a.dtype} entries")
+    return a
+
+
 def _nonnegative_reals(values, name: str) -> np.ndarray:
     """values as a float64 array of finite nonnegative reals; DomainError names the first other entry."""
-    a = np.asarray(values)
-    if a.dtype.kind not in "biuf":  # a str, None, complex or int beyond float range among them
-        raise DomainError(f"each {name} must be a real number, got {a.dtype} entries")
+    a = _numbers(values, name, real=True)
     bad = a[~((0 <= a) & (a < math.inf))]
     if bad.size:
         raise DomainError(f"{name} must be finite and nonnegative, got {float(bad[0])}")
@@ -113,7 +119,7 @@ class MapSpec:
 
 def as_square_matrix(X, n: int | None = None) -> np.ndarray:
     """Coerce X to a complex nonempty square ndarray, optionally checking its size."""
-    A = np.asarray(X, dtype=np.complex128)
+    A = _numbers(X, "matrix entry").astype(np.complex128, copy=False)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {A.shape}")
     if A.size == 0:
@@ -194,7 +200,7 @@ class HadamardPerturbation:
     matrix: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        A = np.asarray(self.alphas, dtype=np.complex128)
+        A = _numbers(self.alphas, "direction entry").astype(np.complex128, copy=False)
         if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 2:
             raise DimensionMismatchError(
                 f"need r >= 1 directions of length n >= 2, got shape {A.shape}"

@@ -51,6 +51,7 @@ from .maps import (
     _abs2,
     _check_int,
     _nonnegative_reals,
+    _numbers,
     _window_pairs,
     alternating_vector,
     coupling_matrix,
@@ -342,7 +343,7 @@ def seesaw_minimize(map_, starts: int = DEFAULT_STARTS, seed: int = 0,
         raise DomainError(f"starts must be positive, got {starts}")
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
-    if not 0 < tol < np.inf:
+    if not 0 < _numbers(tol, "tol", real=True) < np.inf:
         raise DomainError(f"tol must be finite and positive, got {tol}")
     n = map_.n
     block = max(1, _BLOCK_ENTRIES // (n * n))

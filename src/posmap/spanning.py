@@ -65,22 +65,17 @@ def gram_rank(vectors) -> int:
 
 
 def phase_pair_count(n: int) -> int:
-    """Rows of the phase family, 4 n^2, the count a spanning report echoes as config.samples."""
+    """The 4 n^2 phase rows a spanning report counts in pairs_admitted and echoes as config.samples."""
     return 4 * n * n
 
 
 def unimodular_pairs(spec: MapSpec) -> np.ndarray:
-    """(4 n^2, 2, n) phase pairs: the all-ones unit x with y = conj(x), exact zeros of the form.
+    """(1, 2, n) phase pair: the all-ones unit x with y = conj(x), an exact zero of the form.
 
-    The torus closure of any unimodular x is the whole phase family, so every
-    row is this one, the row degenerate_pairs zeroes on each window.
+    The torus closure of any unimodular x is the whole phase family, so this
+    one row, the row degenerate_pairs zeroes on each window, stands for it.
     """
-    rows = phase_pair_count(spec.n)
-    try:
-        X = np.full((rows, spec.n), 1.0 / math.sqrt(spec.n))
-    except ValueError as exc:  # a size NumPy cannot even describe
-        raise DomainError(f"cannot draw {rows} phase vectors of length {spec.n}: {exc}") from exc
-    return np.stack((X, X), axis=1, dtype=np.complex128)
+    return np.full((1, 2, spec.n), 1.0 / math.sqrt(spec.n), dtype=np.complex128)
 
 
 def degenerate_pairs(spec: MapSpec) -> np.ndarray:
@@ -117,7 +112,7 @@ def _harvest_zero_pairs(spec: MapSpec, count: int) -> np.ndarray:
 def build_spanning_set(spec: MapSpec) -> SpanningSet:
     """Pool the three zero-pair families, check admission, and take the rank.
 
-    The pool holds the 4 n^2 phase pairs, the n window pairs and the
+    The pool holds the one phase pair, the n window pairs and the
     reduction family's 2n pairs, enough to reveal the spanning property
     (gram_rank == n^2) of the reduction map; nothing is drawn at random.
     Every family is an exact zero set of unit pairs, so F is evaluated for
@@ -142,11 +137,8 @@ def build_spanning_set(spec: MapSpec) -> SpanningSet:
     if spec.k < 1:
         raise DomainError("spanning analysis applies for k >= 1")
     n = spec.n
-    pairs = np.concatenate((
-        unimodular_pairs(spec),
-        degenerate_pairs(spec),
-        _harvest_zero_pairs(spec, 2 * n),
-    ))
+    families = (unimodular_pairs(spec), degenerate_pairs(spec), _harvest_zero_pairs(spec, 2 * n))
+    pairs = np.concatenate(families)
     if not np.isfinite(pairs).all():
         raise NumericalAnomalyError("a zero pair has a non-finite entry")
     X, Y = pairs[:, 0], pairs[:, 1]

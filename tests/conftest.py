@@ -15,7 +15,7 @@ CRITERION_LABELS = {
     3: "determinant closed form matches numeric to 1e-10",
     4: "f(uniform) = 1 exactly and f <= 1 + 1e-12 on 10^4 samples/spec",
     5: "curvature PSD with 1-dim kernel; finite-difference Hessian NSD",
-    6: "spanning ranks n^2-n+1 / n^2 as frozen, from all 4n^2 phase pairs and from one",
+    6: "spanning ranks n^2-n+1 / n^2 as frozen",
     7: "window circulants: kernels, spectra, and fixtures",
     8: "optimality verdicts by exact gcd",
     9: "see-saw floors, negative certificate at the closed-form minimum, analytic witness",

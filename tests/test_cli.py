@@ -584,14 +584,6 @@ class TestMainInProcess:
         assert "grid weights must be finite" in err
         assert "posmap: anomaly: non-finite value in report" in err
 
-    def test_size_numpy_cannot_describe_exits_2(self, capsys):
-        """n = 10^6 asks for a 4 * 10^12 x 10^6 phase draw, refused before any allocation."""
-        assert main(["spanning", "--n", "1000000", "--k", "3"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("posmap: error: cannot draw 4000000000000 phase vectors")
-        assert captured.err.count("\n") == 1
-
     @pytest.mark.parametrize("command", ["positivity", "certify"])
     def test_n_too_large_for_an_array_exits_2(self, capsys, command):
         assert main([command, "--n", "10000000000", "--k", "1"]) == 2

@@ -105,7 +105,7 @@ class TestMutants:
         spec = MapSpec(n, k)
         row = spec.coupling
         widened = row + np.eye(n)[k + 1]
-        for x, y in unimodular_pairs(spec)[:4]:
+        for x, y in unimodular_pairs(spec):
             assert abs(form_value(TauMap(row), x, y)) <= 1e-14
             assert abs(form_value(TauMap(widened), x, y) - 1.0 / n) <= 1e-14
 

@@ -258,6 +258,15 @@ class TestHermiticity:
         with pytest.raises(DimensionMismatchError):
             as_square_matrix(np.eye(3), n=4)
 
+    @pytest.mark.parametrize("entry", [None, "1", "a", 10**400], ids=["None", "numeric-str", "str", "int-beyond-float"])
+    def test_matrix_entries_that_are_not_numbers(self, entry):
+        """Refused, not read as NaN or parsed as a number."""
+        X = [[entry, 0], [0, 1]]
+        with pytest.raises(DomainError, match="each matrix entry must be a number"):
+            as_square_matrix(X)
+        with pytest.raises(DomainError, match="each matrix entry must be a number"):
+            TauMap(MapSpec(2, 1).coupling).apply(X)
+
 
 class TestAlternatingVector:
     def test_values(self):
@@ -335,6 +344,11 @@ class TestHadamardPerturbation:
     def test_rejects_non_finite_inputs_and_matrix(self, alphas, weights, match):
         with pytest.raises(DomainError, match=match):
             HadamardPerturbation(alphas, weights)
+
+    @pytest.mark.parametrize("entry", ["1", None, 10**400], ids=["numeric-str", "None", "int-beyond-float"])
+    def test_rejects_directions_that_are_not_numbers(self, entry):
+        with pytest.raises(DomainError, match="each direction entry must be a number"):
+            HadamardPerturbation([[entry, -1]], [1.0])
 
     @pytest.mark.parametrize("weight", [1j, "1", None, 10**400], ids=["complex", "str", "None", "int-beyond-float"])
     def test_rejects_weights_that_are_not_real_numbers(self, weight):

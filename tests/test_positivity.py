@@ -148,6 +148,12 @@ class TestSeesaw:
             with pytest.raises(DomainError, match="tol must be finite and positive"):
                 seesaw_minimize(map_, tol=tol)
 
+    @pytest.mark.parametrize("tol", ["1e-9", None, 1e-9 + 0j], ids=["str", "None", "complex"])
+    def test_tol_that_is_not_a_real_number(self, tol):
+        """A DomainError, not the TypeError of comparing it with 0."""
+        with pytest.raises(DomainError, match="tol must be a real number"):
+            seesaw_minimize(TauMap(MapSpec(3, 1).coupling), tol=tol)
+
 
 def v1_map(n, k, t=None):
     pert = None if t is None else HadamardPerturbation([alternating_vector(n)], [t])

@@ -105,18 +105,12 @@ def torus_rotations(pairs, rng, draws=1):
     return rotated.reshape(-1, 2, pairs.shape[-1])
 
 
-def keep_one_phase_pair(monkeypatch):
-    """Make build_spanning_set pool only the first of the 4 n^2 phase pairs."""
-    full = posmap.spanning.unimodular_pairs
-    monkeypatch.setattr(posmap.spanning, "unimodular_pairs", lambda spec: full(spec)[:1])
-
-
 class TestUnimodularPairs:
     def test_structure_and_values(self):
         spec = MapSpec(4, 2)
         pairs = unimodular_pairs(spec)
         map_ = TauMap(spec.coupling)
-        assert pairs.shape == (64, 2, 4)
+        assert pairs.shape == (1, 2, 4)
         assert pairs.dtype == np.complex128
         assert np.allclose(np.abs(pairs[:, 0]), 0.5, atol=1e-14)
         assert np.array_equal(pairs[:, 1], pairs[:, 0].conj())
@@ -124,16 +118,14 @@ class TestUnimodularPairs:
             assert abs(form_value(map_, x, y)) <= 1e-12
 
     def test_rows_are_the_all_ones_unit_vector(self):
-        """No phase is drawn: all 4 n^2 rows are the all-ones unit x, the row the window family starts from."""
+        """No phase is drawn: the one row is the all-ones unit x, the row the window family starts from.
+
+        Reports still count 4 n^2 phase rows.
+        """
         for n in range(2, 10):
             assert phase_pair_count(n) == 4 * n * n
             pairs = unimodular_pairs(MapSpec(n, 1))
-            assert np.array_equal(pairs, np.full((4 * n * n, 2, n), 1 / math.sqrt(n), dtype=np.complex128))
-
-    def test_size_numpy_cannot_describe_is_a_domain_error(self):
-        """n = 10^6 asks for 4 * 10^12 x 10^6 phases, which fails before allocating."""
-        with pytest.raises(DomainError, match="cannot draw 4000000000000 phase vectors"):
-            unimodular_pairs(MapSpec(10**6, 3))
+            assert np.array_equal(pairs, np.full((1, 2, n), 1 / math.sqrt(n), dtype=np.complex128))
 
 
 class TestDegeneratePairs:
@@ -228,8 +220,8 @@ class TestBatchedPairs:
 
     @staticmethod
     def unimodular_loop(spec):
-        """Every one of the 4 n^2 rows is the all-ones unit x: no phase is drawn."""
-        return [np.full(spec.n, 1.0 / math.sqrt(spec.n), dtype=np.complex128) for _ in range(4 * spec.n**2)]
+        """The one row is the all-ones unit x: no phase is drawn."""
+        return [np.full(spec.n, 1.0 / math.sqrt(spec.n), dtype=np.complex128)]
 
     @staticmethod
     def cli_pools(monkeypatch, capsys, specs, seed):
@@ -289,12 +281,12 @@ class TestBatchedPairs:
         for spec in self.SPECS:
             pairs = unimodular_pairs(spec)
             ref = np.array(self.unimodular_loop(spec))
-            assert pairs.shape == (4 * spec.n**2, 2, spec.n)
+            assert pairs.shape == (1, 2, spec.n)
             assert np.array_equal(pairs[:, 0], ref), spec
             assert np.array_equal(pairs[:, 1], ref.conj()), spec
         members = [spec for spec in self.SPECS if spec.k >= 1]
         for spec, ss in zip(members, self.cli_pools(monkeypatch, capsys, members, seed)):
-            assert np.array_equal(ss.pairs[:4 * spec.n**2], unimodular_pairs(spec)), (spec, seed)
+            assert np.array_equal(ss.pairs[:1], unimodular_pairs(spec)), (spec, seed)
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_degenerate_bit_identical_to_loop(self, monkeypatch, capsys, seed):
@@ -309,8 +301,7 @@ class TestBatchedPairs:
             assert np.array_equal(pairs[:, 1], np.eye(spec.n)), spec
         members = [spec for spec in self.SPECS if spec.k >= 1 and not spec.is_reduction]
         for spec, ss in zip(members, self.cli_pools(monkeypatch, capsys, members, seed)):
-            rows = 4 * spec.n**2
-            pooled = ss.pairs[rows:rows + spec.n]
+            pooled = ss.pairs[1:1 + spec.n]
             assert np.array_equal(pooled, degenerate_pairs(spec)), (spec, seed)
 
     @pytest.mark.parametrize("seed", [0, 7])
@@ -352,15 +343,6 @@ class TestSpanningRank:
     def test_full_rank_members(self, n, k):
         assert build_spanning_set(MapSpec(n, k)).gram_rank == n * n
 
-    @pytest.mark.parametrize("n,k", LOW_RANK + FULL_RANK)
-    def test_one_phase_pair_gives_the_rank(self, monkeypatch, n, k):
-        """The torus closure of one phase pair reaches every off-diagonal coordinate."""
-        keep_one_phase_pair(monkeypatch)
-        ss = build_spanning_set(MapSpec(n, k))
-        assert len(ss.pairs) == 1 + (2 * n if k == n - 1 else n)
-        want = n * n if k == n - 1 else n * n - n + 1
-        assert ss.gram_rank == want
-
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rank_is_seed_stable(self, capsys, seed):
         """The CLI accepts --seed for spanning, and the rank does not depend on it."""
@@ -382,33 +364,41 @@ class TestSpanningRank:
     def test_weight_space_rank_matches_product_svd(self, seed):
         """The weight-space rank equals the dense product rank of a sampled torus closure, n <= 12.
 
-        The families repeat rows, so the products of the pairs themselves span
-        less; three rotations per pair, drawn from seed, sample the closure.
+        The products of the pairs themselves span less than their closure.  The
+        one phase row's closure spans n^2 - n + 1 dimensions, so it gets n^2
+        rotations and every other pair three, all drawn from seed.
         """
         rng = np.random.default_rng(seed)
         for n in range(2, 13):
             for k in range(1, n):
                 ss = build_spanning_set(MapSpec(n, k))
-                closure = torus_rotations(ss.pairs, rng, draws=3)
+                closure = np.concatenate((torus_rotations(ss.pairs[:1], rng, draws=n * n),
+                                          torus_rotations(ss.pairs[1:], rng, draws=3)))
                 assert ss.gram_rank == self.product_rank(closure, n), (n, k, seed)
 
     def test_peak_memory_stays_below_product_matrix(self):
-        """No n^2-wide array: (24, 7) peaked at 29 MiB with the (m, n^2) product matrix."""
-        tracemalloc.start()
-        try:
-            build_spanning_set(MapSpec(24, 7))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+        """No n^2-wide array and no pool of 4 n^2 phase rows, which alone took 1.3 GiB at (224, 74)."""
+        for k, rank in ((74, 224 * 224 - 224 + 1), (223, 224 * 224)):
+            tracemalloc.start()
+            try:
+                ss = build_spanning_set(MapSpec(224, k))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20, k
+            assert ss.gram_rank == rank, k
 
 
 class TestSpanningSet:
-    @pytest.mark.parametrize("n,k,m", [(4, 2, 64 + 4), (4, 3, 64 + 8), (5, 1, 100 + 5)])
+    @pytest.mark.parametrize("n,k,m", [(4, 2, 1 + 4), (4, 3, 1 + 8), (5, 1, 1 + 5)])
     def test_structure(self, n, k, m):
-        """One (m, 2, n) array holds the pooled families in order, with one value and flag per pair."""
+        """One (m, 2, n) array holds the pooled families in order, with one value and flag per pair.
+
+        m is one phase pair plus n window pairs, or 2n reduction pairs for k = n-1.
+        """
         spec = MapSpec(n, k)
         ss = build_spanning_set(spec)
+        assert len(ss.pairs) == 1 + (2 * n if spec.is_reduction else n)
         assert ss.pairs.shape == (m, 2, n) and ss.pairs.dtype == np.complex128
         assert ss.values.shape == (m,) and ss.values.dtype == np.float64
         assert ss.sigma_membership.shape == (m,) and ss.sigma_membership.dtype == bool
@@ -420,7 +410,7 @@ class TestSpanningSet:
         spec = MapSpec(4, 2)
         ss = build_spanning_set(spec)
         map_ = TauMap(spec.coupling)
-        assert len(ss.pairs) >= 4 * 4 - 4 + 1
+        assert ss.gram_rank == 4 * 4 - 4 + 1
         for x, y in ss.pairs:
             assert abs(form_value(map_, x, y)) <= 1e-9
 
