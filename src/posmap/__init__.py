@@ -1,74 +1,78 @@
-"""Shift-coupled diagonal maps: positivity analysis, spanning sets, optimality certificates."""
+"""Shift-coupled diagonal maps: positivity analysis, spanning sets, optimality certificates.
 
-from .maps import (
-    DimensionMismatchError,
-    DomainError,
-    HadamardPerturbation,
-    MapSpec,
-    NumericalAnomalyError,
-    TauMap,
-    alternating_vector,
-    as_square_matrix,
-    coupling_matrix,
-    require_hermitian,
-)
-from .positivity import (
-    PositivityReport,
-    analytic_det,
-    degenerate_det_bound,
-    f_value,
-    form_value,
-    hessian_shat,
-    parity_witness_value,
-    seesaw_minimize,
-)
-from .spanning import (
-    SpanningSet,
-    build_spanning_set,
-    degenerate_pairs,
-    gram_rank,
-    unimodular_pairs,
-)
-from .certify import (
-    CirculantConstraint,
-    ConjectureEvidence,
-    OptimalityCertificate,
-    build_circulant,
-    certify_optimality,
-    conjecture_probe,
-)
+Each public name is imported from its submodule on first access (PEP 562),
+so `import posmap` alone loads neither NumPy nor any submodule.
+"""
+
+import gc
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "DimensionMismatchError",
-    "DomainError",
-    "NumericalAnomalyError",
-    "MapSpec",
-    "HadamardPerturbation",
-    "TauMap",
-    "alternating_vector",
-    "coupling_matrix",
-    "as_square_matrix",
-    "require_hermitian",
-    "PositivityReport",
-    "form_value",
-    "seesaw_minimize",
-    "f_value",
-    "analytic_det",
-    "hessian_shat",
-    "degenerate_det_bound",
-    "parity_witness_value",
-    "SpanningSet",
-    "unimodular_pairs",
-    "degenerate_pairs",
-    "build_spanning_set",
-    "gram_rank",
-    "CirculantConstraint",
-    "OptimalityCertificate",
-    "ConjectureEvidence",
-    "build_circulant",
-    "certify_optimality",
-    "conjecture_probe",
-]
+# The public names of each submodule, in the order of __all__.
+_EXPORTS = {
+    "maps": (
+        "DimensionMismatchError",
+        "DomainError",
+        "NumericalAnomalyError",
+        "MapSpec",
+        "HadamardPerturbation",
+        "TauMap",
+        "alternating_vector",
+        "coupling_matrix",
+        "as_square_matrix",
+        "require_hermitian",
+    ),
+    "positivity": (
+        "PositivityReport",
+        "form_value",
+        "seesaw_minimize",
+        "f_value",
+        "analytic_det",
+        "hessian_shat",
+        "degenerate_det_bound",
+        "parity_witness_value",
+    ),
+    "spanning": (
+        "SpanningSet",
+        "unimodular_pairs",
+        "degenerate_pairs",
+        "build_spanning_set",
+        "gram_rank",
+    ),
+    "certify": (
+        "CirculantConstraint",
+        "OptimalityCertificate",
+        "ConjectureEvidence",
+        "build_circulant",
+        "certify_optimality",
+        "conjecture_probe",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+def run() -> None:
+    """The process entry point of both `posmap` and `python -m posmap`."""
+    # NumPy and posmap.cli import with the collector off: nearly every object
+    # they make lives until exit, so collections then free almost nothing.
+    # cli.run freezes that heap and turns collection back on before main.
+    gc.disable()
+    from .cli import run as run_cli
+
+    run_cli()

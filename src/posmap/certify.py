@@ -15,11 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .maps import (
+    DEFAULT_STARTS,
     ENTRY_SUM_TOL,
+    NEGATIVITY_TOL,
     DomainError,
     HadamardPerturbation,
     MapSpec,
@@ -27,13 +30,9 @@ from .maps import (
     TauMap,
     alternating_vector,
 )
-from .positivity import (
-    DEFAULT_STARTS,
-    NEGATIVITY_TOL,
-    PositivityReport,
-    parity_witness_value,
-    seesaw_minimize,
-)
+
+if TYPE_CHECKING:
+    from .positivity import PositivityReport
 
 SPECTRUM_CHECK_TOL = 1e-10
 
@@ -152,6 +151,9 @@ def conjecture_probe(spec: MapSpec, seed: int = 0, t: float | None = None,
     reports a negative-certificate (a minimum below -tol), and otherwise
     evidence-positive, never a claim of proof.
     """
+    # Imported here, so that a certify process does not load the see-saw.
+    from .positivity import parity_witness_value, seesaw_minimize
+
     if spec.gcd != 2:
         raise DomainError(f"probe requires gcd(n, k) = 2, got {spec.gcd}")
     n, k = spec.n, spec.k

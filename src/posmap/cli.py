@@ -23,8 +23,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .certify import build_circulant, certify_optimality, conjecture_probe
+# Each cmd_* function imports the positivity, spanning or certify names it
+# runs, so that a process loads only its own subcommand's modules.
 from .maps import (
+    DEFAULT_STARTS,
+    NEGATIVITY_TOL,
     DomainError,
     DimensionMismatchError,
     HadamardPerturbation,
@@ -34,8 +37,6 @@ from .maps import (
     alternating_vector,
     require_hermitian,
 )
-from .positivity import DEFAULT_STARTS, NEGATIVITY_TOL, seesaw_minimize
-from .spanning import build_spanning_set, phase_pair_count
 
 SCHEMA_ID = "posmap-report/2"
 
@@ -208,6 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def phase_pair_count(n: int) -> int:
+    """The 4 n^2 phase rows a spanning report counts in pairs_admitted and echoes as config.samples."""
+    return 4 * n * n
+
+
 def _resolve_config(args) -> tuple:
     """The validated map and the report's config: every parsed option besides the command."""
     spec = MapSpec(args.n, args.k)
@@ -255,6 +261,8 @@ def cmd_apply(spec: MapSpec, config: dict) -> dict:
 
 
 def cmd_positivity(spec: MapSpec, config: dict) -> dict:
+    from .positivity import seesaw_minimize
+
     pert = _build_perturbation(config)
     report = seesaw_minimize(
         TauMap(spec.coupling, pert), starts=config["starts"], seed=config["seed"], tol=config["tol"]
@@ -272,6 +280,8 @@ def cmd_positivity(spec: MapSpec, config: dict) -> dict:
 
 
 def cmd_spanning(spec: MapSpec, config: dict) -> dict:
+    from .spanning import build_spanning_set
+
     ss = build_spanning_set(spec)
     outside = int(np.count_nonzero(~ss.sigma_membership))
     if not spec.is_reduction and outside:
@@ -289,6 +299,8 @@ def cmd_spanning(spec: MapSpec, config: dict) -> dict:
 
 
 def cmd_certify(spec: MapSpec, config: dict) -> dict:
+    from .certify import certify_optimality
+
     cert = certify_optimality(spec)
     constraint = cert.constraint
     return {
@@ -318,6 +330,9 @@ def _parse_grid(raw: str):
 
 
 def cmd_conjecture(spec: MapSpec, config: dict) -> dict:
+    from .certify import build_circulant, conjecture_probe
+    from .positivity import seesaw_minimize
+
     if config["experimental"]:
         if config["grid"] is None:
             raise ConfigError("--experimental requires --grid START:STOP:NUM")
@@ -410,10 +425,15 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """The process entry point of both `posmap` and `python -m posmap`."""
-    # The objects made by the imports above live until exit anyway; frozen, they
-    # are skipped by every collection, the full one at interpreter shutdown included.
+    """Run main as the whole of one process, and exit with its code.
+
+    posmap.run, the entry point of both `posmap` and `python -m posmap`,
+    imports this module with garbage collection off.
+    """
+    # The objects made by the imports live until exit anyway; frozen, they are
+    # skipped by every collection, the full one at interpreter shutdown included.
     gc.freeze()
+    gc.enable()
     try:
         code = main()
         sys.stdout.flush()

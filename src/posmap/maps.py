@@ -36,6 +36,10 @@ import numpy as np
 
 HERMITIAN_RTOL = 1e-12
 ENTRY_SUM_TOL = 1e-10
+# The see-saw's defaults (positivity re-exports them), kept here so that the
+# CLI's parser reads them without importing positivity.
+DEFAULT_STARTS = 64
+NEGATIVITY_TOL = 1e-9
 
 
 class DimensionMismatchError(ValueError):
@@ -267,9 +271,13 @@ class TauMap:
         return np.diag(self._C @ np.diagonal(A)) - self._G * A
 
     def _vectors_and_profile(self, K: np.ndarray, x):
-        """(v, K |v|^2) for the rows v of x, float64 when x and the factor are real."""
-        complex_ = np.iscomplexobj(x) or np.iscomplexobj(self.factor)
-        v = np.asarray(x, dtype=np.complex128 if complex_ else np.float64)
+        """(v, K |v|^2) for the rows v of x, float64 when x and the factor are real.
+
+        x must hold numbers: a None or a str entry raises DomainError.
+        """
+        x = _numbers(x, "vector entry")
+        complex_ = x.dtype.kind == "c" or np.iscomplexobj(self.factor)
+        v = x.astype(np.complex128 if complex_ else np.float64, copy=False)
         if v.ndim == 0 or v.shape[-1] != self.n:
             raise DimensionMismatchError(f"expected vectors of length {self.n}, got shape {v.shape}")
         return v, np.matmul(K, _abs2(v)[..., None])[..., 0]

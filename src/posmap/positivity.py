@@ -42,6 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import (
+    DEFAULT_STARTS,
+    NEGATIVITY_TOL,
     DimensionMismatchError,
     DomainError,
     HadamardPerturbation,
@@ -57,8 +59,6 @@ from .maps import (
     coupling_matrix,
 )
 
-DEFAULT_STARTS = 64
-NEGATIVITY_TOL = 1e-9
 MAX_SWEEPS = 500
 SWEEP_IMPROVEMENT_TOL = 1e-12
 _MONOTONE_SLACK = 1e-10
@@ -108,8 +108,8 @@ def _unit(v: np.ndarray, name: str) -> np.ndarray:
 
 def form_value(map_, x, y) -> float:
     """F(x, y) for unit-normalized x and y (normalization applied here)."""
-    xv = np.asarray(x, dtype=np.complex128).reshape(-1)
-    yv = np.asarray(y, dtype=np.complex128).reshape(-1)
+    xv = _numbers(x, "x entry").astype(np.complex128, copy=False).reshape(-1)
+    yv = _numbers(y, "y entry").astype(np.complex128, copy=False).reshape(-1)
     if xv.shape[0] != map_.n or yv.shape[0] != map_.n:
         raise DimensionMismatchError(
             f"vectors of length {xv.shape[0]}, {yv.shape[0]} against a map on dimension {map_.n}"
@@ -343,7 +343,9 @@ def seesaw_minimize(map_, starts: int = DEFAULT_STARTS, seed: int = 0,
         raise DomainError(f"starts must be positive, got {starts}")
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
-    if not 0 < _numbers(tol, "tol", real=True) < np.inf:
+    if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
+        raise DomainError(f"tol must be a real number, got {tol!r}")
+    if not 0 < tol < np.inf:
         raise DomainError(f"tol must be finite and positive, got {tol}")
     n = map_.n
     block = max(1, _BLOCK_ENTRIES // (n * n))

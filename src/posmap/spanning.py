@@ -64,11 +64,6 @@ def gram_rank(vectors) -> int:
     return int(np.sum(sv > RANK_REL_TOL * sv[0]))
 
 
-def phase_pair_count(n: int) -> int:
-    """The 4 n^2 phase rows a spanning report counts in pairs_admitted and echoes as config.samples."""
-    return 4 * n * n
-
-
 def unimodular_pairs(spec: MapSpec) -> np.ndarray:
     """(1, 2, n) phase pair: the all-ones unit x with y = conj(x), an exact zero of the form.
 

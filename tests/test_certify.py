@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import posmap.positivity
 from posmap import (
     DimensionMismatchError,
     DomainError,
@@ -246,7 +247,7 @@ class TestConjectureProbe:
             found = "negative-certificate" if value < -tol else "positive-evidence"
             return PositivityReport(found, value, np.ones(map_.n), np.ones(map_.n), 1, 0, 0)
 
-        monkeypatch.setattr(certify, "seesaw_minimize", seesaw_minimize)
+        monkeypatch.setattr(posmap.positivity, "seesaw_minimize", seesaw_minimize)
         ev = conjecture_probe(MapSpec(4, 2), **({} if tol is None else {"tol": tol}))
         assert ev.witness_value_at_t == 0.0 and ev.seesaw.min_value == -5e-8
         assert ev.verdict == verdict

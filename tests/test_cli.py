@@ -16,6 +16,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import posmap
 import posmap.spanning
 from posmap import MapSpec, TauMap, alternating_vector
 from posmap.cli import (
@@ -650,6 +651,64 @@ class TestFreshInterpreter:
             reports[seed] = p.stdout.replace(f'"seed": {seed},', '"seed": 0,', 1)
         assert reports["1"] == reports["0"] and reports["7"] == reports["0"]
 
+    @pytest.mark.parametrize("argv,modules", [
+        (["apply", "--n", "4", "--k", "2"], []),
+        (["positivity", "--n", "4", "--k", "2", "--starts", "2"], ["positivity"]),
+        (["spanning", "--n", "8", "--k", "3"], ["spanning"]),
+        (["certify", "--n", "12", "--k", "8"], ["certify"]),
+        (["conjecture", "--n", "4", "--k", "2", "--starts", "2"], ["certify", "positivity"]),
+    ], ids=["apply", "positivity", "spanning", "certify", "conjecture"])
+    def test_each_command_loads_only_its_own_modules(self, tmp_path, argv, modules):
+        if argv[0] == "apply":
+            argv = argv + ["--input", write_matrix(tmp_path / "x.json", np.eye(4))]
+        child = (
+            "import contextlib, io, sys, posmap.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert posmap.cli.main({argv!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'posmap'))\n"
+        )
+        p = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+        assert (p.returncode, p.stderr) == (0, "")
+        expected = ["posmap", "posmap.cli", "posmap.maps"] + [f"posmap.{m}" for m in modules]
+        assert p.stdout == f"{sorted(expected)!r}\n"
+
+    def test_import_posmap_loads_no_submodule_and_no_numpy(self):
+        child = ("import sys, posmap\n"
+                 "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('posmap', 'numpy')))\n")
+        p = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+        assert (p.returncode, p.stderr) == (0, "")
+        assert p.stdout == "['posmap']\n"
+
+    def test_public_names_resolve_on_first_access(self):
+        """dir lists every name of __all__ before any is touched; each then resolves to its home's object."""
+        child = (
+            "import posmap\n"
+            "unlisted = sorted(set(posmap.__all__) - set(dir(posmap)))\n"
+            "for name in posmap.__all__:\n"
+            "    value = getattr(posmap, name)\n"
+            "    home = getattr(value, '__module__', 'posmap')\n"
+            "    assert value is getattr(__import__(home, fromlist=[name]), name), name\n"
+            "print(unlisted, len(posmap.__all__))\n"
+        )
+        p = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+        assert (p.returncode, p.stderr) == (0, "")
+        assert p.stdout == f"[] {len(posmap.__all__)}\n"
+
+
+class TestPackageNames:
+    """posmap's public names, resolved from their submodules on first access."""
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="module 'posmap' has no attribute 'no_such_name'"):
+            posmap.no_such_name
+        assert not hasattr(posmap, "maps_and_more")
+
+    def test_star_import_binds_every_name_in_all(self):
+        namespace = {}
+        exec("from posmap import *", namespace)
+        assert set(posmap.__all__) <= set(namespace)
+        assert all(namespace[name] is getattr(posmap, name) for name in posmap.__all__)
+
 
 class TestEntryPoint:
     """`posmap` and `python -m posmap` run cli.run, which wraps main for one process."""
@@ -683,6 +742,42 @@ class TestEntryPoint:
         monkeypatch.setattr(importlib.import_module(module), attr, stub)
         with pytest.raises(Ran):
             runpy.run_module("posmap", run_name="__main__")
+        assert gc.isenabled()
+
+    def test_entry_point_imports_without_collecting(self):
+        """posmap.run imports NumPy and posmap.cli with no collection; main runs on a frozen heap.
+
+        The child counts collections through gc.callbacks, split by whether
+        the heap was frozen yet; its closing gc.collect() shows the count works.
+        """
+        child = (
+            "import gc, json, sys\n"
+            "import posmap\n"
+            "seen = {'unfrozen': 0, 'frozen': 0, 'main': None}\n"
+            "def count(phase, info):\n"
+            "    if phase == 'start':\n"
+            "        seen['frozen' if gc.get_freeze_count() else 'unfrozen'] += 1\n"
+            "def profile(frame, event, arg):\n"
+            "    if event == 'call' and frame.f_code.co_name == 'main' \\\n"
+            "            and frame.f_globals['__name__'] == 'posmap.cli':\n"
+            "        seen['main'] = [gc.isenabled(), gc.get_freeze_count() > 0]\n"
+            "        sys.setprofile(None)\n"
+            "gc.callbacks.append(count)\n"
+            "sys.argv = ['posmap', 'certify', '--n', '4', '--k', '2']\n"
+            "sys.setprofile(profile)\n"
+            "try:\n"
+            "    posmap.run()\n"
+            "except SystemExit as exc:\n"
+            "    seen['code'] = exc.code\n"
+            "gc.collect()\n"
+            "print(json.dumps(seen, sort_keys=True), file=sys.stderr)\n"
+        )
+        p = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+        assert p.returncode == 0, p.stderr
+        assert json.loads(p.stdout)["command"] == "certify"
+        seen = json.loads(p.stderr)
+        assert seen["unfrozen"] == 0 and seen["frozen"] >= 1
+        assert seen["main"] == [True, True] and seen["code"] == 0
 
     def test_closed_stdout_exits_1_quietly(self):
         """A ~1 MB report overfills the pipe, so the write meets the closed reader."""

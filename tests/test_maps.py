@@ -401,6 +401,18 @@ class TestTauMapProtocol:
             rhs = (y.conj() @ (map_.on_projector(x) @ y)).real
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
+    @pytest.mark.parametrize("entry", [None, "1", "a", 10**400], ids=["None", "numeric-str", "str", "int-beyond-float"])
+    def test_vector_entries_that_are_not_numbers(self, entry):
+        """Refused by every vector kernel, not read as NaN or parsed as a number."""
+        map_ = TauMap(MapSpec(3, 1).coupling)
+        x = [entry, 1, 1]
+        for kernel in (map_.on_projector, map_.quadratic_form,
+                       map_.on_projector_factors, map_.quadratic_form_factors):
+            with pytest.raises(DomainError, match="each vector entry must be a number"):
+                kernel(x)
+            with pytest.raises(DomainError, match="each vector entry must be a number"):
+                kernel([x, [1, 0, 0]])
+
     def test_perturbed_apply_subtracts_schur_product(self):
         spec = MapSpec(4, 2)
         pert = HadamardPerturbation([alternating_vector(4)], [2.0])

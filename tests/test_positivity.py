@@ -80,6 +80,15 @@ class TestFormValue:
         with pytest.raises(DomainError, match="finite"):
             form_value(map_, unit_basis(3, 0), v)
 
+    @pytest.mark.parametrize("entry", [None, "1", 10**400], ids=["None", "numeric-str", "int-beyond-float"])
+    def test_vector_entries_that_are_not_numbers(self, entry):
+        map_ = TauMap(MapSpec(3, 1).coupling)
+        v = [entry, 0, 0]
+        with pytest.raises(DomainError, match="each x entry must be a number"):
+            form_value(map_, v, [1, 0, 0])
+        with pytest.raises(DomainError, match="each y entry must be a number"):
+            form_value(map_, [1, 0, 0], v)
+
     @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (5, 3)])
     def test_unimodular_phase_pairs_annihilate(self, n, k):
         rng = np.random.default_rng([5, n, k])
@@ -144,13 +153,19 @@ class TestSeesaw:
             seesaw_minimize(map_, starts=0)
         with pytest.raises(DomainError):
             seesaw_minimize(map_, seed=-1)
-        for tol in (float("nan"), 0.0, float("inf")):
+        for tol in (float("nan"), 0.0, float("inf"), -1, np.float32("inf")):
             with pytest.raises(DomainError, match="tol must be finite and positive"):
                 seesaw_minimize(map_, tol=tol)
 
-    @pytest.mark.parametrize("tol", ["1e-9", None, 1e-9 + 0j], ids=["str", "None", "complex"])
+    @pytest.mark.parametrize("tol", [1, np.float32(1e-9), np.int64(1), np.float64(1e-9)])
+    def test_tol_of_any_real_scalar_type(self, tol):
+        report = seesaw_minimize(TauMap(MapSpec(3, 1).coupling), starts=2, tol=tol)
+        assert report.verdict == "positive-evidence"
+
+    @pytest.mark.parametrize("tol", ["1e-9", None, 1e-9 + 0j, [1e-9], np.array([1e-9]), True, np.True_],
+                             ids=["str", "None", "complex", "list", "array", "bool", "numpy-bool"])
     def test_tol_that_is_not_a_real_number(self, tol):
-        """A DomainError, not the TypeError of comparing it with 0."""
+        """A DomainError, not the TypeError of comparing it with 0 or of negating it; a bool is no tol."""
         with pytest.raises(DomainError, match="tol must be a real number"):
             seesaw_minimize(TauMap(MapSpec(3, 1).coupling), tol=tol)
 

@@ -12,6 +12,7 @@ import posmap.positivity
 import posmap.spanning
 from posmap import DomainError, HadamardPerturbation, MapSpec, NumericalAnomalyError, TauMap
 from posmap.certify import build_circulant
+from posmap.cli import phase_pair_count
 from posmap.maps import alternating_vector
 from posmap.positivity import form_value
 from posmap.spanning import (
@@ -19,7 +20,6 @@ from posmap.spanning import (
     build_spanning_set,
     degenerate_pairs,
     gram_rank,
-    phase_pair_count,
     unimodular_pairs,
 )
 
@@ -232,7 +232,7 @@ class TestBatchedPairs:
             pools.append(build_spanning_set(*args, **kwargs))
             return pools[-1]
 
-        monkeypatch.setattr(posmap.cli, "build_spanning_set", recording)
+        monkeypatch.setattr(posmap.spanning, "build_spanning_set", recording)
         for spec in specs:
             argv = ["spanning", "--n", str(spec.n), "--k", str(spec.k), "--seed", str(seed)]
             assert posmap.cli.main(argv) == 0, (spec, seed)
