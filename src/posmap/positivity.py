@@ -22,11 +22,14 @@ the eigenpair in O(n m) per step; eigh takes any row that has no pole at
 min d, does not converge, or whose residual is above the rounding level.
 F is invariant under (x, y) -> (D x, conj(D) y) for every diagonal
 unitary D, so each start x0 is replaced by its moduli |x0|, which gives
-the same sequence of values.  When the map's factor is real the vectors
-then stay real, every eigenproblem is real symmetric, and the
-witness pair is real.  Starts that creep toward a window zero pair
-(maps._window_pairs, where F is exactly 0.0 for every map here) stop on
-it once close enough, if F is no higher there, not at the sweep cap.
+the same sequence of values, and only moduli are drawn: start_moduli, a
+counter-based generator of the module's own, gives each (seed, start
+index) n Rayleigh(1) draws, the law of |x0_i| for a complex Gaussian x0.
+When the map's factor is real the vectors then stay real, every
+eigenproblem is real symmetric, and the witness pair is real.  Starts
+that creep toward a window zero pair (maps._window_pairs, where F is
+exactly 0.0 for every map here) stop on it once close enough, if F is no
+higher there, not at the sweep cap.
 
 For diagonal input X = diag(X_1, ..., X_n) the positivity of the map of a
 coupling row reduces to scalar data: the profile D = C X, the ratio sum
@@ -78,6 +81,9 @@ _SNAP_AFTER = 32
 _SNAP_EVERY = 16
 _SNAP_RHO = 1e-2
 _EPS = np.finfo(float).eps
+# splitmix64's increment (2^64 / golden ratio, odd) and word mask, for start_moduli.
+_GAMMA = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -317,12 +323,50 @@ def _seesaw_single(map_, x0: np.ndarray, max_sweeps: int, improve_tol: float):
     return float(values[0]), X[0], Y[0], int(sweeps[0])
 
 
+def _splitmix64(z):
+    """The splitmix64 finaliser, of a Python int below 2^64 or entrywise of a uint64 array."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+    return z ^ z >> 31
+
+
+def start_moduli(seed: int, idx: int, n: int) -> np.ndarray:
+    """The moduli |x0| of see-saw start idx under seed: n Rayleigh(1) draws, float64.
+
+    A counter-based generator: the limbs of seed, 64 bits at a time from
+    the lowest, and then idx are folded into one key by the splitmix64
+    finaliser, and entry j - 1 is splitmix64 of key + j * gamma for the
+    counter j = 1..n, read as u = ((z >> 11) + 1) 2^-53 in (0, 1].  The
+    modulus is sqrt(-2 log u), the Rayleigh(1) law of |g1 + i g2| for
+    independent standard normals, which is all of a complex Gaussian start
+    that the see-saw keeps.  Each start is a pure function of
+    (seed, idx, n), and every nonnegative seed, 2^64 and beyond included,
+    has its own stream.
+    """
+    seed, idx, n = _check_int(seed, "seed"), _check_int(idx, "idx"), _check_int(n, "n")
+    if seed < 0 or not 0 <= idx <= _MASK64 or n < 1:
+        raise DomainError(f"start_moduli needs seed >= 0, 0 <= idx < 2^64 and n >= 1, "
+                          f"got ({seed}, {idx}, {n})")
+    key = 0
+    while True:
+        key = _splitmix64((key ^ seed & _MASK64) + _GAMMA & _MASK64)
+        seed >>= 64
+        if not seed:
+            break
+    key = _splitmix64((key ^ idx) + _GAMMA & _MASK64)
+    z = _splitmix64(np.arange(1, n + 1, dtype=np.uint64) * _GAMMA + key)
+    u = ((z >> 11) + 1) * 2.0 ** -53
+    # math.log, not np.log: NumPy's SIMD log rounds differently on AVX-512
+    # CPUs, and the start must not depend on the CPU.
+    return np.sqrt(np.array([-2.0 * math.log(v) for v in u.tolist()]))
+
+
 def seesaw_minimize(map_, starts: int = DEFAULT_STARTS, seed: int = 0,
                     tol: float = NEGATIVITY_TOL) -> PositivityReport:
     """Multistart see-saw minimization of F over unit vector pairs.
 
-    Starts are independent, each with its own RNG stream derived from
-    (seed, start index), so the result does not depend on evaluation
+    Starts are independent, start idx being the moduli
+    start_moduli(seed, idx, n), so the result does not depend on evaluation
     order; ties between starts resolve to the lowest index.  The starts
     run together in blocks of max(1, _BLOCK_ENTRIES // n^2) starts, one
     stacked smallest-eigenpair solve per half-step over a block's active
@@ -352,10 +396,7 @@ def seesaw_minimize(map_, starts: int = DEFAULT_STARTS, seed: int = 0,
     best = None
     capped = snapped_count = 0
     for lo in range(0, starts, block):
-        X0 = []
-        for idx in range(lo, min(lo + block, starts)):
-            rng = np.random.default_rng([seed, idx])
-            X0.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        X0 = [start_moduli(seed, idx, n) for idx in range(lo, min(lo + block, starts))]
         values, X, Y, sweeps, snapped = _seesaw_batch(
             map_, np.array(X0), MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
         capped += int(np.count_nonzero((sweeps >= MAX_SWEEPS) & ~snapped))

@@ -231,7 +231,7 @@ class TestReports:
         assert res["verdict"] == "positive-evidence"
         assert res["min_value"] == 0.0
         assert res["starts_capped"] == 0
-        assert res["starts_snapped"] == 1
+        assert res["starts_snapped"] == 2
         assert "starts_used" not in res
         assert "seed" not in res
         assert len(res["witness_x"]) == 3
@@ -244,7 +244,7 @@ class TestReports:
         )
         doc = json.loads(p.stdout)
         assert doc["result"]["verdict"] == "negative-certificate"
-        assert doc["result"]["min_value"] == -0.024999999998625382
+        assert doc["result"]["min_value"] == -0.024999999998564674
         assert doc["result"]["perturbation"]["weight"] == 2.1
 
     def test_spanning_report(self):
@@ -397,7 +397,7 @@ class TestGoldenBytes:
             '"input": null, "k": 1, "n": 3, "output": "json", "perturb": null, '
             '"samples": 36, "seed": 0, "starts": 8, "t": null, "tol": 1e-09}, '
             '"result": {"iterations": 32, "min_value": 0.0, '
-            '"perturbation": null, "starts_capped": 0, "starts_snapped": 1, '
+            '"perturbation": null, "starts_capped": 0, "starts_snapped": 2, '
             '"verdict": "positive-evidence", '
             '"witness_x": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], '
             '"witness_y": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}, '
@@ -611,19 +611,21 @@ class TestMainInProcess:
 class TestFreshInterpreter:
     """What a command costs and reports when it starts in a new process, as a user runs it."""
 
-    def test_only_seesaw_commands_load_numpy_random(self, tmp_path):
-        """spanning, certify and apply draw nothing, so NumPy never imports numpy.random for them.
+    def test_no_command_loads_numpy_random(self, tmp_path):
+        """No subcommand draws from numpy.random: the see-saw starts come from start_moduli.
 
-        positivity draws its seeded starts, which is the control that the check sees the import.
+        The child imports numpy.random itself last, the control that the check sees the import.
         """
         path = tmp_path / "x.json"
         write_matrix(path, np.eye(4))
         argvs = [
+            ["apply", "--n", "4", "--k", "2", "--input", str(path)],
+            ["positivity", "--n", "4", "--k", "2", "--starts", "2"],
             ["spanning", "--n", "8", "--k", "3"],
             ["spanning", "--n", "12", "--k", "11"],
             ["certify", "--n", "12", "--k", "8"],
-            ["apply", "--n", "4", "--k", "2", "--input", str(path)],
-            ["positivity", "--n", "4", "--k", "2", "--starts", "2"],
+            ["conjecture", "--n", "4", "--k", "2", "--starts", "2"],
+            ["conjecture", "--n", "6", "--k", "3", "--experimental", "--grid", "0:1:2", "--starts", "2"],
         ]
         child = (
             "import contextlib, io, sys, posmap.cli\n"
@@ -631,11 +633,13 @@ class TestFreshInterpreter:
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert posmap.cli.main(argv) == 0, argv\n"
             "    return 'numpy.random' in sys.modules\n"
-            f"print([loads_random(argv) for argv in {argvs!r}])\n"
+            f"flags = [loads_random(argv) for argv in {argvs!r}]\n"
+            "import numpy.random\n"
+            "print(flags, 'numpy.random' in sys.modules)\n"
         )
         p = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
         assert (p.returncode, p.stderr) == (0, "")
-        assert p.stdout == "[False, False, False, False, True]\n"
+        assert p.stdout == f"{[False] * len(argvs)} True\n"
 
     @pytest.mark.parametrize("argv", [
         ("--n", "8", "--k", "3"),

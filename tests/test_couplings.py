@@ -71,7 +71,7 @@ class TestChoKyeLee:
                 pass
         assert (max(values) <= 1.0 + 1e-12) == cho_kye_lee_positive(*row)
 
-    @pytest.mark.parametrize("row, snapped", [((2.0, 1.0, 0.0), 17), ((2.0, 0.0, 1.0), 19)])
+    @pytest.mark.parametrize("row, snapped", [((2.0, 1.0, 0.0), 21), ((2.0, 0.0, 1.0), 20)])
     def test_window_snap_ends_on_an_exact_zero(self, row, snapped):
         """The window family of a coupling that is not tau's: Phi[2,0,1]'s window of j is {j, j+2}."""
         report = seesaw_minimize(TauMap(row), starts=64, seed=0)
