@@ -6,6 +6,8 @@ so `import posmap` alone loads neither NumPy nor any submodule.
 
 import gc
 import importlib
+import os
+import sys
 
 __version__ = "0.1.0"
 
@@ -68,11 +70,26 @@ def __dir__():
 
 
 def run() -> None:
-    """The process entry point of both `posmap` and `python -m posmap`."""
+    """Run cli.main as the whole of one process: `posmap`, `python -m posmap` and `python -m posmap.cli`."""
     # NumPy and posmap.cli import with the collector off: nearly every object
-    # they make lives until exit, so collections then free almost nothing.
-    # cli.run freezes that heap and turns collection back on before main.
+    # they make lives until exit.  Frozen, that heap is skipped by every later
+    # collection, the one at interpreter exit included; main runs with the collector on.
     gc.disable()
-    from .cli import run as run_cli
+    from . import cli
 
-    run_cli()
+    gc.freeze()
+    gc.enable()
+    try:
+        code = cli.main()
+        if sys.stdout is not None:
+            sys.stdout.flush()
+        elif code == 0:  # fd 1 was closed at start, so print wrote the report nowhere
+            cli.print_error("posmap: error: cannot write report: stdout is closed")
+            code = 1
+    except OSError as exc:
+        # With stdout on devnull, the flush at shutdown prints no "Exception ignored".
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            cli.print_error(f"posmap: error: cannot write report: {exc.strerror or exc}")
+        code = 1
+    sys.exit(code)

@@ -6,18 +6,16 @@ invocations produce byte-identical output and each float parses back to
 the same double.  Complex scalars appear as [re, im] pairs and
 matrices as arrays of rows of pairs, the same format accepted for input
 files.  Exit codes: 0 success, 1 stdout closed or unwritable, so the
-report was not written in full (from run() only), 2 configuration error (a
+report was not written in full (posmap.run only), 2 configuration error (a
 MemoryError included), 3 input-data error, 4 internal numerical anomaly.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import itertools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -39,70 +37,6 @@ from .maps import (
 )
 
 SCHEMA_ID = "posmap-report/2"
-
-REPORT_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "$id": SCHEMA_ID,
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["schema", "version", "command", "config", "result"],
-    "properties": {
-        "schema": {"const": SCHEMA_ID},
-        "version": {"type": "string"},
-        "command": {"enum": ["apply", "positivity", "spanning", "certify", "conjecture"]},
-        "config": {
-            "type": "object",
-            "required": ["n", "k", "seed", "starts", "tol", "samples", "output"],
-            "properties": {
-                "n": {"type": "integer"},
-                "k": {"type": "integer"},
-                "t": {"type": ["number", "null"]},
-                "seed": {"type": "integer"},
-                "starts": {"type": "integer"},
-                "tol": {"type": "number"},
-                "samples": {"type": "integer"},
-                "input": {"type": ["string", "null"]},
-                "output": {"enum": ["json", "text"]},
-                "perturb": {"type": ["string", "null"]},
-                "experimental": {"type": "boolean"},
-                "grid": {"type": ["string", "null"]},
-            },
-        },
-        "result": {"type": "object"},
-    },
-    "allOf": [
-        {
-            "if": {"properties": {"command": {"const": "apply"}}},
-            "then": {"properties": {"result": {"required": ["matrix"]}}},
-        },
-        {
-            "if": {"properties": {"command": {"const": "positivity"}}},
-            "then": {
-                "properties": {
-                    "result": {
-                        "required": [
-                            "verdict", "min_value", "witness_x", "witness_y",
-                            "iterations", "starts_capped",
-                        ]
-                    }
-                }
-            },
-        },
-        {
-            "if": {"properties": {"command": {"const": "spanning"}}},
-            "then": {"properties": {"result": {"required": ["rank", "spanning_property"]}}},
-        },
-        {
-            "if": {"properties": {"command": {"const": "certify"}}},
-            "then": {"properties": {"result": {"required": ["gcd", "kernel_dim", "verdict"]}}},
-        },
-        {
-            "if": {"properties": {"command": {"const": "conjecture"}}},
-            "then": {"properties": {"result": {"required": ["verdict"]}}},
-        },
-    ],
-}
-
 
 class InputDataError(Exception):
     """Unreadable or invalid input data (exit code 3)."""
@@ -166,9 +100,15 @@ def load_matrix(path: str, n: int) -> np.ndarray:
     return M.view(np.complex128).reshape(n, n)
 
 
+def print_error(line: str) -> None:
+    """Print one line to stderr; with none open, print(file=None) would write it to stdout."""
+    if sys.stderr is not None:
+        print(line, file=sys.stderr)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        print(f"posmap: error: {message}", file=sys.stderr)
+        print_error(f"posmap: error: {message}")
         raise SystemExit(2)
 
 
@@ -185,20 +125,11 @@ _OPTIONS = {
     "grid": {"default": None},
 }
 
-# The flags each subcommand reads, besides --n, --k and --output.
-_COMMAND_FLAGS = {
-    "apply": ("seed", "input", "perturb", "t"),
-    "positivity": ("seed", "starts", "tol", "perturb", "t"),
-    "spanning": ("seed",),
-    "certify": ("seed",),
-    "conjecture": ("seed", "starts", "tol", "t", "experimental", "grid"),
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="posmap", description="shift-coupled diagonal map toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, flags in _COMMAND_FLAGS.items():
+    for name, (_, flags, _) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.set_defaults(**{key: opts["default"] for key, opts in _OPTIONS.items()})
         p.add_argument("--n", type=int, required=True)
@@ -386,12 +317,54 @@ def cmd_conjecture(spec: MapSpec, config: dict) -> dict:
     }
 
 
+# Each subcommand's handler, the flags it reads besides --n, --k and --output,
+# and the result keys its report must carry; build_parser, main and REPORT_SCHEMA read them.
 _COMMANDS = {
-    "apply": cmd_apply,
-    "positivity": cmd_positivity,
-    "spanning": cmd_spanning,
-    "certify": cmd_certify,
-    "conjecture": cmd_conjecture,
+    "apply": (cmd_apply, ("seed", "input", "perturb", "t"), ("matrix",)),
+    "positivity": (cmd_positivity, ("seed", "starts", "tol", "perturb", "t"),
+                   ("verdict", "min_value", "witness_x", "witness_y", "iterations", "starts_capped")),
+    "spanning": (cmd_spanning, ("seed",), ("rank", "spanning_property")),
+    "certify": (cmd_certify, ("seed",), ("gcd", "kernel_dim", "verdict")),
+    "conjecture": (cmd_conjecture, ("seed", "starts", "tol", "t", "experimental", "grid"), ("verdict",)),
+}
+
+REPORT_SCHEMA = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "$id": SCHEMA_ID,
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["schema", "version", "command", "config", "result"],
+    "properties": {
+        "schema": {"const": SCHEMA_ID},
+        "version": {"type": "string"},
+        "command": {"enum": list(_COMMANDS)},
+        "config": {
+            "type": "object",
+            "required": ["n", "k", "seed", "starts", "tol", "samples", "output"],
+            "properties": {
+                "n": {"type": "integer"},
+                "k": {"type": "integer"},
+                "t": {"type": ["number", "null"]},
+                "seed": {"type": "integer"},
+                "starts": {"type": "integer"},
+                "tol": {"type": "number"},
+                "samples": {"type": "integer"},
+                "input": {"type": ["string", "null"]},
+                "output": {"enum": ["json", "text"]},
+                "perturb": {"type": ["string", "null"]},
+                "experimental": {"type": "boolean"},
+                "grid": {"type": ["string", "null"]},
+            },
+        },
+        "result": {"type": "object"},
+    },
+    "allOf": [
+        {
+            "if": {"properties": {"command": {"const": name}}},
+            "then": {"properties": {"result": {"required": list(required)}}},
+        }
+        for name, (_, _, required) in _COMMANDS.items()
+    ],
 }
 
 
@@ -408,43 +381,22 @@ def main(argv=None) -> int:
             "version": __version__,
             "command": args.command,
             "config": config,
-            "result": _COMMANDS[args.command](spec, config),
+            "result": _COMMANDS[args.command][0](spec, config),
         }
         text = render_text(report) if config["output"] == "text" else dumps_report(report)
     except (ConfigError, DomainError, DimensionMismatchError, MemoryError) as exc:
-        print(f"posmap: error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        print_error(f"posmap: error: {str(exc) or 'out of memory'}")
         return 2
     except InputDataError as exc:
-        print(f"posmap: error: {exc}", file=sys.stderr)
+        print_error(f"posmap: error: {exc}")
         return 3
     except NumericalAnomalyError as exc:
-        print(f"posmap: anomaly: {exc}", file=sys.stderr)
+        print_error(f"posmap: anomaly: {exc}")
         return 4
     print(text)
     return 0
 
 
-def run() -> None:
-    """Run main as the whole of one process, and exit with its code.
-
-    posmap.run, the entry point of both `posmap` and `python -m posmap`,
-    imports this module with garbage collection off.
-    """
-    # The objects made by the imports live until exit anyway; frozen, they are
-    # skipped by every collection, the full one at interpreter shutdown included.
-    gc.freeze()
-    gc.enable()
-    try:
-        code = main()
-        sys.stdout.flush()
-    except OSError as exc:
-        # With stdout on devnull, the flush at shutdown prints no "Exception ignored".
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if not isinstance(exc, BrokenPipeError):
-            print(f"posmap: error: cannot write report: {exc.strerror or exc}", file=sys.stderr)
-        code = 1
-    sys.exit(code)
-
-
 if __name__ == "__main__":
+    from . import run
     run()

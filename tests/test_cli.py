@@ -1,8 +1,11 @@
 """Tests for the command-line interface: reports, determinism, exit codes."""
 
 import argparse
+import contextlib
+import copy
 import gc
 import importlib
+import io
 import json
 import math
 import os
@@ -441,6 +444,52 @@ class TestDeterminismAndSchema:
         jsonschema.validate(json.loads(first.stdout), REPORT_SCHEMA)
 
 
+class TestSchemaRejects:
+    """REPORT_SCHEMA turns away a report that lacks a required result key or names no subcommand."""
+
+    # Written out here, not read from the schema, so that a schema with no per-command checks fails.
+    REQUIRED = {
+        "apply": ["matrix"],
+        "positivity": ["verdict", "min_value", "witness_x", "witness_y", "iterations", "starts_capped"],
+        "spanning": ["rank", "spanning_property"],
+        "certify": ["gcd", "kernel_dim", "verdict"],
+        "conjecture": ["verdict"],
+    }
+    VALIDATOR = jsonschema.Draft7Validator(REPORT_SCHEMA)
+
+    @pytest.fixture(scope="class")
+    def reports(self, tmp_path_factory):
+        path = write_matrix(tmp_path_factory.mktemp("apply") / "x.json", np.diag([1.0, 2.0, 3.0]))
+        argvs = {
+            "apply": ["--n", "3", "--k", "1", "--input", path],
+            "positivity": ["--n", "3", "--k", "1", "--starts", "4"],
+            "spanning": ["--n", "3", "--k", "1"],
+            "certify": ["--n", "3", "--k", "1"],
+            "conjecture": ["--n", "4", "--k", "2", "--starts", "4"],
+        }
+        reports = {}
+        for command, argv in argvs.items():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main([command, *argv]) == 0
+            reports[command] = json.loads(out.getvalue())
+        return reports
+
+    @pytest.mark.parametrize("command", list(REQUIRED))
+    def test_real_report_is_valid(self, reports, command):
+        assert self.VALIDATOR.is_valid(reports[command])
+
+    @pytest.mark.parametrize("command,key", [(c, key) for c, keys in REQUIRED.items() for key in keys])
+    def test_missing_required_result_key_is_invalid(self, reports, command, key):
+        report = copy.deepcopy(reports[command])
+        del report["result"][key]
+        assert not self.VALIDATOR.is_valid(report)
+
+    def test_unknown_command_is_invalid(self, reports):
+        report = dict(reports["certify"], command="frobnicate")
+        assert not self.VALIDATOR.is_valid(report)
+
+
 class TestMainInProcess:
     def test_returns_zero_on_success(self, capsys):
         assert main(["certify", "--n", "3", "--k", "1"]) == 0
@@ -715,11 +764,11 @@ class TestPackageNames:
 
 
 class TestEntryPoint:
-    """`posmap` and `python -m posmap` run cli.run, which wraps main for one process."""
+    """`posmap`, `python -m posmap` and `python -m posmap.cli` run posmap.run, which wraps main for one process."""
 
     def test_main_runs_with_the_import_heap_frozen(self):
-        child = ("import gc, posmap.cli as cli; "
-                 "cli.main = lambda: print(gc.get_freeze_count()) or 0; cli.run()")
+        child = ("import gc, posmap, posmap.cli as cli; "
+                 "cli.main = lambda: print(gc.get_freeze_count()) or 0; posmap.run()")
         p = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
         assert (p.returncode, p.stderr) == (0, "")
         assert int(p.stdout) > 0
@@ -782,6 +831,42 @@ class TestEntryPoint:
         seen = json.loads(p.stderr)
         assert seen["unfrozen"] == 0 and seen["frozen"] >= 1
         assert seen["main"] == [True, True] and seen["code"] == 0
+
+    def test_cli_module_runs_the_entry_function(self):
+        """`python -m posmap.cli` prints `python -m posmap`'s bytes; without its __main__ guard, nothing."""
+        argv = ("certify", "--n", "4", "--k", "2")
+        p = subprocess.run([sys.executable, "-m", "posmap.cli", *argv], capture_output=True, text=True)
+        assert (p.returncode, p.stdout, p.stderr) == (0, TestGoldenBytes.GOLDEN[argv], "")
+
+    CLOSED_STREAMS = {
+        # fd closed at start, argv: exit code, stdout, stderr
+        "stdout-report": (1, ("certify", "--n", "4", "--k", "2"),
+                          (1, "", "posmap: error: cannot write report: stdout is closed\n")),
+        "stdout-config-error": (1, ("certify", "--n", "4", "--k", "9"),
+                                (2, "", "posmap: error: k out of range for n=4: 9\n")),
+        "stdout-usage-error": (1, ("frobnicate", "--n", "4", "--k", "2"), (2, "", None)),
+        "stderr-config-error": (2, ("certify", "--n", "4", "--k", "9"), (2, "", "")),
+        "stderr-usage-error": (2, ("frobnicate", "--n", "4", "--k", "2"), (2, "", "")),
+        "stderr-input-error": (2, ("apply", "--n", "3", "--k", "1", "--input", "/no/such.json"), (3, "", "")),
+        "stderr-report": (2, ("certify", "--n", "4", "--k", "2"),
+                          (0, TestGoldenBytes.GOLDEN[("certify", "--n", "4", "--k", "2")], "")),
+    }
+
+    @pytest.mark.parametrize("case", list(CLOSED_STREAMS))
+    def test_closed_stream_at_start(self, case):
+        """A process started without stdout or stderr keeps main's code and writes no line to the wrong stream.
+
+        With no stderr, print(file=None) would put the error line on stdout;
+        with no stdout, a finished report has nowhere to go, which is exit 1.
+        """
+        fd, argv, (code, out, err) = self.CLOSED_STREAMS[case]
+        p = subprocess.run([sys.executable, "-m", "posmap", *argv], capture_output=True, text=True,
+                           preexec_fn=lambda: os.close(fd))
+        assert (p.returncode, p.stdout) == (code, out)
+        if err is None:
+            assert p.stderr.startswith("posmap: error:") and p.stderr.count("\n") == 1
+        else:
+            assert p.stderr == err
 
     def test_closed_stdout_exits_1_quietly(self):
         """A ~1 MB report overfills the pipe, so the write meets the closed reader."""
