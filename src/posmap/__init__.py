@@ -83,9 +83,6 @@ def run() -> None:
         code = cli.main()
         if sys.stdout is not None:
             sys.stdout.flush()
-        elif code == 0:  # fd 1 was closed at start, so print wrote the report nowhere
-            cli.print_error("posmap: error: cannot write report: stdout is closed")
-            code = 1
     except OSError as exc:
         # With stdout on devnull, the flush at shutdown prints no "Exception ignored".
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

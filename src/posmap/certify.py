@@ -28,6 +28,7 @@ from .maps import (
     MapSpec,
     NumericalAnomalyError,
     TauMap,
+    _roots_of_unity,
     alternating_vector,
 )
 
@@ -68,16 +69,6 @@ class ConjectureEvidence:
     counterexample_mu: np.ndarray | None = None
 
 
-def _root_power(n: int, m: int) -> complex:
-    """omega^m for omega = exp(2 pi i / n), exact on the real axis."""
-    m = m % n
-    if m == 0:
-        return complex(1.0)
-    if 2 * m == n:
-        return complex(-1.0)
-    return complex(np.exp(2j * np.pi * m / n))
-
-
 def build_circulant(spec: MapSpec) -> CirculantConstraint:
     """Spectrum and kernel of the window-sum circulant M from its first row, 1 <= k <= n-1.
 
@@ -93,7 +84,7 @@ def build_circulant(spec: MapSpec) -> CirculantConstraint:
     first = np.zeros(n, dtype=int)
     first[: n - k] = 1
     idx = np.arange(n)
-    roots = np.array([_root_power(n, m) for m in range(n)])
+    roots = _roots_of_unity(n)
     # Column m of the root table omega^{jm}, added in order: these bits are reported.
     lam = sum(roots[(idx * m) % n] for m in range(n - k))
     # Entrywise, M f_j - lambda_j f_j has modulus |error| / sqrt(n): bound that by the tolerance.
@@ -158,9 +149,8 @@ def conjecture_probe(spec: MapSpec, seed: int = 0, t: float | None = None,
         raise DomainError(f"probe requires gcd(n, k) = 2, got {spec.gcd}")
     n, k = spec.n, spec.k
     t_max = float(n - k)
-    t_probe = t_max if t is None else float(t)
-    v1 = alternating_vector(n)
-    pert = HadamardPerturbation([v1], [t_probe])
+    pert = HadamardPerturbation([alternating_vector(n)], [t_max if t is None else t])
+    t_probe = pert.weights[0]
     report = seesaw_minimize(TauMap(spec.coupling, pert), starts=starts, seed=seed, tol=tol)
     witness_at_t, _ = parity_witness_value(n, k, t_probe)
     witness_above, _ = parity_witness_value(n, k, t_max + 0.1)

@@ -5,9 +5,10 @@ and every float written as its shortest round-trip repr, so identical
 invocations produce byte-identical output and each float parses back to
 the same double.  Complex scalars appear as [re, im] pairs and
 matrices as arrays of rows of pairs, the same format accepted for input
-files.  Exit codes: 0 success, 1 stdout closed or unwritable, so the
-report was not written in full (posmap.run only), 2 configuration error (a
-MemoryError included), 3 input-data error, 4 internal numerical anomaly.
+files.  Exit codes: 0 success, 1 stdout closed, or unwritable (which only
+posmap.run's flush detects), so the report was not written in full, 2
+configuration error (a MemoryError included), 3 input-data error, 4
+internal numerical anomaly.
 """
 
 from __future__ import annotations
@@ -276,13 +277,13 @@ def cmd_conjecture(spec: MapSpec, config: dict) -> dict:
         basis = build_circulant(spec).kernel
         points = []
         for weights in itertools.product(grid, repeat=axes):
+            pert = HadamardPerturbation(basis, weights)
             rep = seesaw_minimize(
-                TauMap(spec.coupling, HadamardPerturbation(basis, weights)), starts=config["starts"],
-                seed=config["seed"], tol=config["tol"],
+                TauMap(spec.coupling, pert), starts=config["starts"], seed=config["seed"], tol=config["tol"],
             )
             points.append(
                 {
-                    "weights": [float(w) for w in weights],
+                    "weights": list(pert.weights),
                     "min_value": rep.min_value,
                     "negative_certificate": rep.verdict == "negative-certificate",
                     "starts_capped": rep.starts_capped,
@@ -393,10 +394,15 @@ def main(argv=None) -> int:
     except NumericalAnomalyError as exc:
         print_error(f"posmap: anomaly: {exc}")
         return 4
+    if sys.stdout is None:  # fd 1 was closed at start, so print would write the report nowhere
+        print_error("posmap: error: cannot write report: stdout is closed")
+        return 1
     print(text)
     return 0
 
 
 if __name__ == "__main__":
     from . import run
+    # run imports posmap.cli: this module, not a second execution of this file.
+    sys.modules["posmap.cli"] = sys.modules[__name__]
     run()

@@ -180,13 +180,20 @@ def _window_pairs(C: np.ndarray, x: np.ndarray, j: np.ndarray):
     return xs, ys
 
 
+def _roots_of_unity(n: int) -> np.ndarray:
+    """omega^m for m = 0..n-1, omega = exp(2 pi i / n): exactly 1 at m = 0 and -1 at m = n/2."""
+    roots = np.exp(1j * ((2 * np.pi * np.arange(n)) / n))
+    if n % 2 == 0:
+        roots[n // 2] = -1.0
+    return roots
+
+
 def alternating_vector(n: int) -> np.ndarray:
-    """Unit vector (1, -1, 1, -1, ...) / sqrt(n); requires even n."""
+    """Unit vector (1, -1, 1, -1, ...) / sqrt(n), the Fourier row n/2; requires even n."""
     n = _check_int(n, "n")
     if n < 2 or n % 2:
         raise DomainError(f"alternating vector needs even n >= 2, got {n}")
-    v = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) / math.sqrt(n)
-    return v.astype(np.complex128)
+    return _roots_of_unity(n)[(n // 2 * np.arange(n)) % n] / math.sqrt(n)
 
 
 @dataclass(frozen=True)
@@ -209,11 +216,12 @@ class HadamardPerturbation:
             raise DimensionMismatchError(
                 f"need r >= 1 directions of length n >= 2, got shape {A.shape}"
             )
-        if len(self.weights) != A.shape[0]:
-            raise DimensionMismatchError(f"{len(self.weights)} weights for {A.shape[0]} directions")
+        w = _nonnegative_reals(self.weights, "weight")
+        if w.shape != A.shape[:1]:
+            raise DimensionMismatchError(f"weights of shape {w.shape} for {A.shape[0]} directions")
         if not np.isfinite(A).all():
             raise DomainError("directions have non-finite entries")
-        weights = tuple(_nonnegative_reals(self.weights, "weight").tolist())
+        weights = tuple(w.tolist())
         for a in A:
             if abs(a.sum()) > ENTRY_SUM_TOL * np.abs(a).max():
                 raise DomainError(f"alpha entries must sum to zero, got {a.sum():.3e}")

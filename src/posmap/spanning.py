@@ -56,10 +56,15 @@ class SpanningSet:
 
 
 def gram_rank(vectors) -> int:
-    """Rank of the stacked vectors by singular values above RANK_REL_TOL * sigma_max."""
+    """Rank of the stacked vectors by singular values above RANK_REL_TOL * sigma_max.
+
+    A NaN or infinite entry raises DomainError, where the SVD would not converge.
+    """
     A = np.asarray(vectors, dtype=np.complex128)
     if A.size == 0:
         return 0
+    if not np.isfinite(A).all():
+        raise DomainError("vectors have non-finite entries")
     sv = np.linalg.svd(A.reshape(len(A), -1), compute_uv=False)
     return int(np.sum(sv > RANK_REL_TOL * sv[0]))
 

@@ -20,6 +20,7 @@ from posmap import (
 from posmap import certify
 from posmap.certify import build_circulant, certify_optimality, conjecture_probe
 from posmap.cli import main
+from posmap.maps import _roots_of_unity
 
 
 def dense_circulant(c):
@@ -94,9 +95,28 @@ class TestBuildCirculant:
 
 class TestEigenvalueSum:
     @staticmethod
-    def loop_reference(n, k):
-        roots = [certify._root_power(n, m) for m in range(n)]
+    def root_power(n, m):
+        """omega^m for omega = exp(2 pi i / n), one scalar at a time, exact on the real axis."""
+        m = m % n
+        if m == 0:
+            return complex(1.0)
+        if 2 * m == n:
+            return complex(-1.0)
+        return complex(np.exp(2j * np.pi * m / n))
+
+    @classmethod
+    def loop_reference(cls, n, k):
+        roots = [cls.root_power(n, m) for m in range(n)]
         return np.array([sum(roots[j * m % n] for m in range(n - k)) for j in range(n)])
+
+    def test_root_table_is_the_scalar_formula(self):
+        """The one table of roots, behind the spectrum, the kernel and alternating_vector, bit for bit.
+
+        n = 2..512 holds every size the benchmark certifies (12, 30, 61, 120, 240); 4099 is the large-n test's.
+        """
+        for n in [*range(2, 513), 4099]:
+            expected = np.array([self.root_power(n, m) for m in range(n)])
+            assert _roots_of_unity(n).tobytes() == expected.tobytes(), n
 
     def test_bit_identical_to_python_double_sum(self):
         """Columns of the root table add in the loop's order, so no bit changes, signed zeros included."""
@@ -160,10 +180,12 @@ class TestCertifyOptimality:
 
     def test_spectrum_is_cross_checked(self, monkeypatch, capsys):
         """A closed-form eigenvalue off M's spectrum, the FFT of its first row, is an anomaly."""
-        root_power = certify._root_power
-        monkeypatch.setattr(
-            certify, "_root_power", lambda n, m: root_power(n, m) + (1e-6 if m == 1 else 0.0)
-        )
+        def roots_of_unity(n):
+            roots = _roots_of_unity(n)
+            roots[1] += 1e-6
+            return roots
+
+        monkeypatch.setattr(certify, "_roots_of_unity", roots_of_unity)
         with pytest.raises(NumericalAnomalyError, match="disagrees"):
             certify_optimality(MapSpec(5, 2))
         assert main(["certify", "--n", "5", "--k", "2"]) == 4
@@ -265,3 +287,10 @@ class TestConjectureProbe:
     def test_negative_weight_rejected(self):
         with pytest.raises(DomainError):
             conjecture_probe(MapSpec(4, 2), t=-1.0)
+
+    def test_weight_is_checked_by_the_perturbation(self):
+        """t is read back from the perturbation's checked weights: a str is refused, an int reported as a float."""
+        with pytest.raises(DomainError, match="each weight must be a real number"):
+            conjecture_probe(MapSpec(4, 2), t="1")
+        ev = conjecture_probe(MapSpec(4, 2), t=2, starts=8)
+        assert ev.t == 2.0 and type(ev.t) is float

@@ -833,10 +833,22 @@ class TestEntryPoint:
         assert seen["main"] == [True, True] and seen["code"] == 0
 
     def test_cli_module_runs_the_entry_function(self):
-        """`python -m posmap.cli` prints `python -m posmap`'s bytes; without its __main__ guard, nothing."""
+        """`python -m posmap.cli` prints `python -m posmap`'s bytes; without its __main__ guard, nothing.
+
+        cli.py runs once, as __main__: posmap.run's import of posmap.cli finds
+        it, so -X importtime lists no posmap.cli import.
+        """
         argv = ("certify", "--n", "4", "--k", "2")
-        p = subprocess.run([sys.executable, "-m", "posmap.cli", *argv], capture_output=True, text=True)
-        assert (p.returncode, p.stdout, p.stderr) == (0, TestGoldenBytes.GOLDEN[argv], "")
+        p = subprocess.run([sys.executable, "-X", "importtime", "-m", "posmap.cli", *argv],
+                           capture_output=True, text=True)
+        assert (p.returncode, p.stdout) == (0, TestGoldenBytes.GOLDEN[argv])
+        imports = p.stderr.splitlines()
+        assert imports and all(line.startswith("import time:") for line in imports)
+        assert [line for line in imports if line.endswith("| posmap.certify")]
+        assert not [line for line in imports if line.endswith("| posmap.cli")]
+
+    # Stands for the help text: argparse writes it to stderr when sys.stdout is None.
+    HELP = object()
 
     CLOSED_STREAMS = {
         # fd closed at start, argv: exit code, stdout, stderr
@@ -850,6 +862,7 @@ class TestEntryPoint:
         "stderr-input-error": (2, ("apply", "--n", "3", "--k", "1", "--input", "/no/such.json"), (3, "", "")),
         "stderr-report": (2, ("certify", "--n", "4", "--k", "2"),
                           (0, TestGoldenBytes.GOLDEN[("certify", "--n", "4", "--k", "2")], "")),
+        "stdout-help": (1, ("certify", "--help"), (0, "", HELP)),
     }
 
     @pytest.mark.parametrize("case", list(CLOSED_STREAMS))
@@ -857,7 +870,8 @@ class TestEntryPoint:
         """A process started without stdout or stderr keeps main's code and writes no line to the wrong stream.
 
         With no stderr, print(file=None) would put the error line on stdout;
-        with no stdout, a finished report has nowhere to go, which is exit 1.
+        with no stdout, a finished report has nowhere to go, which is exit 1,
+        while help, which needs no stdout, is exit 0.
         """
         fd, argv, (code, out, err) = self.CLOSED_STREAMS[case]
         p = subprocess.run([sys.executable, "-m", "posmap", *argv], capture_output=True, text=True,
@@ -865,6 +879,10 @@ class TestEntryPoint:
         assert (p.returncode, p.stdout) == (code, out)
         if err is None:
             assert p.stderr.startswith("posmap: error:") and p.stderr.count("\n") == 1
+        elif err is self.HELP:
+            helped = subprocess.run([sys.executable, "-m", "posmap", *argv], capture_output=True, text=True)
+            assert (helped.returncode, helped.stderr) == (0, "")
+            assert p.stderr == helped.stdout and p.stderr.startswith("usage: posmap certify")
         else:
             assert p.stderr == err
 

@@ -326,7 +326,8 @@ class TestHadamardPerturbation:
 
     @pytest.mark.parametrize(
         "alphas, weights",
-        [([], []), ([[1.0]], [1.0]), ([1.0, -1.0], [1.0]), ([[1.0, -1.0]], [1.0, 2.0])],
+        [([], []), ([[1.0]], [1.0]), ([1.0, -1.0], [1.0]), ([[1.0, -1.0]], [1.0, 2.0]),
+         ([[1.0, -1.0]], 2.0), ([[1.0, -1.0]], [[2.0]])],
     )
     def test_shape_checks(self, alphas, weights):
         with pytest.raises(DimensionMismatchError):
@@ -350,10 +351,11 @@ class TestHadamardPerturbation:
         with pytest.raises(DomainError, match="each direction entry must be a number"):
             HadamardPerturbation([[entry, -1]], [1.0])
 
-    @pytest.mark.parametrize("weight", [1j, "1", None, 10**400], ids=["complex", "str", "None", "int-beyond-float"])
-    def test_rejects_weights_that_are_not_real_numbers(self, weight):
+    @pytest.mark.parametrize("weights", [[1j], ["1"], [None], [10**400], None],
+                             ids=["complex", "str", "None", "int-beyond-float", "None-for-the-list"])
+    def test_rejects_weights_that_are_not_real_numbers(self, weights):
         with pytest.raises(DomainError, match="each weight must be a real number"):
-            HadamardPerturbation([[1.0, -1.0]], [weight])
+            HadamardPerturbation([[1.0, -1.0]], weights)
 
     def test_zero_sum_psd_annihilates_ones(self):
         rng = np.random.default_rng(11)

@@ -89,6 +89,12 @@ class TestGramRank:
         assert gram_rank([[]]) == 0
         assert gram_rank(np.zeros((3, 0))) == 0
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_entries_are_a_domain_error(self, entry):
+        """Refused before the SVD, which would raise LinAlgError: SVD did not converge."""
+        with pytest.raises(DomainError, match="non-finite"):
+            gram_rank([[1.0, 0.0], [0.0, entry]])
+
     def test_matrices_are_flattened_to_rows(self):
         e = np.eye(2)
         assert gram_rank([np.outer(e[0], e[1]), np.outer(e[1], e[0]), 2 * np.outer(e[0], e[1])]) == 2
