@@ -43,10 +43,6 @@ class InputDataError(Exception):
     """Unreadable or invalid input data (exit code 3)."""
 
 
-class ConfigError(Exception):
-    """Invalid run configuration (exit code 2)."""
-
-
 def dumps_report(report: dict) -> str:
     """Canonical JSON text: sorted keys, each float as its shortest round-trip repr."""
     try:
@@ -150,7 +146,7 @@ def _resolve_config(args) -> tuple:
     """The validated map and the report's config: every parsed option besides the command."""
     spec = MapSpec(args.n, args.k)
     if args.seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {args.seed}")
+        raise DomainError(f"seed must be nonnegative, got {args.seed}")
     config = {key: value for key, value in vars(args).items() if key != "command"}
     config["samples"] = phase_pair_count(spec.n)
     return spec, config
@@ -160,10 +156,10 @@ def _build_perturbation(config: dict) -> HadamardPerturbation | None:
     perturb, t = config["perturb"], config["t"]
     if perturb is None:
         if t is not None:
-            raise ConfigError("--t requires --perturb")
+            raise DomainError("--t requires --perturb")
         return None
     if t is None:
-        raise ConfigError("--perturb requires --t")
+        raise DomainError("--perturb requires --t")
     return HadamardPerturbation([alternating_vector(config["n"])], [t])
 
 
@@ -180,7 +176,7 @@ def _pert_summary(pert: HadamardPerturbation | None):
 def cmd_apply(spec: MapSpec, config: dict) -> dict:
     pert = _build_perturbation(config)
     if config["input"] is None:
-        raise ConfigError("apply requires --input")
+        raise DomainError("apply requires --input")
     X = load_matrix(config["input"], spec.n)
     try:
         X = require_hermitian(X)
@@ -251,13 +247,13 @@ def _parse_grid(raw: str):
         start_s, stop_s, num_s = raw.split(":")
         start, stop, num = float(start_s), float(stop_s), int(num_s)
     except ValueError:
-        raise ConfigError(f"--grid must be START:STOP:NUM, got {raw!r}")
+        raise DomainError(f"--grid must be START:STOP:NUM, got {raw!r}")
     if num < 1:
-        raise ConfigError(f"grid needs at least one point, got {num}")
+        raise DomainError(f"grid needs at least one point, got {num}")
     if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ConfigError(f"grid weights must be finite, got {raw!r}")
+        raise DomainError(f"grid weights must be finite, got {raw!r}")
     if start < 0 or stop < start:
-        raise ConfigError(f"grid weights must satisfy 0 <= start <= stop, got {raw!r}")
+        raise DomainError(f"grid weights must satisfy 0 <= start <= stop, got {raw!r}")
     return np.linspace(start, stop, num)
 
 
@@ -267,11 +263,11 @@ def cmd_conjecture(spec: MapSpec, config: dict) -> dict:
 
     if config["experimental"]:
         if config["grid"] is None:
-            raise ConfigError("--experimental requires --grid START:STOP:NUM")
+            raise DomainError("--experimental requires --grid START:STOP:NUM")
         if config["t"] is not None:
-            raise ConfigError("--experimental sweeps --grid and takes no --t")
+            raise DomainError("--experimental sweeps --grid and takes no --t")
         if spec.gcd < 2:
-            raise ConfigError(f"no kernel directions to sweep: gcd(n, k) = {spec.gcd}")
+            raise DomainError(f"no kernel directions to sweep: gcd(n, k) = {spec.gcd}")
         axes = spec.gcd - 1
         grid = _parse_grid(config["grid"])
         basis = build_circulant(spec).kernel
@@ -297,7 +293,7 @@ def cmd_conjecture(spec: MapSpec, config: dict) -> dict:
             "verdict": "not-asserted",
         }
     if config["grid"] is not None:
-        raise ConfigError("--grid requires --experimental")
+        raise DomainError("--grid requires --experimental")
     evidence = conjecture_probe(
         spec, seed=config["seed"], t=config["t"],
         starts=config["starts"], tol=config["tol"],
@@ -385,7 +381,7 @@ def main(argv=None) -> int:
             "result": _COMMANDS[args.command][0](spec, config),
         }
         text = render_text(report) if config["output"] == "text" else dumps_report(report)
-    except (ConfigError, DomainError, DimensionMismatchError, MemoryError) as exc:
+    except (DomainError, DimensionMismatchError, MemoryError) as exc:
         print_error(f"posmap: error: {str(exc) or 'out of memory'}")
         return 2
     except InputDataError as exc:

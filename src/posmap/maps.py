@@ -47,7 +47,7 @@ class DimensionMismatchError(ValueError):
 
 
 class DomainError(ValueError):
-    """Input lies outside an operation's mathematical domain."""
+    """Input lies outside an operation's mathematical domain, or a CLI flag combination is invalid."""
 
 
 class NumericalAnomalyError(RuntimeError):

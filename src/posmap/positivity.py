@@ -81,6 +81,13 @@ _SNAP_AFTER = 32
 _SNAP_EVERY = 16
 _SNAP_RHO = 1e-2
 _EPS = np.finfo(float).eps
+# sqrt(tiny) / eps: below it |v|^2 takes subnormal rounding (1e-4 at |v| = 1e-160), so _unit rescales first.
+_UNIT_MIN_NORM = 2.0**-459
+# parity_witness_value's bounds: G is real (v1 is exactly +-1/sqrt(n)), so the image's imaginary
+# parts are exactly 0.0; N 1's residual over max(1, |value|) grows like n eps, at most 2.1e-13
+# for even n <= 128 near t = n - k, but 1.1e-12 at (n, k, t) = (300, 4, 295.5).
+_WITNESS_IMAG_TOL = 1e-12
+_WITNESS_RESID_RTOL = 1e-12
 # splitmix64's increment (2^64 / golden ratio, odd) and word mask, for start_moduli.
 _GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -100,10 +107,10 @@ class PositivityReport:
 
 
 def _unit(v: np.ndarray, name: str) -> np.ndarray:
-    """v / |v|, first scaled by max|v| when |v| overflows or underflows."""
+    """v / |v|, first scaled by max|v| when |v| overflows or is below _UNIT_MIN_NORM."""
     with np.errstate(over="ignore"):
         nrm = np.linalg.norm(v)
-    if not 0.0 < nrm < np.inf:
+    if not _UNIT_MIN_NORM < nrm < np.inf:
         peak = np.abs(v).max()
         if peak == 0.0:
             raise DomainError(f"{name} must be nonzero")
@@ -226,8 +233,13 @@ def _secular_eigenpairs(d: np.ndarray, U: np.ndarray, z0: np.ndarray):
     return np.ldexp(dmin + mu, 2 * half), z, ~(resid <= n * _EPS)
 
 
-def _secular_halfstep(dense, factors, v: np.ndarray, z0: np.ndarray):
-    """Smallest eigenpairs of the matrices dense(v) from factors(v) = (d, U), eigh for bad rows."""
+def _halfstep(dense, factors, v: np.ndarray, z0: np.ndarray):
+    """One see-saw half-step: the smallest eigenpairs of the matrices dense(v), warm-started from z0.
+
+    eigh below _SECULAR_MIN_N (z0's length), else the secular solve on factors(v) = (d, U), eigh for bad rows.
+    """
+    if z0.shape[-1] < _SECULAR_MIN_N:
+        return _eigh_smallest(dense(v))
     lam, z, bad = _secular_eigenpairs(*factors(v), z0)
     if bad.any():
         lam[bad], z[bad] = _eigh_smallest(dense(v[bad]))
@@ -263,12 +275,10 @@ def _seesaw_batch(map_, X0: np.ndarray, max_sweeps: int, improve_tol: float):
 
     Each row starts from the unit vector along its moduli |X0[i]|, a
     diagonal unitary image of X0[i] with the same values of F.  Each
-    half-step solves for the smallest eigenpairs of the on_projector or
-    quadratic_form matrices of the rows still active: below _SECULAR_MIN_N
-    by one stacked eigh, from there on by _secular_halfstep on the
-    *_factors of those matrices, warm-started from the vector the
-    half-step replaces (x for the first y-step).  The path is chosen once
-    per call, from n.  A row stops when a sweep improves it by less than
+    half-step is one _halfstep call (eigh or the secular solve, by n) for
+    the smallest eigenpairs of the on_projector or quadratic_form matrices
+    of the rows still active, warm-started from the vector it replaces
+    (y starts at x).  A row stops when a sweep improves it by less than
     improve_tol, after max_sweeps sweeps, or on a window zero pair: every
     _SNAP_EVERY sweeps from sweep _SNAP_AFTER on, a positive row close to
     one takes it if F is no higher there (_window_snap), and snapped[i]
@@ -284,19 +294,11 @@ def _seesaw_batch(map_, X0: np.ndarray, max_sweeps: int, improve_tol: float):
     sweeps = np.zeros(len(X), dtype=int)
     snapped = np.zeros(len(X), dtype=bool)
     active = np.arange(len(X))
-    x, value = X.copy(), values.copy()
-    if map_.n < _SECULAR_MIN_N:
-        y_step = lambda v, z0: _eigh_smallest(map_.on_projector(v))
-        x_step = lambda v, z0: _eigh_smallest(map_.quadratic_form(v))
-    else:
-        y_step = lambda v, z0: _secular_halfstep(
-            map_.on_projector, map_.on_projector_factors, v, z0)
-        x_step = lambda v, z0: _secular_halfstep(
-            map_.quadratic_form, map_.quadratic_form_factors, v, z0)
+    x, y, value = X.copy(), X.copy(), values.copy()
     for sweep in range(1, max_sweeps + 1):
-        half, y = y_step(x, x if sweep == 1 else y)
+        half, y = _halfstep(map_.on_projector, map_.on_projector_factors, x, y)
         _check_monotone(value, half, "y")
-        new, x = x_step(y, x)
+        new, x = _halfstep(map_.quadratic_form, map_.quadratic_form_factors, y, x)
         _check_monotone(half, new, "x")
         done = value - new < improve_tol
         value = new
@@ -517,13 +519,13 @@ def parity_witness_value(n: int, k: int, t: float):
     mu = np.zeros(n)
     mu[0::2] = 1.0
     out = TauMap(spec.coupling, pert).apply(np.outer(mu, mu))
-    if np.abs(out.imag).max() > 1e-12:
+    if np.abs(out.imag).max() > _WITNESS_IMAG_TOL:
         raise NumericalAnomalyError("witness submatrix acquired an imaginary part")
     N = out.real[0::2, 0::2]
     value = ((n - k) - t) / 2.0
     p = n // 2
     resid = np.abs(N @ np.ones(p) - value * np.ones(p)).max()
-    if resid > 1e-12 * max(1.0, abs(value)):
+    if resid > _WITNESS_RESID_RTOL * max(1.0, abs(value)):
         raise NumericalAnomalyError(
             f"extracted submatrix disagrees with the closed-form eigenvalue by {resid:.3e}"
         )

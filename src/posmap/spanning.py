@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import DomainError, MapSpec, NumericalAnomalyError, _abs2, _window_pairs, coupling_matrix
+from .maps import DomainError, MapSpec, NumericalAnomalyError, _abs2, _numbers, _window_pairs, coupling_matrix
 
 ADMISSION_TOL = 1e-9
 RANK_REL_TOL = 1e-8
@@ -58,9 +58,9 @@ class SpanningSet:
 def gram_rank(vectors) -> int:
     """Rank of the stacked vectors by singular values above RANK_REL_TOL * sigma_max.
 
-    A NaN or infinite entry raises DomainError, where the SVD would not converge.
+    An entry that is a str, None, NaN or infinite raises DomainError, before the SVD.
     """
-    A = np.asarray(vectors, dtype=np.complex128)
+    A = _numbers(vectors, "vector entry").astype(np.complex128, copy=False)
     if A.size == 0:
         return 0
     if not np.isfinite(A).all():

@@ -23,9 +23,9 @@ from posmap.positivity import (
     NEGATIVITY_TOL,
     SWEEP_IMPROVEMENT_TOL,
     _SECULAR_MIN_N,
+    _halfstep,
     _leave_one_out,
     _secular_eigenpairs,
-    _secular_halfstep,
     _seesaw_batch,
     _seesaw_single,
     _window_snap,
@@ -576,11 +576,11 @@ def eigen_residual(A, lam, z):
 
 
 def halfstep(A, d, U, z0, dense_rows):
-    """_secular_halfstep on a stack indexed by row number; dense_rows records the rows sent to eigh."""
+    """_halfstep on a stack indexed by row number; dense_rows records the rows sent to eigh."""
     def dense(v):
         dense_rows.extend(v.tolist())
         return A[v]
-    return _secular_halfstep(dense, lambda v: (d[v], U[v]), np.arange(len(d)), z0)
+    return _halfstep(dense, lambda v: (d[v], U[v]), np.arange(len(d)), z0)
 
 
 class TestSmallestEigenpairs:
@@ -641,11 +641,11 @@ class TestSmallestEigenpairs:
         """Below _SECULAR_MIN_N every half-step is eigh; from there on the secular solve."""
         calls = []
 
-        def secular(dense, factors, v, z0):
-            calls.append(v.shape[-1])
-            return _secular_halfstep(dense, factors, v, z0)
+        def secular(d, U, z0):
+            calls.append(U.shape[1])
+            return _secular_eigenpairs(d, U, z0)
 
-        monkeypatch.setattr(posmap.positivity, "_secular_halfstep", secular)
+        monkeypatch.setattr(posmap.positivity, "_secular_eigenpairs", secular)
         for n in (_SECULAR_MIN_N - 1, _SECULAR_MIN_N):
             map_ = v1_map(n, 4)
             _seesaw_batch(map_, seeded_starts(n, 4), MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)

@@ -5,10 +5,19 @@ import hypothesis.strategies as st
 import numpy as np
 
 from posmap import HadamardPerturbation, MapSpec, TauMap, form_value
+from posmap.positivity import _halfstep, _seesaw_batch
+
+EPS = np.finfo(float).eps
 
 
-def zero_sum_directions(rng, r, n):
-    A = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
+def gaussian(rng, shape, real=False):
+    """Standard normal draws, complex ones unless real."""
+    g = rng.standard_normal(shape)
+    return g if real else g + 1j * rng.standard_normal(shape)
+
+
+def zero_sum_directions(rng, r, n, real=False):
+    A = gaussian(rng, (r, n), real)
     return A - A.mean(axis=1, keepdims=True)
 
 
@@ -36,3 +45,94 @@ def test_positive_combination_stays_admissible(n, r1, r2, exponents, seed):
     plain = form_value(TauMap(spec.coupling), x, x.conj())
     corrected = form_value(TauMap(spec.coupling, combined), x, x.conj())
     assert abs(corrected - plain) <= 1e-12 * max(1.0, scale)
+
+
+def drawn_map(n, seed, direction, u):
+    """(map, rng): a map on a random nonnegative coupling row, some entries zero, and its rng.
+
+    The map subtracts nothing, or one zero-sum real or complex direction of
+    weight 10^u.  The test draws its vectors from rng.
+    """
+    rng = np.random.default_rng(seed)
+    c = rng.random(n) * (rng.random(n) < 0.7)
+    pert = None
+    if direction is not None:
+        pert = HadamardPerturbation(zero_sum_directions(rng, 1, n, direction == "real"), [10.0**u])
+    return TauMap(c, pert), rng
+
+
+# n runs across _SECULAR_MIN_N = 16, so both half-step solvers are drawn.
+coupled_maps = st.builds(
+    drawn_map,
+    n=st.integers(2, 24),
+    seed=st.integers(0, 2**32 - 1),
+    direction=st.sampled_from((None, "real", "complex")),
+    u=st.floats(-300, 300),
+)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(drawn=coupled_maps, side=st.sampled_from(("y", "x")))
+def test_halfstep_is_the_smallest_eigenpair(drawn, side):
+    """_halfstep matches eigvalsh, with a unit eigenvector, to 8 n eps of the scale max(d, |U_i|^2).
+
+    The matrices are see-saw matrices of drawn maps on both sides of
+    _SECULAR_MIN_N.  The secular solve accepts a residual of n eps of the
+    matrix scaled by a power of two to max(d, |U_i|^2) in [1/4, 1), so up
+    to 4 n eps of the scale, and eigh's own residual reaches 4.2 n eps of
+    it at n = 3 and 4: 8 n eps leaves both a factor of two.
+    """
+    map_, rng = drawn
+    n = map_.n
+    dense, factors = ((map_.on_projector, map_.on_projector_factors) if side == "y"
+                      else (map_.quadratic_form, map_.quadratic_form_factors))
+    v, z0 = gaussian(rng, (2, 4, n), np.isrealobj(map_.factor))
+    lam, z = _halfstep(dense, factors, v, z0)
+    d, U = factors(v)
+    scale = np.maximum(d.max(axis=1), (np.abs(U) ** 2).sum(axis=2).max(axis=1))
+    # Divided by a power of two p >= scale, exactly, so the checks cannot overflow.
+    p = np.ldexp(1.0, np.frexp(scale)[1])
+    A, lam, tol = dense(v) / p[:, None, None], lam / p, 8 * n * EPS * scale / p
+    assert np.all(np.abs(lam - np.linalg.eigvalsh(A)[:, 0]) <= tol)
+    assert np.all(np.abs(np.linalg.norm(z, axis=1) - 1.0) <= 2 * n * EPS)
+    resid = np.linalg.norm((A @ z[..., None])[..., 0] - lam[:, None] * z, axis=1)
+    assert np.all(resid <= tol)
+
+
+@hypothesis.settings(max_examples=50, deadline=None)
+@hypothesis.given(drawn=coupled_maps, sweeps=st.integers(1, 6))
+def test_capped_seesaw_stays_finite(drawn, sweeps):
+    """A few sweeps from drawn starts raise no monotonicity anomaly and give finite values and vectors."""
+    map_, rng = drawn
+    X0 = rng.random((4, map_.n))
+    values, X, Y, swept, _ = _seesaw_batch(map_, X0, sweeps, 1e-12)
+    assert np.isfinite(values).all() and np.isfinite(X).all() and np.isfinite(Y).all()
+    assert np.all((1 <= swept) & (swept <= sweeps))
+
+
+def form_scale(map_):
+    """An upper bound on |F| over unit pairs: the largest coupling row sum plus max|G|."""
+    d, U = map_.on_projector_factors(np.ones(map_.n))
+    return d.max() + (np.abs(U) ** 2).sum(axis=1).max()
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(drawn=coupled_maps)
+def test_form_is_torus_invariant(drawn):
+    """F(D x, conj(D) y) = F(x, y) for a random diagonal unitary D, to 1e-12 of the form's scale."""
+    map_, rng = drawn
+    x, y = gaussian(rng, (2, map_.n))
+    D = np.exp(2j * np.pi * rng.random(map_.n))
+    assert abs(form_value(map_, D * x, D.conj() * y) - form_value(map_, x, y)) <= 1e-12 * form_scale(map_)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(drawn=coupled_maps, ux=st.floats(-300, 300), uy=st.floats(-300, 300))
+# Norms near 1e-160, whose squares are subnormal: the unit vectors lost up to 1e-4 of their norm.
+@hypothesis.example(drawn=drawn_map(2, 0, None, 0.0), ux=-158.0, uy=-160.0)
+def test_form_is_scale_invariant(drawn, ux, uy):
+    """F(10^ux x, 10^uy y) = F(x, y) over the whole float range, to 1e-12 of the form's scale."""
+    map_, rng = drawn
+    x, y = gaussian(rng, (2, map_.n))
+    scaled = form_value(map_, 10.0**ux * x, 10.0**uy * y)
+    assert abs(scaled - form_value(map_, x, y)) <= 1e-12 * form_scale(map_)

@@ -95,6 +95,13 @@ class TestGramRank:
         with pytest.raises(DomainError, match="non-finite"):
             gram_rank([[1.0, 0.0], [0.0, entry]])
 
+    @pytest.mark.parametrize("vectors, dtype", [([["1", "0"], ["0", "2"]], "<U1"),
+                                                ([[1.0, 0.0], [0.0, None]], "object")])
+    def test_non_numbers_are_a_domain_error(self, vectors, dtype):
+        """Strings are not parsed as numbers, and None is not reported as non-finite."""
+        with pytest.raises(DomainError, match=f"must be a number, got {dtype} entries"):
+            gram_rank(vectors)
+
     def test_matrices_are_flattened_to_rows(self):
         e = np.eye(2)
         assert gram_rank([np.outer(e[0], e[1]), np.outer(e[1], e[0]), 2 * np.outer(e[0], e[1])]) == 2
