@@ -83,11 +83,6 @@ _SNAP_RHO = 1e-2
 _EPS = np.finfo(float).eps
 # sqrt(tiny) / eps: below it |v|^2 takes subnormal rounding (1e-4 at |v| = 1e-160), so _unit rescales first.
 _UNIT_MIN_NORM = 2.0**-459
-# parity_witness_value's bounds: G is real (v1 is exactly +-1/sqrt(n)), so the image's imaginary
-# parts are exactly 0.0; N 1's residual over max(1, |value|) grows like n eps, at most 2.1e-13
-# for even n <= 128 near t = n - k, but 1.1e-12 at (n, k, t) = (300, 4, 295.5).
-_WITNESS_IMAG_TOL = 1e-12
-_WITNESS_RESID_RTOL = 1e-12
 # splitmix64's increment (2^64 / golden ratio, odd) and word mask, for start_moduli.
 _GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -270,7 +265,7 @@ def _window_snap(map_, x: np.ndarray, y: np.ndarray, value: np.ndarray):
     return rows[take], xs[take], ys[take], f[take]
 
 
-def _seesaw_batch(map_, X0: np.ndarray, max_sweeps: int, improve_tol: float):
+def _seesaw_batch(map_, X0: np.ndarray, max_sweeps: int):
     """Run the alternation from every row of X0 at once; returns (values, X, Y, sweeps, snapped).
 
     Each row starts from the unit vector along its moduli |X0[i]|, a
@@ -279,10 +274,10 @@ def _seesaw_batch(map_, X0: np.ndarray, max_sweeps: int, improve_tol: float):
     the smallest eigenpairs of the on_projector or quadratic_form matrices
     of the rows still active, warm-started from the vector it replaces
     (y starts at x).  A row stops when a sweep improves it by less than
-    improve_tol, after max_sweeps sweeps, or on a window zero pair: every
-    _SNAP_EVERY sweeps from sweep _SNAP_AFTER on, a positive row close to
-    one takes it if F is no higher there (_window_snap), and snapped[i]
-    records that.  Every row keeps its own stop rule and monotonicity
+    SWEEP_IMPROVEMENT_TOL, after max_sweeps sweeps, or on a window zero
+    pair: every _SNAP_EVERY sweeps from sweep _SNAP_AFTER on, a positive
+    row close to one takes it if F is no higher there (_window_snap), and
+    snapped[i] records that.  Every row keeps its own stop rule and monotonicity
     guards and is written out and dropped from the stack when it stops, so
     row i of the result is bit for bit what the alternation gives from
     X0[i] alone.  X and Y have the dtype of the map's factor.
@@ -300,14 +295,12 @@ def _seesaw_batch(map_, X0: np.ndarray, max_sweeps: int, improve_tol: float):
         _check_monotone(value, half, "y")
         new, x = _halfstep(map_.quadratic_form, map_.quadratic_form_factors, y, x)
         _check_monotone(half, new, "x")
-        done = value - new < improve_tol
+        done = (value - new < SWEEP_IMPROVEMENT_TOL) | (sweep == max_sweeps)
         value = new
         if sweep >= _SNAP_AFTER and sweep % _SNAP_EVERY == 0:
             rows, xs, ys, fs = _window_snap(map_, x, y, value)
             x[rows], y[rows], value[rows] = xs, ys, fs
             done[rows] = snapped[active[rows]] = True
-        if sweep == max_sweeps:
-            done[:] = True
         if done.any():
             rows = active[done]
             values[rows], X[rows], Y[rows], sweeps[rows] = value[done], x[done], y[done], sweep
@@ -318,10 +311,9 @@ def _seesaw_batch(map_, X0: np.ndarray, max_sweeps: int, improve_tol: float):
     return values, X, Y, sweeps, snapped
 
 
-def _seesaw_single(map_, x0: np.ndarray, max_sweeps: int, improve_tol: float):
+def _seesaw_single(map_, x0: np.ndarray, max_sweeps: int):
     """Run the alternation from one start; returns (value, x, y, sweeps)."""
-    values, X, Y, sweeps, _ = _seesaw_batch(
-        map_, np.reshape(x0, (1, -1)), max_sweeps, improve_tol)
+    values, X, Y, sweeps, _ = _seesaw_batch(map_, np.reshape(x0, (1, -1)), max_sweeps)
     return float(values[0]), X[0], Y[0], int(sweeps[0])
 
 
@@ -399,8 +391,7 @@ def seesaw_minimize(map_, starts: int = DEFAULT_STARTS, seed: int = 0,
     capped = snapped_count = 0
     for lo in range(0, starts, block):
         X0 = [start_moduli(seed, idx, n) for idx in range(lo, min(lo + block, starts))]
-        values, X, Y, sweeps, snapped = _seesaw_batch(
-            map_, np.array(X0), MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+        values, X, Y, sweeps, snapped = _seesaw_batch(map_, np.array(X0), MAX_SWEEPS)
         capped += int(np.count_nonzero((sweeps >= MAX_SWEEPS) & ~snapped))
         snapped_count += int(np.count_nonzero(snapped))
         i = int(np.argmin(values))
@@ -504,11 +495,17 @@ def degenerate_det_bound(spec: MapSpec) -> float:
 def parity_witness_value(n: int, k: int, t: float):
     """Witness value for even n and k at subtraction weight t.
 
-    Takes mu = (1, 0, 1, 0, ...), evaluates the corrected map on mu mu^T,
-    and extracts the even-indexed submatrix N, whose eigenvalue on the
-    all-ones vector is ((n - k) - t) / 2.  Returns (value, N); the value
-    crosses zero exactly at t = n - k, so no admissible rank-one weight
-    beyond n - k can leave the map positive.
+    Takes mu = (1, 0, 1, 0, ...), evaluates the corrected map on mu mu^T
+    through on_projector(mu), and extracts the even-indexed submatrix N,
+    whose eigenvalue on the all-ones vector is ((n - k) - t) / 2.  Returns
+    (value, N); the value crosses zero exactly at t = n - k, so no
+    admissible rank-one weight beyond n - k can leave the map positive.
+    The v1 factor is real, so N is float64.  A row sum of N adds n/2
+    entries, D_i - G_ii and the -G_ij, with D_i <= n and |G_ij| <= 1 + t/n,
+    so their moduli add to at most n + (n + t)/2 and the sum's rounding
+    error is at most about (n/2) eps times that, 3/4 n eps (n + t); the
+    entries and value each round by O(eps (n + t)) on top.  A residual
+    |N 1 - value 1| above n eps (n + t) raises NumericalAnomalyError.
     """
     n = _check_int(n, "n")
     k = _check_int(k, "k")
@@ -518,14 +515,10 @@ def parity_witness_value(n: int, k: int, t: float):
     pert = HadamardPerturbation([alternating_vector(n)], [t])
     mu = np.zeros(n)
     mu[0::2] = 1.0
-    out = TauMap(spec.coupling, pert).apply(np.outer(mu, mu))
-    if np.abs(out.imag).max() > _WITNESS_IMAG_TOL:
-        raise NumericalAnomalyError("witness submatrix acquired an imaginary part")
-    N = out.real[0::2, 0::2]
+    N = TauMap(spec.coupling, pert).on_projector(mu)[0::2, 0::2]
     value = ((n - k) - t) / 2.0
-    p = n // 2
-    resid = np.abs(N @ np.ones(p) - value * np.ones(p)).max()
-    if resid > _WITNESS_RESID_RTOL * max(1.0, abs(value)):
+    resid = np.abs(N.sum(axis=1) - value).max()
+    if resid > n * _EPS * (n + t):
         raise NumericalAnomalyError(
             f"extracted submatrix disagrees with the closed-form eigenvalue by {resid:.3e}"
         )

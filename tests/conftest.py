@@ -5,6 +5,11 @@ the hook below prints one `[criterion NN] PASS/FAIL <label>` line for every
 criterion that executed, derived from the actual pytest outcomes.  A terminal
 summary survives output capture, so the lines show up in a plain `pytest -v`
 run without -s.
+
+pytest_configure ignores the one DeprecationWarning libcst's import raises
+("mypy_extensions.TypedDict is deprecated"): hypothesis's plugin imports
+libcst for a failing property's example, and the error::DeprecationWarning
+filter would turn that warning into an INTERNALERROR.
 """
 
 import re
@@ -48,3 +53,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for num in sorted(status):
         label = CRITERION_LABELS.get(num, "")
         terminalreporter.write_line(f"[criterion {num:02d}] {status[num]} {label}".rstrip())
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "filterwarnings", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")

@@ -38,7 +38,7 @@ def test_every_hook_installs_and_counts():
         # form the positivity.start hook wraps through the module, where the
         # tracer rebound it, so its count reads the real arguments and result.
         x0 = np.random.default_rng(0).standard_normal(4) + 0.5j
-        sweeps = posmap.positivity._seesaw_single(TauMap(MapSpec(4, 2).coupling), x0, 7, 1e-12)[3]
+        sweeps = posmap.positivity._seesaw_single(TauMap(MapSpec(4, 2).coupling), x0, 7)[3]
     finally:
         tracer.uninstall()
     assert tracer.missing == {}

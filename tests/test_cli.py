@@ -541,6 +541,33 @@ class TestMainInProcess:
         assert accepted == self.FLAGS
         assert documented == accepted
 
+    def test_readme_library_tour_prints_what_its_comments_say(self):
+        """README's "Library tour" block runs and prints the five lines its comments promise."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        tour = re.search(r"^## Library tour\n\n```python\n(.*?)^```$", readme, re.M | re.S).group(1)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(tour, "README.md", "exec"), {})
+        assert out.getvalue() == (
+            "positive-evidence 0.0\n"
+            "positive-evidence 0.0\n"
+            "13 False\n"
+            "not-certified\n"
+            "2.0\n"
+        )
+
+    @pytest.mark.parametrize("n,k,t", [(502, 4, 498.0), (1002, 4, 998.0), (502, 248, 254.0)])
+    def test_conjecture_witness_check_holds_at_large_n(self, capsys, n, k, t):
+        """The parity witness check holds at large n, where N's row sums round by more than 1e-12."""
+        assert main(["conjecture", "--n", str(n), "--k", str(k), "--starts", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        res = json.loads(captured.out)["result"]
+        assert res["verdict"] == "evidence-positive"
+        assert res["t"] == res["t_max_witnessed"] == t
+        assert res["witness_value_at_t"] == 0.0
+        assert abs(res["witness_value_above_max"] + 0.05) <= 1e-12
+
     DEAD_FLAGS = [
         ("certify", "--starts", "8"),
         ("certify", "--tol", "1e-6"),

@@ -21,7 +21,6 @@ from posmap import (
 from posmap.positivity import (
     MAX_SWEEPS,
     NEGATIVITY_TOL,
-    SWEEP_IMPROVEMENT_TOL,
     _SECULAR_MIN_N,
     _halfstep,
     _leave_one_out,
@@ -295,9 +294,9 @@ class TestBatchedSeesaw:
     @staticmethod
     def check_rows_equal_single_starts(map_, capped):
         X0 = seeded_starts(map_.n, 16)
-        batch = _seesaw_batch(map_, X0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+        batch = _seesaw_batch(map_, X0, MAX_SWEEPS)
         for i in range(len(X0)):
-            single = _seesaw_batch(map_, X0[i:i + 1], MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+            single = _seesaw_batch(map_, X0[i:i + 1], MAX_SWEEPS)
             # values, X, Y, sweeps and snapped, row by row.
             for a, b in zip(batch, single):
                 assert a[i:i + 1].tobytes() == b.tobytes()
@@ -327,9 +326,9 @@ class TestBatchedSeesaw:
         """From n = 16 on, every start takes the sweeps it takes with eigh, to the same values."""
         map_ = make()
         X0 = seeded_starts(map_.n, 8)
-        values, _, _, sweeps, _ = _seesaw_batch(map_, X0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+        values, _, _, sweeps, _ = _seesaw_batch(map_, X0, MAX_SWEEPS)
         monkeypatch.setattr(posmap.positivity, "_SECULAR_MIN_N", map_.n + 1)
-        ref, _, _, ref_sweeps, _ = _seesaw_batch(map_, X0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+        ref, _, _, ref_sweeps, _ = _seesaw_batch(map_, X0, MAX_SWEEPS)
         assert np.array_equal(sweeps, ref_sweeps)
         assert np.all(np.abs(values - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
@@ -337,8 +336,8 @@ class TestBatchedSeesaw:
     def check_permuting_rows_permutes_outputs(map_):
         X0 = seeded_starts(map_.n, 10)
         perm = np.random.default_rng(3).permutation(10)
-        ref = _seesaw_batch(map_, X0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
-        got = _seesaw_batch(map_, X0[perm], MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+        ref = _seesaw_batch(map_, X0, MAX_SWEEPS)
+        got = _seesaw_batch(map_, X0[perm], MAX_SWEEPS)
         for a, b in zip(ref, got):
             assert a[perm].tobytes() == b.tobytes()
 
@@ -407,7 +406,7 @@ class TestWindowSnap:
         """Each snapped start is one the cap stopped without the snap; every other start keeps its bytes."""
         map_ = make()
         X0 = seeded_starts(map_.n, 64, seed)
-        values, X, Y, sweeps, snap = _seesaw_batch(map_, X0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+        values, X, Y, sweeps, snap = _seesaw_batch(map_, X0, MAX_SWEEPS)
         assert np.count_nonzero(snap) == snapped
         assert not np.any(sweeps[~snap] >= MAX_SWEEPS)
         for value, x, y in zip(values[snap], X[snap], Y[snap]):
@@ -415,7 +414,7 @@ class TestWindowSnap:
             assert form_value(map_, x, y) == 0.0
             assert not np.any(x * y)
         monkeypatch.setattr(posmap.positivity, "_SNAP_AFTER", MAX_SWEEPS + 1)
-        ref = _seesaw_batch(map_, X0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+        ref = _seesaw_batch(map_, X0, MAX_SWEEPS)
         assert np.array_equal(ref[3] >= MAX_SWEEPS, snap)
         for got, want in zip((values, X, Y, sweeps), ref):
             assert got[~snap].tobytes() == want[~snap].tobytes()
@@ -456,9 +455,9 @@ class TestWindowSnap:
         """Every start that ends below -tol without the snap ends there, bit for bit, with it."""
         map_ = REPLAY_MAPS[name]()
         X0 = seeded_starts(map_.n, 16)
-        values, _, _, _, snapped = _seesaw_batch(map_, X0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+        values, _, _, _, snapped = _seesaw_batch(map_, X0, MAX_SWEEPS)
         monkeypatch.setattr(posmap.positivity, "_SNAP_AFTER", MAX_SWEEPS + 1)
-        ref = _seesaw_batch(map_, X0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)[0]
+        ref = _seesaw_batch(map_, X0, MAX_SWEEPS)[0]
         negative = ref < -NEGATIVITY_TOL
         assert negative.any()
         assert not snapped[negative].any()
@@ -490,7 +489,7 @@ def run_dtypes(map_, monkeypatch):
             seen.append(np.asarray(v).dtype)
             return exact(v)
         monkeypatch.setattr(map_, kernel, spy)
-    _seesaw_batch(map_, seeded_starts(map_.n, 8), MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+    _seesaw_batch(map_, seeded_starts(map_.n, 8), MAX_SWEEPS)
     return set(seen)
 
 
@@ -525,8 +524,8 @@ class TestPhaseSimilarity:
         map_ = SIMILARITY_MAPS[name]()
         X0 = seeded_starts(map_.n, 16)
         phi = np.random.default_rng(53).choice([1, 1j, -1, -1j], size=X0.shape)
-        ref = _seesaw_batch(map_, X0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
-        got = _seesaw_batch(map_, phi * X0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+        ref = _seesaw_batch(map_, X0, MAX_SWEEPS)
+        got = _seesaw_batch(map_, phi * X0, MAX_SWEEPS)
         for a, b in zip(ref, got):
             assert a.tobytes() == b.tobytes()
 
@@ -553,7 +552,7 @@ class TestPhaseSimilarity:
                              ids=["plain", "v1", "fourier"])
     def test_start_with_zero_and_subnormal_entries(self, make):
         x0 = np.array([1.0, 0.0, 1e-320, 1e-320j, -0.5 + 0.5j, -0.0])
-        value, x, y, _ = _seesaw_single(make(), x0, MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+        value, x, y, _ = _seesaw_single(make(), x0, MAX_SWEEPS)
         assert np.isfinite(value)
         assert np.isfinite(x).all() and np.isfinite(y).all()
 
@@ -648,7 +647,7 @@ class TestSmallestEigenpairs:
         monkeypatch.setattr(posmap.positivity, "_secular_eigenpairs", secular)
         for n in (_SECULAR_MIN_N - 1, _SECULAR_MIN_N):
             map_ = v1_map(n, 4)
-            _seesaw_batch(map_, seeded_starts(n, 4), MAX_SWEEPS, SWEEP_IMPROVEMENT_TOL)
+            _seesaw_batch(map_, seeded_starts(n, 4), MAX_SWEEPS)
         assert calls and set(calls) == {_SECULAR_MIN_N}
 
     def test_deflated_row_takes_eigh(self):
@@ -974,6 +973,7 @@ class TestParityWitness:
     def test_critical_weight_is_exact_zero(self):
         value, N = parity_witness_value(4, 2, 2.0)
         assert value == 0.0
+        assert N.dtype == np.float64
         assert np.array_equal(N, np.array([[1.5, -1.5], [-1.5, 1.5]]))
 
     def test_frozen_above_critical(self):
@@ -987,6 +987,12 @@ class TestParityWitness:
             (6, 2, 4.0, 0.0),
             (6, 4, 2.0, 0.0),
             (8, 2, 6.0, 0.0),
+            (502, 4, 498.0, 0.0),
+            (1002, 4, 998.0, 0.0),
+            (1022, 510, 512.0, 0.0),
+            (300, 4, 295.5, 0.25),
+            (502, 4, 498.1, (498 - 498.1) / 2),
+            (1022, 2, 1020.1, (1020 - 1020.1) / 2),
         ],
     )
     def test_zero_crossings(self, n, k, t, expected):
@@ -1006,3 +1012,10 @@ class TestParityWitness:
     def test_odd_n_rejected(self):
         with pytest.raises(DomainError):
             parity_witness_value(5, 2, 1.0)
+
+    def test_perturbed_direction_fails_the_residual_check(self, monkeypatch):
+        """A direction 1e-9 longer than v1 moves N 1 off the closed form, far above the bound."""
+        monkeypatch.setattr(posmap.positivity, "alternating_vector",
+                            lambda n: alternating_vector(n) * (1.0 + 1e-9))
+        with pytest.raises(NumericalAnomalyError, match="disagrees with the closed-form eigenvalue"):
+            parity_witness_value(4, 2, 2.0)

@@ -4,7 +4,7 @@ import hypothesis
 import hypothesis.strategies as st
 import numpy as np
 
-from posmap import HadamardPerturbation, MapSpec, TauMap, form_value
+from posmap import HadamardPerturbation, MapSpec, TauMap, form_value, require_hermitian
 from posmap.positivity import _halfstep, _seesaw_batch
 
 EPS = np.finfo(float).eps
@@ -61,14 +61,34 @@ def drawn_map(n, seed, direction, u):
     return TauMap(c, pert), rng
 
 
+def maps_up_to(n_max):
+    """drawn_map over 2 <= n <= n_max, every seed, direction kind and weight exponent in [-300, 300]."""
+    return st.builds(
+        drawn_map,
+        n=st.integers(2, n_max),
+        seed=st.integers(0, 2**32 - 1),
+        direction=st.sampled_from((None, "real", "complex")),
+        u=st.floats(-300, 300),
+    )
+
+
 # n runs across _SECULAR_MIN_N = 16, so both half-step solvers are drawn.
-coupled_maps = st.builds(
-    drawn_map,
-    n=st.integers(2, 24),
-    seed=st.integers(0, 2**32 - 1),
-    direction=st.sampled_from((None, "real", "complex")),
-    u=st.floats(-300, 300),
-)
+coupled_maps = maps_up_to(24)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(drawn=maps_up_to(8))
+def test_choi_blocks_are_the_images_of_matrix_units(drawn):
+    """Block (i, j) of choi() is apply(E_ij) exactly, and choi() is Hermitian within HERMITIAN_RTOL."""
+    map_, _ = drawn
+    n = map_.n
+    C = map_.choi()
+    for i in range(n):
+        for j in range(n):
+            E = np.zeros((n, n))
+            E[i, j] = 1.0
+            assert np.array_equal(C[i * n:(i + 1) * n, j * n:(j + 1) * n], map_.apply(E))
+    require_hermitian(C)
 
 
 @hypothesis.settings(max_examples=100, deadline=None)
@@ -105,7 +125,7 @@ def test_capped_seesaw_stays_finite(drawn, sweeps):
     """A few sweeps from drawn starts raise no monotonicity anomaly and give finite values and vectors."""
     map_, rng = drawn
     X0 = rng.random((4, map_.n))
-    values, X, Y, swept, _ = _seesaw_batch(map_, X0, sweeps, 1e-12)
+    values, X, Y, swept, _ = _seesaw_batch(map_, X0, sweeps)
     assert np.isfinite(values).all() and np.isfinite(X).all() and np.isfinite(Y).all()
     assert np.all((1 <= swept) & (swept <= sweeps))
 
