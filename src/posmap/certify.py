@@ -14,8 +14,7 @@ probe below gathers evidence that the critical weight is exactly n - k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -38,8 +37,7 @@ if TYPE_CHECKING:
 SPECTRUM_CHECK_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class CirculantConstraint:
+class CirculantConstraint(NamedTuple):
     """The window-sum system: circulant first row, closed-form spectrum, kernel."""
 
     first_row: np.ndarray
@@ -48,16 +46,14 @@ class CirculantConstraint:
     kernel: tuple
 
 
-@dataclass(frozen=True)
-class OptimalityCertificate:
+class OptimalityCertificate(NamedTuple):
     gcd: int
     kernel_dim: int
     verdict: str
     constraint: CirculantConstraint
 
 
-@dataclass(frozen=True)
-class ConjectureEvidence:
+class ConjectureEvidence(NamedTuple):
     """Probe output for gcd 2: analytic witness values plus a see-saw run."""
 
     t: float

@@ -43,10 +43,42 @@ class InputDataError(Exception):
     """Unreadable or invalid input data (exit code 3)."""
 
 
+def _float_array_text(a: np.ndarray) -> str:
+    """The JSON text of a finite, nonempty float64 array, one repr per distinct magnitude.
+
+    The text is json.dumps(a.tolist()) byte for byte: a sign bit set, -0.0
+    included, writes "-" before its magnitude's repr.
+    """
+    flat = a.ravel()
+    magnitudes, index = np.unique(np.abs(flat), return_inverse=True)
+    reprs = [float.__repr__(m) for m in magnitudes.tolist()]
+    table = reprs + ["-" + r for r in reprs]
+    tokens = [table[i] for i in (index + len(reprs) * np.signbit(flat)).tolist()]
+    template = "{}"
+    for size in reversed(a.shape):
+        template = "[" + ", ".join([template] * size) + "]"
+    return template.format(*tokens)
+
+
+def _dumps(value) -> str:
+    """json.dumps(value, sort_keys=True, allow_nan=False), an ndarray written as its nested lists."""
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(key)}: {_dumps(value[key])}" for key in sorted(value)) + "}"
+    if isinstance(value, np.ndarray):
+        if value.dtype == np.float64 and value.size and np.isfinite(value).all():
+            return _float_array_text(value)
+        value = value.tolist()
+    return json.dumps(value, sort_keys=True, allow_nan=False)
+
+
 def dumps_report(report: dict) -> str:
-    """Canonical JSON text: sorted keys, each float as its shortest round-trip repr."""
+    """Canonical JSON text: sorted keys, each float as its shortest round-trip repr.
+
+    A finite float64 array is written as its nested lists would be, one repr
+    per distinct magnitude; every other value goes through json.dumps.
+    """
     try:
-        return json.dumps(report, sort_keys=True, allow_nan=False)
+        return _dumps(report)
     except ValueError as exc:
         raise NumericalAnomalyError(f"non-finite value in report: {exc}") from exc
 
@@ -66,10 +98,10 @@ def render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def pairs(a) -> list:
-    """A complex array as nested lists with each scalar an [re, im] pair."""
+def pairs(a) -> np.ndarray:
+    """A complex array as a float64 array of shape (..., 2), each scalar an [re, im] pair."""
     a = np.asarray(a, dtype=np.complex128)
-    return np.stack((a.real, a.imag), axis=-1).tolist()
+    return np.stack((a.real, a.imag), axis=-1)
 
 
 def load_matrix(path: str, n: int) -> np.ndarray:

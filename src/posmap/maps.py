@@ -30,7 +30,6 @@ quadratic_form return is a diagonal minus a rank-(1 + r) term, which the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,9 +81,13 @@ def _abs2(a: np.ndarray) -> np.ndarray:
     return a.real**2 + a.imag**2 if np.iscomplexobj(a) else a * a
 
 
-@dataclass(frozen=True)
+def _frozen(self, name, *_):
+    """__setattr__ and __delattr__ of the immutable MapSpec and HadamardPerturbation."""
+    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
 class MapSpec:
-    """Parameters (n, k) of one member of the shift family.
+    """Parameters (n, k) of one member of the shift family, immutable.
 
     n is the matrix dimension and k the number of cyclic diagonal shifts
     mixed into the output diagonal, so 0 <= k <= n-1.  n is at most the
@@ -92,12 +95,12 @@ class MapSpec:
     NumPy's platform bound on any array.
     """
 
-    n: int
-    k: int
+    __slots__ = ("n", "k")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        n = _check_int(self.n, "n")
-        k = _check_int(self.k, "k")
+    def __init__(self, n: int, k: int):
+        n = _check_int(n, "n")
+        k = _check_int(k, "k")
         if n < 2:
             raise DomainError(f"n must be at least 2, got {n}")
         if 16 * n * n > np.iinfo(np.intp).max:
@@ -106,6 +109,15 @@ class MapSpec:
             raise DomainError(f"k out of range for n={n}: {k}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
+
+    def __repr__(self) -> str:
+        return f"MapSpec(n={self.n}, k={self.k})"
+
+    def __eq__(self, other):
+        return (self.n, self.k) == (other.n, other.k) if type(other) is MapSpec else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.k))
 
     @property
     def coupling(self) -> np.ndarray:
@@ -196,27 +208,26 @@ def alternating_vector(n: int) -> np.ndarray:
     return _roots_of_unity(n)[(n // 2 * np.arange(n)) % n] / math.sqrt(n)
 
 
-@dataclass(frozen=True)
 class HadamardPerturbation:
-    """A Hadamard-product subtraction X -> L o X with L = sum_r w_r alpha_r alpha_r^dag.
+    """A Hadamard-product subtraction X -> L o X with L = sum_r w_r alpha_r alpha_r^dag, immutable.
 
     alphas holds r directions of length n, each with entries summing to
     zero within ENTRY_SUM_TOL times its largest modulus (so at any scale),
-    and weights the r nonnegative weights.  L is then positive semidefinite
-    with L 1 = 0 by construction, so only the inputs are checked.
+    and weights the r nonnegative weights, kept as a tuple of floats.  L,
+    kept as matrix, is then positive semidefinite with L 1 = 0 by
+    construction, so only the inputs are checked.
     """
 
-    alphas: np.ndarray
-    weights: tuple
-    matrix: np.ndarray = field(init=False)
+    __slots__ = ("alphas", "weights", "matrix")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        A = _numbers(self.alphas, "direction entry").astype(np.complex128, copy=False)
+    def __init__(self, alphas, weights):
+        A = _numbers(alphas, "direction entry").astype(np.complex128, copy=False)
         if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 2:
             raise DimensionMismatchError(
                 f"need r >= 1 directions of length n >= 2, got shape {A.shape}"
             )
-        w = _nonnegative_reals(self.weights, "weight")
+        w = _nonnegative_reals(weights, "weight")
         if w.shape != A.shape[:1]:
             raise DimensionMismatchError(f"weights of shape {w.shape} for {A.shape[0]} directions")
         if not np.isfinite(A).all():

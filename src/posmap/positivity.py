@@ -40,7 +40,7 @@ and a product-form determinant that never divides and so survives D_i = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,8 +88,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
-class PositivityReport:
+class PositivityReport(NamedTuple):
     """Outcome of a multistart see-saw minimization of the form F."""
 
     verdict: str

@@ -30,7 +30,7 @@ formed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +41,7 @@ RANK_REL_TOL = 1e-8
 SIGMA_FIX_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SpanningSet:
+class SpanningSet(NamedTuple):
     """Admitted pairs, their form values, their products' torus-closure rank, membership flags.
 
     pairs is an (m, 2, n) array with x_i at [i, 0] and y_i at [i, 1];

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import copy
 import gc
+import hashlib
 import importlib
 import io
 import json
@@ -415,6 +416,48 @@ class TestGoldenBytes:
         assert p.stdout == self.GOLDEN[case]
 
 
+class TestLargeReportDigests:
+    """sha256 of the full stdout of reports that are mostly float arrays, frozen.
+
+    The apply input is Hermitian with a small-integer diagonal, so that the
+    image's diagonal C @ diag X is exact whichever OpenBLAS kernel runs; its
+    off-diagonal entries are rng.random() differences, so most floats need
+    all 17 digits.  Each child runs in tmp_path, so config.input is the same
+    relative name on every run.
+    """
+
+    SHA256 = {
+        ("certify", "--n", "240", "--k", "96"):
+            "3cad66aad5547d76b20c086d9fa6b7163c6929144773484114325c18a6438a17",
+        ("certify", "--n", "120", "--k", "60"):
+            "343a2b84fcb6255722ff6898b9ae4511e9012b37f25ca1e4d9d0cf8c780bd14d",
+        ("certify", "--n", "120", "--k", "60", "--output", "text"):
+            "6cba83e41cb6d3b7b474ef3e2b89b43b176638f97af4e02372cab04bf7e998ed",
+        ("apply", "--n", "128", "--k", "40", "--perturb", "v1", "--t", "88.0", "--input", "h128.json"):
+            "eca8b9c03eb2c9d68044569599ef2c9ab92b62d570c5ca0d2c233ae2be13d101",
+    }
+
+    @staticmethod
+    def hermitian_input(n):
+        rng = np.random.default_rng(0)
+        A = (rng.random((n, n)) - 0.5) + 1j * (rng.random((n, n)) - 0.5)
+        X = A + A.conj().T
+        X[np.diag_indices(n)] = np.arange(n) % 7 - 3
+        return X
+
+    @pytest.mark.parametrize("argv", list(SHA256), ids=lambda argv: "-".join(argv[:5] + argv[6:7]))
+    def test_stdout_digest(self, tmp_path, argv):
+        if argv[0] == "apply":
+            write_matrix(tmp_path / "h128.json", self.hermitian_input(128))
+        env = dict(os.environ)
+        env.pop("POSMAP_THREADS", None)
+        src = str(Path(posmap.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        p = subprocess.run([sys.executable, "-m", "posmap", *argv], capture_output=True, cwd=tmp_path, env=env)
+        assert (p.returncode, p.stderr) == (0, b"")
+        assert hashlib.sha256(p.stdout).hexdigest() == self.SHA256[argv]
+
+
 class TestDeterminismAndSchema:
     CASES = [
         ("positivity", "--n", "3", "--k", "1", "--starts", "8"),
@@ -712,6 +755,34 @@ class TestFreshInterpreter:
             f"flags = [loads_random(argv) for argv in {argvs!r}]\n"
             "import numpy.random\n"
             "print(flags, 'numpy.random' in sys.modules)\n"
+        )
+        p = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+        assert (p.returncode, p.stderr) == (0, "")
+        assert p.stdout == f"{[False] * len(argvs)} True\n"
+
+    def test_no_command_loads_dataclasses(self, tmp_path):
+        """No subcommand imports dataclasses, whose class decorator compiles code at every start.
+
+        The child imports dataclasses itself last, the control that the check sees the import.
+        """
+        argvs = [
+            ["apply", "--n", "4", "--k", "2", "--perturb", "v1", "--t", "1.0",
+             "--input", write_matrix(tmp_path / "x.json", np.eye(4))],
+            ["positivity", "--n", "4", "--k", "2", "--starts", "2"],
+            ["spanning", "--n", "8", "--k", "3"],
+            ["certify", "--n", "12", "--k", "8"],
+            ["conjecture", "--n", "4", "--k", "2", "--starts", "2"],
+            ["conjecture", "--n", "6", "--k", "3", "--experimental", "--grid", "0:1:2", "--starts", "2"],
+        ]
+        child = (
+            "import contextlib, io, sys, posmap.cli\n"
+            "def loads_dataclasses(argv):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert posmap.cli.main(argv) == 0, argv\n"
+            "    return 'dataclasses' in sys.modules\n"
+            f"flags = [loads_dataclasses(argv) for argv in {argvs!r}]\n"
+            "import dataclasses\n"
+            "print(flags, 'dataclasses' in sys.modules)\n"
         )
         p = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
         assert (p.returncode, p.stderr) == (0, "")

@@ -68,6 +68,22 @@ class TestMapSpec:
         with pytest.raises(DomainError):
             MapSpec(3, True)
 
+    def test_fields_are_read_only(self):
+        spec = MapSpec(4, 2)
+        with pytest.raises(AttributeError, match="MapSpec.n is read-only"):
+            spec.n = 5
+        with pytest.raises(AttributeError):
+            del spec.k
+        with pytest.raises(AttributeError):
+            spec.extra = 1
+        assert (spec.n, spec.k) == (4, 2)
+
+    def test_value_semantics(self):
+        assert MapSpec(4, 2) == MapSpec(4, 2) and MapSpec(4, 2) != MapSpec(4, 1)
+        assert MapSpec(4, 2) != (4, 2)
+        assert len({MapSpec(4, 2), MapSpec(4, 2)}) == 1
+        assert repr(MapSpec(4, 2)) == "MapSpec(n=4, k=2)"
+
 
 class TestShiftCoupling:
     def test_3_1_frozen(self):
@@ -296,6 +312,14 @@ class TestHadamardPerturbation:
         assert np.array_equal(pert.matrix, expected)
         assert pert.weights == (2.0,)
         assert pert.dim == 4
+
+    @pytest.mark.parametrize("field", ["alphas", "weights", "matrix"])
+    def test_fields_are_read_only(self, field):
+        pert = HadamardPerturbation(alphas=[alternating_vector(4)], weights=[2.0])
+        before = getattr(pert, field)
+        with pytest.raises(AttributeError, match=f"HadamardPerturbation.{field} is read-only"):
+            setattr(pert, field, None)
+        assert getattr(pert, field) is before
 
     def test_rank_one_requires_zero_sum(self):
         with pytest.raises(DomainError, match="sum to zero"):
@@ -645,3 +669,27 @@ class TestPublicApi:
         ])
         for name in posmap.__all__:
             assert hasattr(posmap, name)
+
+    def test_records_construct_by_keyword(self):
+        """The five result records keep their field names, order and the one default."""
+        import posmap
+
+        fields = {
+            "PositivityReport": ("verdict", "min_value", "witness_x", "witness_y",
+                                 "iterations", "starts_capped", "starts_snapped"),
+            "SpanningSet": ("pairs", "values", "gram_rank", "sigma_membership"),
+            "CirculantConstraint": ("first_row", "eigenvalues", "zero_indices", "kernel"),
+            "OptimalityCertificate": ("gcd", "kernel_dim", "verdict", "constraint"),
+            "ConjectureEvidence": ("t", "t_max_witnessed", "witness_value_at_t",
+                                   "witness_value_above_max", "seesaw", "verdict", "counterexample_mu"),
+        }
+        for name, names in fields.items():
+            record = getattr(posmap, name)
+            values = {field: f"{name}.{field}" for field in names}
+            built = record(**values)
+            assert tuple(getattr(built, field) for field in names) == tuple(values.values()), name
+            assert record._fields == names
+        evidence = posmap.ConjectureEvidence(t=2.0, t_max_witnessed=2.0, witness_value_at_t=0.0,
+                                             witness_value_above_max=-0.1, seesaw=None,
+                                             verdict="evidence-positive")
+        assert evidence.counterexample_mu is None

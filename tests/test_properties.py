@@ -1,10 +1,16 @@
 """Property tests: invariants checked over drawn inputs rather than fixed samples."""
 
+import json
+import math
+import re
+
 import hypothesis
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 
-from posmap import HadamardPerturbation, MapSpec, TauMap, form_value, require_hermitian
+from posmap import HadamardPerturbation, MapSpec, NumericalAnomalyError, TauMap, form_value, require_hermitian
+from posmap.cli import dumps_report, pairs, render_text
 from posmap.positivity import _halfstep, _seesaw_batch
 
 EPS = np.finfo(float).eps
@@ -156,3 +162,41 @@ def test_form_is_scale_invariant(drawn, ux, uy):
     x, y = gaussian(rng, (2, map_.n))
     scaled = form_value(map_, 10.0**ux * x, 10.0**uy * y)
     assert abs(scaled - form_value(map_, x, y)) <= 1e-12 * form_scale(map_)
+
+
+# A small pool, so that magnitudes repeat with both signs, with both zeros and the extremes of float64.
+_REPORT_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                  0.1, -0.1, 1.0, -1.0, 0.30000000000000004, -2.5e-9, 123456.789)
+_REPORT_SHAPES = st.sampled_from(((), (0,), (0, 3))) | st.tuples(st.integers(1, 6)) | st.tuples(
+    st.integers(1, 4), st.integers(1, 4))
+
+
+@st.composite
+def complex_arrays(draw):
+    shape = draw(_REPORT_SHAPES)
+    size = 2 * math.prod(shape)
+    parts = draw(st.lists(st.sampled_from(_REPORT_FLOATS), min_size=size, max_size=size))
+    return np.array(parts).view(np.complex128).reshape(shape)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(a=complex_arrays())
+def test_report_arrays_are_written_as_their_lists(a):
+    """A pairs() array is written byte for byte as json.dumps writes its nested lists, in json and text."""
+    expected = json.dumps(pairs(a).tolist())
+    assert dumps_report({"m": pairs(a)}) == json.dumps({"m": pairs(a).tolist()}, sort_keys=True)
+    assert render_text({"r": {"m": pairs(a)}}) == f"r.m: {expected}"
+
+
+@hypothesis.settings(max_examples=50, deadline=None)
+@hypothesis.given(a=complex_arrays().filter(lambda a: a.size > 0), data=st.data())
+def test_non_finite_report_arrays_are_an_anomaly(a, data):
+    """An inf or nan entry anywhere in an array raises the standard encoder's message, in json and text."""
+    parts = pairs(a)
+    flat = parts.reshape(-1)
+    flat[data.draw(st.integers(0, flat.size - 1))] = data.draw(st.sampled_from((np.inf, -np.inf, np.nan)))
+    message = "non-finite value in report: Out of range float values are not JSON compliant"
+    with pytest.raises(NumericalAnomalyError, match=re.escape(message)):
+        dumps_report({"m": parts})
+    with pytest.raises(NumericalAnomalyError, match=re.escape(message)):
+        render_text({"m": parts})
