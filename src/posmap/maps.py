@@ -19,9 +19,9 @@ Every map here fits a single template
 
 for the circulant C = sum_m c_m P^m, (P v)_i = v_{i+1}, of a nonnegative row
 c (coupling_matrix; c = MapSpec(n, k).coupling for tau_{n,k}) and a Hermitian
-entrywise factor G.  TauMap implements it, with G = 1 + L; it exposes
-the small protocol (apply, on_projector, quadratic_form, choi) consumed
-by the positivity engine.  G = B B^dag for the n x (1 + r)
+entrywise factor G.  TauMap implements it, with G = 1 + L.  The positivity
+engine reads n, factor, rows of _C, on_projector, quadratic_form and both
+*_factors.  G = B B^dag for the n x (1 + r)
 factor B = [1, sqrt(w_r) alpha_r], so each matrix on_projector and
 quadratic_form return is a diagonal minus a rank-(1 + r) term, which the
 *_factors methods give without forming it.

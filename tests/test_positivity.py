@@ -800,6 +800,39 @@ class TestMonotonicityGuards:
         self.spoil_secular_root(monkeypatch, 2, row=1)
         self.check_cli_exits_4(capsys, 16, 4)
 
+    @pytest.mark.parametrize("coupling", [[1e6, 1, 0], 1e5 * MapSpec(8, 3).coupling,
+                                          1e50 * MapSpec(16, 5).coupling],
+                             ids=["Phi[1e6,1,0]", "eigh-1e5-tau(8,3)", "secular-1e50-tau(16,5)"])
+    def test_row_of_any_scale_is_positive_evidence(self, coupling):
+        """Rounding scales with the half-step matrix, so a positive map of a large row raises nothing."""
+        assert seesaw_minimize(TauMap(coupling), starts=16, seed=0).verdict == "positive-evidence"
+
+    @pytest.mark.parametrize("n", [4, _SECULAR_MIN_N])
+    @pytest.mark.parametrize("rise, raises", [(2.0, True), (0.5, False)])
+    def test_rise_is_judged_against_the_rounding_bound(self, monkeypatch, n, rise, raises):
+        """An x step set to rise * slack above its y step raises exactly when rise > 1.
+
+        slack = 8 n eps sigma, sigma = max c + max_i G_ii = (n - 2) + 1 for tau_{n,2}.
+        """
+        map_ = TauMap(MapSpec(n, 2).coupling)
+        slack = 8 * n * np.finfo(float).eps * (n - 2 + 1)
+        exact, lams = posmap.positivity._halfstep, []
+
+        def halfstep(dense, factors, v, z0):
+            lam, z = exact(dense, factors, v, z0)
+            if len(lams) == 1:
+                lam = lams[0] + rise * slack
+            lams.append(lam)
+            return lam, z
+
+        monkeypatch.setattr(posmap.positivity, "_halfstep", halfstep)
+        if raises:
+            with pytest.raises(NumericalAnomalyError, match="see-saw objective increased on the x step"):
+                seesaw_minimize(map_, starts=4, seed=0)
+        else:
+            assert seesaw_minimize(map_, starts=4, seed=0).verdict == "positive-evidence"
+        assert len(lams) >= 2
+
 
 class TestDiagonalProfile:
     def test_shift_coupling_gives_profile(self):
@@ -1012,6 +1045,14 @@ class TestParityWitness:
     def test_odd_n_rejected(self):
         with pytest.raises(DomainError):
             parity_witness_value(5, 2, 1.0)
+
+    @pytest.mark.parametrize("t", [np.float32(2.1), np.float16(2.5), np.int64(3), 3],
+                             ids=["float32", "float16", "int64", "int"])
+    def test_weight_is_read_back_as_a_float(self, t):
+        """The value uses the weight HadamardPerturbation keeps, a float, whatever type t has."""
+        value, _ = parity_witness_value(4, 2, t)
+        assert type(value) is float
+        assert value == (2 - float(t)) / 2
 
     def test_perturbed_direction_fails_the_residual_check(self, monkeypatch):
         """A direction 1e-9 longer than v1 moves N 1 off the closed form, far above the bound."""

@@ -53,33 +53,44 @@ def test_positive_combination_stays_admissible(n, r1, r2, exponents, seed):
     assert abs(corrected - plain) <= 1e-12 * max(1.0, scale)
 
 
-def drawn_map(n, seed, direction, u):
+def drawn_map(n, seed, direction, u, v=0.0):
     """(map, rng): a map on a random nonnegative coupling row, some entries zero, and its rng.
 
-    The map subtracts nothing, or one zero-sum real or complex direction of
-    weight 10^u.  The test draws its vectors from rng.
+    The row is scaled by 10^v.  The map subtracts nothing, or one zero-sum
+    real or complex direction of weight 10^u.  The test draws its vectors
+    from rng.
     """
     rng = np.random.default_rng(seed)
-    c = rng.random(n) * (rng.random(n) < 0.7)
+    c = 10.0**v * rng.random(n) * (rng.random(n) < 0.7)
     pert = None
     if direction is not None:
         pert = HadamardPerturbation(zero_sum_directions(rng, 1, n, direction == "real"), [10.0**u])
     return TauMap(c, pert), rng
 
 
-def maps_up_to(n_max):
-    """drawn_map over 2 <= n <= n_max, every seed, direction kind and weight exponent in [-300, 300]."""
+def maps_up_to(n_max, scaled=False):
+    """drawn_map over 2 <= n <= n_max, every seed, direction kind and weight exponent in [-300, 300].
+
+    A scaled map also draws its row's scale exponent v in [-300, 300].
+    """
     return st.builds(
         drawn_map,
         n=st.integers(2, n_max),
         seed=st.integers(0, 2**32 - 1),
         direction=st.sampled_from((None, "real", "complex")),
         u=st.floats(-300, 300),
+        v=st.floats(-300, 300) if scaled else st.just(0.0),
     )
 
 
 # n runs across _SECULAR_MIN_N = 16, so both half-step solvers are drawn.
 coupled_maps = maps_up_to(24)
+scaled_maps = maps_up_to(24, scaled=True)
+
+
+def sigma(map_):
+    """The half-step matrices' 2-norm bound at unit vectors: max c plus max_i G_ii, G_ii = |B_i|^2."""
+    return map_._C[0].max() + (np.abs(map_.factor) ** 2).sum(axis=1).max()
 
 
 @hypothesis.settings(max_examples=100, deadline=None)
@@ -125,8 +136,26 @@ def test_halfstep_is_the_smallest_eigenpair(drawn, side):
     assert np.all(resid <= tol)
 
 
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(drawn=scaled_maps)
+def test_halfstep_matrices_are_bounded_by_sigma(drawn):
+    """At unit vectors every on_projector and quadratic_form matrix has 2-norm at most sigma (1 + 4 n eps).
+
+    Diag(C |x|^2) has norm at most max c, and G o (conj(x) x^T) is PSD with
+    norm at most max_i G_ii (Schur): the premise of the see-saw's slack.
+    """
+    map_, rng = drawn
+    n, bound = map_.n, sigma(map_)
+    x = gaussian(rng, (4, n), np.isrealobj(map_.factor))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    # Divided by a power of two p >= bound, exactly, so the norms cannot overflow.
+    p = np.ldexp(1.0, np.frexp(bound)[1])
+    for A in (map_.on_projector(x), map_.quadratic_form(x)):
+        assert np.all(np.linalg.norm(A / p, 2, axis=(1, 2)) <= bound / p * (1 + 4 * n * EPS))
+
+
 @hypothesis.settings(max_examples=50, deadline=None)
-@hypothesis.given(drawn=coupled_maps, sweeps=st.integers(1, 6))
+@hypothesis.given(drawn=scaled_maps, sweeps=st.integers(1, 6))
 def test_capped_seesaw_stays_finite(drawn, sweeps):
     """A few sweeps from drawn starts raise no monotonicity anomaly and give finite values and vectors."""
     map_, rng = drawn
